@@ -1,8 +1,8 @@
 """Command-line front door: character tables, verification suites,
 exact computations, and reproducible run manifests.
 
-Exit codes: 0 all checks passed, 1 an assertion failed, 2 usage error,
-3 resource bound exceeded.
+Exit codes: 0 all checks passed, 1 an assertion failed, 2 usage error
+or unsupported parameter values, 3 resource bound exceeded.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import re
 import sys
 import time
@@ -72,7 +71,6 @@ def _manifest(command: str, params: dict, started: float, result) -> dict:
     return {"command": command,
             "parameters": params,
             "version": __version__,
-            "seed": None,
             "wall_clock_s": round(time.time() - started, 3),
             "result_digest": hashlib.sha256(blob.encode()).hexdigest()}
 
@@ -233,25 +231,27 @@ def _suite_branching(args):
     return reports
 
 
-def _suite_hopflike(args):
-    from .glfq import gl_group
-    from .hyperhecke import (verify_apply_faithful, verify_associativity,
-                             verify_hopflike, verify_normal_form)
-    n = args.n or 2
-    q = args.q or 2
-    reports = [verify_normal_form(gl_group(2, 2)),
-               verify_associativity(gl_group(2, 2), sample=12),
-               verify_apply_faithful(gl_group(2, 2)),
-               verify_normal_form(gl_group(2, 3), sample=8),
-               verify_associativity(gl_group(2, 3), sample=6),
-               verify_apply_faithful(gl_group(2, 3), sample=10)]
-    findings = verify_hopflike(n, q, args.a or 1,
-                               1 if args.b is None else args.b)
-    reports.append(findings)
+def _hopflike_findings(args):
+    """verify_hopflike at --n and --q, also written to --out if given."""
+    from .hyperhecke import verify_hopflike
+    findings = verify_hopflike(args.n or 2, args.q or 2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(_jsonable(findings), fh, indent=2)
-    return reports
+    return findings
+
+
+def _suite_hopflike(args):
+    from .glfq import gl_group
+    from .hyperhecke import (verify_apply_faithful, verify_associativity,
+                             verify_normal_form)
+    return [verify_normal_form(gl_group(2, 2)),
+            verify_associativity(gl_group(2, 2), sample=12),
+            verify_apply_faithful(gl_group(2, 2)),
+            verify_normal_form(gl_group(2, 3), sample=8),
+            verify_associativity(gl_group(2, 3), sample=6),
+            verify_apply_faithful(gl_group(2, 3), sample=10),
+            _hopflike_findings(args)]
 
 
 def _suite_bruhat(args):
@@ -325,11 +325,7 @@ def cmd_verify(args) -> int:
         print(f"unknown suite: {args.suite}; choose from "
               + ", ".join(sorted(_SUITES)), file=sys.stderr)
         return EXIT_USAGE
-    try:
-        reports = _SUITES[args.suite](args)
-    except ResourceWarning as exc:
-        print(f"resource bound exceeded: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    reports = _SUITES[args.suite](args)
     passed = all(r.get("pass", True) for r in reports)
     lines = []
     for r in reports:
@@ -340,7 +336,7 @@ def cmd_verify(args) -> int:
     lines.append(f"suite {args.suite}: "
                  + ("all checks passed" if passed else "FAILURES present"))
     params = {k: getattr(args, k, None)
-              for k in ("suite", "n", "q", "m", "p", "a", "b", "weil")}
+              for k in ("suite", "n", "q", "m", "p", "weil")}
     _emit(args, "verify", params, started,
           {"suite": args.suite, "pass": passed, "reports": reports}, lines)
     if args.suite == "hopflike":
@@ -429,11 +425,7 @@ def cmd_compute(args) -> int:
         lam = _parse_partition(args.lam)
         n = args.n or sum(lam)
         q = args.q or 3
-        try:
-            H, J = _wreath_setup(n, q)
-        except ResourceWarning as exc:
-            print(f"resource bound exceeded: {exc}", file=sys.stderr)
-            return EXIT_RESOURCE
+        H, J = _wreath_setup(n, q)
         sub = _sym_subgroup(J, H, n)
         chi = specht_character(lam)
         on_sub = {i: chi.values[Perm(J.elements[i][0]).cycle_type()]
@@ -482,28 +474,15 @@ def cmd_mezzadri(args) -> int:
 
 
 def cmd_hecke(args) -> int:
-    if args.hecke_command != "verify-hopflike":
-        print(f"unknown hecke command: {args.hecke_command}",
-              file=sys.stderr)
-        return EXIT_USAGE
     started = time.time()
-    from .hyperhecke import verify_hopflike
-    try:
-        report = verify_hopflike(args.n or 2, args.q or 2, args.a or 1,
-                                 1 if args.b is None else args.b)
-    except ResourceWarning as exc:
-        print(f"resource bound exceeded: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(_jsonable(report), fh, indent=2)
+    report = _hopflike_findings(args)
     lines = [f"generator pairs: {report['generator_pairs']}, "
              f"equal: {report['equal_pairs']}"]
     if args.out:
         lines.append(f"findings written to {args.out}")
     _emit(args, "hecke verify-hopflike",
-          {"n": args.n, "q": args.q, "a": args.a, "b": args.b,
-           "out": args.out}, started, report, lines)
+          {"n": args.n, "q": args.q, "out": args.out}, started, report,
+          lines)
     return EXIT_PASS
 
 
@@ -513,9 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    common.add_argument("--threads", type=int,
-                        default=os.cpu_count() or 1,
-                        help="worker bound (recorded in the manifest)")
     parser = argparse.ArgumentParser(
         prog="pshlab",
         parents=[common],
@@ -536,8 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--p", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
     p.add_argument("--weil", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
@@ -569,8 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("hecke_command", choices=["verify-hopflike"])
     p.add_argument("--n", type=int)
     p.add_argument("--q", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_hecke)
 
@@ -590,6 +562,9 @@ def main(argv=None) -> int:
     except ResourceWarning as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except ValueError as exc:
+        print(f"unsupported parameters: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except AssertionError as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return EXIT_FAIL

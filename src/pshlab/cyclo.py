@@ -290,6 +290,10 @@ def _divisors(n):
     return out
 
 
+def is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, int(math.isqrt(n)) + 1))
+
+
 def zeta(n: int, k: int = 1) -> Cyclo:
     """The root of unity zeta_n^k in canonical form."""
     if n < 1:

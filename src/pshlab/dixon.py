@@ -14,24 +14,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclo import Cyclo, zeta
+from .cyclo import Cyclo, is_prime, zeta
 from .groups import FiniteGroupTable
 
 __all__ = ["dixon_character_table"]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in range(2, int(math.isqrt(n)) + 1):
-        if n % p == 0:
-            return False
-    return True
-
-
 def _choose_prime(e: int, minimum: int) -> int:
     l = e + 1
-    while l <= minimum or not _is_prime(l):
+    while l <= minimum or not is_prime(l):
         l += e
     return l
 
@@ -85,30 +76,37 @@ def _eigenvalues(a, l):
     return [x for x in range(l) if _charpoly_eval(a, x, l) == 0]
 
 
-def _nullspace(a, l):
-    """Basis of the nullspace of a over F_l."""
-    rows = [row[:] for row in a]
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
+def _rref(rows, l, ncols):
+    """Reduced row echelon form over F_l of a copy of rows, pivoting on
+    the first ncols columns and reducing whole rows; returns (rows,
+    pivot columns)."""
+    rows = [row[:] for row in rows]
     piv_cols = []
     r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if rows[i][c] % l), None)
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] % l), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = pow(rows[r][c], l - 2, l)
-        rows[r] = [x * inv % l for x in rows[r]]
-        for i in range(n_rows):
+        pr = rows[r] = [x * inv % l for x in rows[r]]
+        for i in range(len(rows)):
             if i != r and rows[i][c] % l:
                 f = rows[i][c]
-                rows[i] = [(rows[i][j] - f * rows[r][j]) % l
-                           for j in range(n_cols)]
+                rows[i] = [(x - f * y) % l for x, y in zip(rows[i], pr)]
         piv_cols.append(c)
         r += 1
+    return rows, piv_cols
+
+
+def _nullspace(a, l):
+    """Basis of the nullspace of a over F_l."""
+    n_cols = len(a[0]) if a else 0
+    rows, piv_cols = _rref(a, l, n_cols)
     basis = []
-    free = [c for c in range(n_cols) if c not in piv_cols]
-    for fc in free:
+    for fc in range(n_cols):
+        if fc in piv_cols:
+            continue
         v = [0] * n_cols
         v[fc] = 1
         for row_idx, pc in enumerate(piv_cols):
@@ -125,23 +123,11 @@ def _restrict(a, basis, l):
     cols = [_mat_vec(a, b, l) for b in basis]
     m = [[basis[j][i] for j in range(d)] + [cols[j][i] for j in range(d)]
          for i in range(n)]
-    r = 0
-    piv_rows = []
-    for c in range(d):
-        piv = next((i for i in range(r, n) if m[i][c] % l), None)
-        assert piv is not None, "basis not independent"
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], l - 2, l)
-        m[r] = [x * inv % l for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][c] % l:
-                f = m[i][c]
-                m[i] = [(m[i][j] - f * m[r][j]) % l for j in range(d + d)]
-        piv_rows.append(r)
-        r += 1
-    for i in range(r, n):
+    m, piv_cols = _rref(m, l, d)
+    assert len(piv_cols) == d, "basis not independent"
+    for i in range(d, n):
         assert all(x % l == 0 for x in m[i][d:]), "image leaves the span"
-    return [[m[i][d + j] for j in range(d)] for i in range(d)]
+    return [m[i][d:] for i in range(d)]
 
 
 def _class_matrices(G: FiniteGroupTable):

@@ -10,13 +10,12 @@ tuples of tuples of indices, so they are hashable and canonical.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from fractions import Fraction
 from functools import lru_cache
 
 from .chars import ClassFunction
-from .cyclo import Cyclo, zeta
+from .cyclo import Cyclo, is_prime, zeta
 from .groups import FiniteGroupTable
 from .symgroup import kmatrix_solutions, w_of_kmatrix
 
@@ -24,6 +23,7 @@ __all__ = ["Fq", "build_field", "gl_group", "gl_order", "psi_measure",
            "kondo_gauss", "weil_character", "weil_theta_exponents",
            "gauss_sum", "hasse_davenport_check", "verify_bruhat_bijection",
            "mat_mul", "mat_inv", "mat_det", "mat_identity", "mat_trace",
+           "block_diagonal", "diagonal_blocks",
            "central_character", "max_group_order"]
 
 # fixed irreducible polynomials (coefficients ascending, monic) so that
@@ -41,16 +41,12 @@ _IRREDUCIBLE = {
 }
 
 
-def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, int(math.isqrt(n)) + 1))
-
-
 class Fq:
     """The field with p^d elements; elements are indices 0..q-1 with
     0 = zero and 1 = one."""
 
     def __init__(self, p: int, d: int = 1):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         q = p ** d
         if q > 64:
@@ -132,9 +128,6 @@ class Fq:
             x = self.mul_table[x][i]
             k += 1
         return k
-
-    def from_int(self, c: int) -> int:
-        return c % self.p
 
     def _trace(self, i) -> int:
         """Trace to the prime field as an integer 0..p-1."""
@@ -238,6 +231,19 @@ def mat_trace(f: Fq, a) -> int:
     return total
 
 
+def block_diagonal(x, y):
+    """The block-diagonal matrix diag(x, y) of two square matrices."""
+    a, b = len(x), len(y)
+    return (tuple(tuple(row) + (0,) * b for row in x)
+            + tuple((0,) * a + tuple(row) for row in y))
+
+
+def diagonal_blocks(mat, a: int):
+    """The two diagonal blocks of mat, of sizes a and len(mat) - a."""
+    return (tuple(row[:a] for row in mat[:a]),
+            tuple(row[a:] for row in mat[a:]))
+
+
 def gl_order(n: int, q: int) -> int:
     out = 1
     for k in range(n):
@@ -300,7 +306,7 @@ def gl_group(n: int, q: int) -> FiniteGroupTable:
 
 def _prime_power(q: int):
     for p in range(2, q + 1):
-        if _is_prime(p) and q % p == 0:
+        if is_prime(p) and q % p == 0:
             d = 0
             t = q
             while t % p == 0:
@@ -392,6 +398,8 @@ def _nonsplit_torus(G: FiniteGroupTable):
     [[a, b s], [b, a]] with s the least non-square unit."""
     f = G.field
     q = f.q
+    if q % 2 == 0:
+        raise ValueError("odd q required for the quadratic embedding")
     squares = {f.mul(x, x) for x in range(1, q)}
     s = next(x for x in range(1, q) if x not in squares)
     torus = []
@@ -431,8 +439,6 @@ def weil_character(q: int, j: int) -> ClassFunction:
     """The virtual character Ind_H(Theta x Psi) - Ind_T(Theta) for the
     j-th torus character Theta; a true irreducible character of degree
     q - 1 when Theta is moved by Frobenius."""
-    if q % 2 == 0:
-        raise ValueError("odd q required for the quadratic embedding")
     if j not in weil_theta_exponents(q):
         raise ValueError(f"torus character {j} is Frobenius-invariant")
     G = gl_group(2, q)

@@ -17,6 +17,7 @@ from functools import lru_cache
 
 from .cyclo import Cyclo
 from .groups import FiniteGroupTable
+from .symgroup import kmatrix_solutions
 
 __all__ = ["SubgroupChar", "HeckeTriple", "HeckeElement", "TripleError",
            "ContainmentError", "CharacterMismatchError", "triple_validate",
@@ -118,6 +119,8 @@ class SubgroupChar:
         return self.chi[idx]
 
     def _key(self):
+        """Sort key for serialization; not a hash, because the text of a
+        value depends on its conductor."""
         return (self.amb.name, self.indices,
                 tuple(str(self.chi[i]) for i in self.indices))
 
@@ -128,7 +131,7 @@ class SubgroupChar:
                 and all(self.chi[i] == other.chi[i] for i in self.indices))
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.amb, self.indices))
 
     def __repr__(self):
         return f"SubgroupChar({self.amb.name}, |H|={len(self.indices)})"
@@ -179,7 +182,7 @@ class HeckeTriple:
                 and self.target == other.target)
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.source, self.g, self.target))
 
     def __repr__(self):
         return (f"HeckeTriple(|K|={len(self.source.indices)}, g={self.g}, "
@@ -281,7 +284,7 @@ class HeckeElement:
         return all(self.terms[t] == other.terms[t] for t in self.terms)
 
     def __hash__(self):
-        return hash(frozenset((t, str(c)) for t, c in self.terms.items()))
+        return hash(frozenset(self.terms))
 
     def __repr__(self):
         return f"HeckeElement({len(self.terms)} terms)"
@@ -384,34 +387,24 @@ def apply_triple(t: HeckeTriple, vec: dict) -> dict:
 
 # -- graded product and coproduct --------------------------------------------
 
-def _block_embed(f, x, y, n, m):
-    """Block-diagonal matrix with the n x n block x and m x m block y."""
-    rows = []
-    for i in range(n):
-        rows.append(tuple(x[i]) + (0,) * m)
-    for i in range(m):
-        rows.append((0,) * n + tuple(y[i]))
-    return tuple(rows)
-
-
 @lru_cache(maxsize=None)
 def pair_ambient(q: int, a: int, b: int) -> FiniteGroupTable:
     """The group GL_a x GL_b realized as block-diagonal matrices; a zero
     part degenerates to the other factor."""
-    from .glfq import gl_group, mat_inv, mat_mul
+    from .glfq import block_diagonal, gl_group, mat_inv, mat_mul
     if a == 0:
         return gl_group(b, q)
     if b == 0:
         return gl_group(a, q)
     Ga, Gb = gl_group(a, q), gl_group(b, q)
     f = Ga.field
-    elements = [_block_embed(f, x, y, a, b)
+    elements = [block_diagonal(x, y)
                 for x in Ga.elements for y in Gb.elements]
     G = FiniteGroupTable(f"GL({a},{q})xGL({b},{q})", elements,
                          lambda x, y: mat_mul(f, x, y),
                          lambda x: mat_inv(f, x),
-                         _block_embed(f, Ga.elements[Ga.identity_idx],
-                                      Gb.elements[Gb.identity_idx], a, b))
+                         block_diagonal(Ga.elements[Ga.identity_idx],
+                                        Gb.elements[Gb.identity_idx]))
     G.field = f
     G.parts = (a, b)
     return G
@@ -420,6 +413,7 @@ def pair_ambient(q: int, a: int, b: int) -> FiniteGroupTable:
 def pair_triple(t1: HeckeTriple, t2: HeckeTriple, q: int) -> HeckeTriple:
     """Direct-product triple of two triples inside the block-diagonal
     realization of the product group (no unipotent inflation)."""
+    from .glfq import block_diagonal
     G1, G2 = t1.amb, t2.amb
     a = len(G1.elements[0])
     b = len(G2.elements[0])
@@ -428,21 +422,19 @@ def pair_triple(t1: HeckeTriple, t2: HeckeTriple, q: int) -> HeckeTriple:
     if b == 0:
         return t1
     amb = pair_ambient(q, a, b)
-    f = amb.field
 
     def embed_sc(s1, s2):
         indices = []
         chi = {}
         for i in s1.indices:
             for j in s2.indices:
-                idx = amb.index[_block_embed(f, G1.elements[i],
-                                             G2.elements[j], a, b)]
+                idx = amb.index[block_diagonal(G1.elements[i],
+                                               G2.elements[j])]
                 indices.append(idx)
                 chi[idx] = s1.chi[i] * s2.chi[j]
         return SubgroupChar(amb, indices, chi, check=False)
 
-    g = amb.index[_block_embed(f, G1.elements[t1.g], G2.elements[t2.g],
-                               a, b)]
+    g = amb.index[block_diagonal(G1.elements[t1.g], G2.elements[t2.g])]
     return HeckeTriple(embed_sc(t1.source, t2.source), g,
                        embed_sc(t1.target, t2.target))
 
@@ -451,7 +443,7 @@ def graded_product(t1: HeckeTriple, t2: HeckeTriple, q: int) -> HeckeTriple:
     """Block product landing in GL_{n+m}: subgroups are extended by the
     unipotent radical, characters by inflation, g embeds block
     diagonally.  Validity of the result is asserted."""
-    from .glfq import gl_group
+    from .glfq import block_diagonal, diagonal_blocks, gl_group
     G1, G2 = t1.amb, t2.amb
     n = len(G1.elements[0])
     m = len(G2.elements[0])
@@ -460,15 +452,6 @@ def graded_product(t1: HeckeTriple, t2: HeckeTriple, q: int) -> HeckeTriple:
     if m == 0:
         return t1
     G = gl_group(n + m, q)
-    f = G.field
-
-    def top(mat):
-        return tuple(tuple(mat[r][c] for c in range(n)) for r in range(n))
-
-    def bottom(mat):
-        return tuple(tuple(mat[r][c] for c in range(n, n + m))
-                     for r in range(n, n + m))
-
     p_indices = sorted(G.subgroups[f"P({n},{m})"])
 
     def inflate_sc(s1, s2):
@@ -477,15 +460,13 @@ def graded_product(t1: HeckeTriple, t2: HeckeTriple, q: int) -> HeckeTriple:
         indices = []
         chi = {}
         for p in p_indices:
-            mat = G.elements[p]
-            x, y = top(mat), bottom(mat)
+            x, y = diagonal_blocks(G.elements[p], n)
             if x in k1 and y in k2:
                 indices.append(p)
                 chi[p] = (s1.chi[G1.index[x]] * s2.chi[G2.index[y]])
         return SubgroupChar(amb=G, indices=indices, chi=chi, check=False)
 
-    g = G.index[_block_embed(f, G1.elements[t1.g], G2.elements[t2.g],
-                             n, m)]
+    g = G.index[block_diagonal(G1.elements[t1.g], G2.elements[t2.g])]
     return HeckeTriple(inflate_sc(t1.source, t2.source), g,
                        inflate_sc(t1.target, t2.target))
 
@@ -494,6 +475,7 @@ def _blocks(G, n, a):
     """(P indices, U indices, projection to the block-diagonal pair
     ambient) for the (a, n-a) block structure; a in {0, n} degenerates to
     the whole group."""
+    from .glfq import block_diagonal, diagonal_blocks
     q = G.field.q
     if a == 0 or a == n:
         amb = pair_ambient(q, a, n - a)
@@ -504,11 +486,7 @@ def _blocks(G, n, a):
     amb = pair_ambient(q, a, n - a)
 
     def project(mat):
-        rows = []
-        for i in range(n):
-            rows.append(tuple(mat[i][j] if (i < a) == (j < a) else 0
-                              for j in range(n)))
-        return tuple(rows)
+        return block_diagonal(*diagonal_blocks(mat, a))
 
     return p_indices, u_indices, amb, project
 
@@ -751,39 +729,22 @@ def verify_apply_faithful(G: FiniteGroupTable, sample=None) -> dict:
             "failures": failures, "pass": not failures}
 
 
-def _kmatrix_solutions_2x2(a: int, na: int, b: int, nb: int):
-    out = []
-    for x11 in range(0, min(a, b) + 1):
-        x12 = a - x11
-        x21 = b - x11
-        x22 = na - x21
-        if x12 < 0 or x21 < 0 or x22 < 0 or x12 + x22 != nb:
-            continue
-        out.append((x11, x12, x21, x22))
-    return out
-
-
-def _extract_gl1(elem: HeckeElement) -> HeckeElement:
-    """Identity on elements whose ambient is a single GL factor (the
-    degenerate pair with a zero block)."""
-    return elem
-
-
-def verify_hopflike(n: int = 2, q: int = 2, a: int = 1, b: int = 1) -> dict:
+def verify_hopflike(n: int = 2, q: int = 2) -> dict:
     """Exploratory comparison of coproduct-after-product against the
-    four-factor reroute, over all generator pairs in degree (a, n-a);
+    four-factor reroute, over all generator pairs in degree (1, 1);
     verdicts are findings, equality is conjectural and never asserted."""
     from .glfq import gl_group
-    assert n == 2 and a == 1 and 0 <= b <= n, \
-        "the compatibility sweep is implemented for the length-two case"
+    if n != 2:
+        raise ValueError("the compatibility sweep is implemented for the "
+                         "length-two case n = 2 only")
     G1 = gl_group(1, q)
     gens = enumerate_triples(G1)
-    solutions = _kmatrix_solutions_2x2(a, n - a, b, n - b)
+    solutions = [k.as_tuple() for k in kmatrix_solutions(1, 1, n)]
     findings = []
     for t1 in gens:
         for t2 in gens:
             big = graded_product(t1, t2, q)
-            route1 = coproduct(big, b)
+            route1 = coproduct(big, 1)
 
             route2 = None
             for (x11, x12, x21, x22) in solutions:
@@ -791,16 +752,12 @@ def verify_hopflike(n: int = 2, q: int = 2, a: int = 1, b: int = 1) -> dict:
                 c2 = coproduct(t2, x21)
                 # after the middle swap, the first output factor is the
                 # product of the x11 part of t1 and the x21 part of t2,
-                # the second of the x12 and x22 parts
+                # the second of the x12 and x22 parts; at n = 2 exactly
+                # one of x11 and x21 is 1
                 part = None
                 for u1, cu1 in c1.terms.items():
                     for u2, cu2 in c2.terms.items():
-                        if x11 == 0 and x21 == 1:
-                            first, second = u2, u1
-                        elif x11 == 1 and x21 == 0:
-                            first, second = u1, u2
-                        else:
-                            raise AssertionError("unreachable at n = 2")
+                        first, second = (u1, u2) if x11 else (u2, u1)
                         combined = HeckeElement.of(
                             pair_triple(first, second, q), cu1 * cu2)
                         part = combined if part is None else part + combined
@@ -809,7 +766,7 @@ def verify_hopflike(n: int = 2, q: int = 2, a: int = 1, b: int = 1) -> dict:
                 "t1": t1.to_json(), "t2": t2.to_json(),
                 "route1": route1.to_json(), "route2": route2.to_json(),
                 "equal": route1 == route2})
-    return {"check": "hopflike", "n": n, "q": q, "a": a, "b": b,
+    return {"check": "hopflike", "n": n, "q": q, "a": 1, "b": 1,
             "kmatrix_solutions": [list(s) for s in solutions],
             "generator_pairs": len(findings), "findings": findings,
             "equal_pairs": sum(1 for f in findings if f["equal"]),

@@ -17,7 +17,7 @@ from functools import lru_cache
 from .combinat import (addable_nodes, conjugate, partitions,
                        standard_tableaux)
 from .cyclo import Cyclo, zeta
-from .symgroup import Perm
+from .symgroup import Perm, cycles_of
 
 __all__ = ["Poly", "X", "psi_x", "w_x", "w_x_sym", "f_lambda",
            "verify_mezzadri", "verify_psh_multiplicativity",
@@ -314,24 +314,6 @@ def verify_psh_multiplicativity(k: int, n: int) -> dict:
 
 # -- wreath products of matrix groups ----------------------------------------
 
-def _cycles(images):
-    n = len(images)
-    seen = [False] * n
-    out = []
-    for start in range(1, n + 1):
-        if seen[start - 1]:
-            continue
-        cyc = [start]
-        seen[start - 1] = True
-        x = images[start - 1]
-        while x != start:
-            cyc.append(x)
-            seen[x - 1] = True
-            x = images[x - 1]
-        out.append(tuple(cyc))
-    return out
-
-
 def _cycle_twist(H, alphas, cycle) -> int:
     """Exponent of zeta_p for one cycle: the field trace of the matrix
     trace of the product of the alphas along the cycle."""
@@ -349,7 +331,7 @@ def lambda_invariant(H, element) -> Cyclo:
     sig, alphas = element
     p = H.field.p
     out = Cyclo.rational(1)
-    for cyc in _cycles(sig):
+    for cyc in cycles_of(sig):
         out = out * zeta(p, _cycle_twist(H, alphas, cyc))
     return out
 
@@ -366,7 +348,7 @@ def mu_invariant_formula(H, w_elt, y_elt) -> Cyclo:
     conj_sig = tuple(inv2[sig[sig2[i - 1] - 1] - 1] for i in range(1, n + 1))
     p = H.field.p
     out = Cyclo.rational(1)
-    for cyc in _cycles(conj_sig):
+    for cyc in cycles_of(conj_sig):
         out = out * zeta(p, _cycle_twist(H, alphas, cyc))
     return out
 
@@ -382,7 +364,7 @@ def wreath_invariant(H, elements, chi) -> Poly:
                 a == H.identity_idx for a in x[1]):
             dim = chi(x)
         term = chi(x) * lambda_invariant(H, x)
-        total = total + Poly([0] * len(_cycles(sig)) + [1]).scale(term)
+        total = total + Poly([0] * len(cycles_of(sig)) + [1]).scale(term)
     assert dim is not None
     if isinstance(dim, Cyclo):
         return total.scale(dim.inv())
@@ -462,7 +444,7 @@ def induced_invariant_conjugate_route(H, J, G, chi_fn, dim) -> Poly:
     here breaks that and is what produces the recorded failure."""
     total = Poly()
     for w_elt in G.elements:
-        psi = Poly([0] * len(_cycles(w_elt[0])) + [1])
+        psi = Poly([0] * len(cycles_of(w_elt[0])) + [1])
         value = chi_fn(w_elt)
         for y_elt in J.elements:
             total = total + psi.scale(

@@ -82,35 +82,7 @@ def det_exact(a) -> Fraction:
 def solve_exact(a, b):
     """One exact solution x of a x = b, or None if inconsistent.
     Free variables are set to zero."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [[Fraction(x) for x in row] + [Fraction(bv)]
-         for row, bv in zip(a, b)]
-    piv = []  # (row, col)
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pr = m[r]
-        inv = 1 / pr[c]
-        m[r] = pr = [x * inv for x in pr]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], pr)]
-        piv.append((r, c))
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if m[i][cols]:
-            return None
-    x = [Fraction(0)] * cols
-    for row, col in piv:
-        x[col] = m[row][cols]
-    return x
+    return solve_columns(a, [b])[0]
 
 
 def solve_columns(a, bs):

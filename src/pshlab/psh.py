@@ -10,12 +10,13 @@ decomposed by Schur inner products.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .chars import ClassFunction, _conj
 from .cyclo import Cyclo
+from .symgroup import centralizer_order
 
 __all__ = ["PshElement", "PshStructure", "psh_inner", "verify_self_adjoint",
            "verify_hopf", "verify_positivity", "verify_cocommutativity",
@@ -323,7 +324,6 @@ def decompose(R: PshStructure, maxdeg: int | None = None) -> dict:
 def _sym_induced_value(chi1, chi2, k, nk, nu) -> int:
     """Value at cycle type nu of the induced product character, via the
     centralizer-ratio formula over all splits of nu."""
-    from .specht import _centralizer_order
     parts = list(nu)
     total = 0
     seen = set()
@@ -338,8 +338,8 @@ def _sym_induced_value(chi1, chi2, k, nk, nu) -> int:
         seen.add(key)
         nu1 = tuple(sorted(first, reverse=True))
         nu2 = tuple(sorted(second, reverse=True))
-        ratio = Fraction(_centralizer_order(nu),
-                         _centralizer_order(nu1) * _centralizer_order(nu2))
+        ratio = Fraction(centralizer_order(nu),
+                         centralizer_order(nu1) * centralizer_order(nu2))
         total += ratio * chi1.values[nu1] * chi2.values[nu2]
     assert Fraction(total).denominator == 1
     return int(total)
@@ -381,12 +381,13 @@ def symmetric_instance(maxdeg: int = 6) -> PshStructure:
                         for t2 in partitions(b):
                             merged = tuple(sorted(t1 + t2, reverse=True))
                             total += (Fraction(
-                                _fact(a) * _fact(b),
-                                _cent(t1) * _cent(t2))
+                                factorial(a) * factorial(b),
+                                centralizer_order(t1)
+                                * centralizer_order(t2))
                                 * chi.values[merged]
                                 * specht_character(mu).values[t1]
                                 * specht_character(nu).values[t2])
-                    c = Fraction(total, _fact(a) * _fact(b))
+                    c = Fraction(total, factorial(a) * factorial(b))
                     assert c.denominator == 1
                     if c:
                         out[((a, mu), (b, nu))] = int(c)
@@ -396,16 +397,6 @@ def symmetric_instance(maxdeg: int = 6) -> PshStructure:
                         coproduct_fn)
 
 
-def _fact(n):
-    import math
-    return math.factorial(n)
-
-
-def _cent(lam):
-    from .specht import _centralizer_order
-    return _centralizer_order(lam)
-
-
 # -- instances backed by FiniteGroupTables -----------------------------------
 
 class _TableInstance:
@@ -413,15 +404,15 @@ class _TableInstance:
     character ring of an explicit group with a block embedding of
     group(a) x group(b) into group(a+b)."""
 
-    def __init__(self, name, maxdeg, group_fn, embed_fn, coproduct_mode,
-                 parabolic: bool = False):
+    def __init__(self, name, maxdeg, group_fn, embed, parabolic: bool):
         self.name = name
         self.maxdeg = maxdeg
         self.group_fn = group_fn
-        self.embed_fn = embed_fn
-        self.coproduct_mode = coproduct_mode  # "restrict" or "ufixed"
+        self.embed = embed
         # parabolic: induce the inflated character from the full block
-        # upper-triangular subgroup instead of the plain direct product
+        # upper-triangular subgroup instead of the plain direct product,
+        # and take coproduct components as unipotent-radical fixed points
+        # instead of plain restrictions
         self.parabolic = parabolic
 
     def basis(self, n):
@@ -432,22 +423,18 @@ class _TableInstance:
         G = self.group_fn(a + b)
         Ga, Gb = self.group_fn(a), self.group_fn(b)
         if self.parabolic:
+            from .glfq import diagonal_blocks
             sub = sorted(G.subgroups[f"P({a},{b})"])
 
             def pair_of(i):
-                mat = G.elements[i]
-                top = tuple(tuple(mat[r][c] for c in range(a))
-                            for r in range(a))
-                bot = tuple(tuple(mat[r][c] for c in range(a, a + b))
-                            for r in range(a, a + b))
-                return Ga.index[top], Gb.index[bot]
+                top, bottom = diagonal_blocks(G.elements[i], a)
+                return Ga.index[top], Gb.index[bottom]
             return sub, pair_of
-        emb = self.embed_fn(a, b)
         sub = []
         pairs = {}
         for xa in range(Ga.order):
             for xb in range(Gb.order):
-                i = G.index[emb(Ga.elements[xa], Gb.elements[xb])]
+                i = G.index[self.embed(Ga.elements[xa], Gb.elements[xb])]
                 sub.append(i)
                 pairs[i] = (xa, xb)
         return sub, pairs.__getitem__
@@ -478,8 +465,8 @@ class _TableInstance:
         G = self.group_fn(n)
         Ga, Gb = self.group_fn(a), self.group_fn(n - a)
         chi = G.character_table()[l]
-        emb = self.embed_fn(a, n - a)
-        if self.coproduct_mode == "restrict":
+        emb = self.embed
+        if not self.parabolic:
             def value(xa, xb):
                 i = G.index[emb(Ga.elements[xa], Gb.elements[xb])]
                 return chi.values[G.class_of(i)]
@@ -544,15 +531,13 @@ def wreath_instance(h_name: str = "C2", maxdeg: int = 3) -> PshStructure:
     def group_fn(n):
         return wreath_group(H, n)
 
-    def embed_fn(a, b):
-        def emb(x, y):
-            (sig1, al1), (sig2, al2) = x, y
-            sig = tuple(sig1) + tuple(s + a for s in sig2)
-            return (sig, tuple(al1) + tuple(al2))
-        return emb
+    def embed(x, y):
+        (sig1, al1), (sig2, al2) = x, y
+        sig = tuple(sig1) + tuple(s + len(sig1) for s in sig2)
+        return (sig, tuple(al1) + tuple(al2))
 
-    inst = _TableInstance(f"wreath({h_name})", maxdeg, group_fn, embed_fn,
-                          "restrict")
+    inst = _TableInstance(f"wreath({h_name})", maxdeg, group_fn, embed,
+                          parabolic=False)
     return inst.structure()
 
 
@@ -573,24 +558,13 @@ def gl_instance(q: int, maxdeg: int = 2) -> PshStructure:
     """PSH structure on GL_n(F_q): product = parabolic induction of the
     inflated tensor character, coproduct component = unipotent-radical
     fixed points."""
-    from .glfq import gl_group
+    from .glfq import block_diagonal, gl_group
 
     def group_fn(n):
         return gl_group(n, q)
 
-    def embed_fn(a, b):
-        def emb(x, y):
-            n = a + b
-            rows = []
-            for i in range(a):
-                rows.append(tuple(x[i]) + (0,) * b)
-            for i in range(b):
-                rows.append((0,) * a + tuple(y[i]))
-            return tuple(rows)
-        return emb
-
-    inst = _TableInstance(f"GL(q={q})", maxdeg, group_fn, embed_fn,
-                          "ufixed", parabolic=True)
+    inst = _TableInstance(f"GL(q={q})", maxdeg, group_fn, block_diagonal,
+                          parabolic=True)
     return inst.structure()
 
 

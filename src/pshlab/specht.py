@@ -10,7 +10,6 @@ coordinates.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -19,7 +18,8 @@ from .combinat import (Tableau, Tabloid, addable_nodes, add_node,
                        all_tabloids, conjugate, partitions, remove_node,
                        removable_nodes, standard_tableaux)
 from .linalg import det_exact, rank_exact, solve_columns
-from .symgroup import Perm, class_representative, class_size
+from .symgroup import (Perm, centralizer_order, class_representative,
+                       class_size)
 
 __all__ = ["polytabloid", "apply_kappa", "standard_basis", "specht_dim",
            "specht_action", "specht_character", "permutation_character",
@@ -175,16 +175,6 @@ def sign_character(n: int) -> ClassFunction:
     return ClassFunction(_group_id(n), values, sym_class_sizes(n), (1,) * n)
 
 
-def _centralizer_order(lam) -> int:
-    mult = {}
-    for part in lam:
-        mult[part] = mult.get(part, 0) + 1
-    out = 1
-    for i, r in mult.items():
-        out *= i ** r * math.factorial(r)
-    return out
-
-
 def induce_character(chi: ClassFunction, n: int) -> ClassFunction:
     """Induce from Sym(n) one step up to Sym(n+1)."""
     values = {}
@@ -193,9 +183,9 @@ def induce_character(chi: ClassFunction, n: int) -> ClassFunction:
             values[lam] = 0
         else:
             kappa = lam[:-1]
-            num = _centralizer_order(lam) * chi.values[kappa]
-            assert num % _centralizer_order(kappa) == 0
-            values[lam] = num // _centralizer_order(kappa)
+            num = centralizer_order(lam) * chi.values[kappa]
+            assert num % centralizer_order(kappa) == 0
+            values[lam] = num // centralizer_order(kappa)
     return ClassFunction(_group_id(n + 1), values, sym_class_sizes(n + 1),
                          (1,) * (n + 1))
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 
-__all__ = ["Perm", "cycle_data", "conjugacy_classes", "class_of",
+__all__ = ["Perm", "cycles_of", "centralizer_order", "class_size",
            "young_subgroup", "KMatrix", "kmatrix_solutions", "kmatrix_of",
            "w_of_kmatrix", "young_double_cosets", "double_coset_decompose"]
 
@@ -65,27 +64,13 @@ class Perm:
         """Disjoint cycles covering 1..n, fixed points included, each cycle
         starting at its least element, cycles sorted by length descending
         then by least element."""
-        seen = set()
-        cycles = []
-        for start in range(1, self.n + 1):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            x = self(start)
-            while x != start:
-                cyc.append(x)
-                seen.add(x)
-                x = self(x)
-            cycles.append(tuple(cyc))
-        cycles.sort(key=lambda c: (-len(c), c[0]))
-        return cycles
+        return sorted(cycles_of(self.images), key=lambda c: (-len(c), c[0]))
 
     def cycle_type(self) -> tuple[int, ...]:
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
+        return tuple(sorted(map(len, cycles_of(self.images)), reverse=True))
 
     def sign(self) -> int:
-        return -1 if (self.n - len(self.cycles())) % 2 else 1
+        return -1 if (self.n - len(cycles_of(self.images))) % 2 else 1
 
     def cycle_notation(self) -> str:
         nontrivial = [c for c in self.cycles() if len(c) > 1]
@@ -103,23 +88,40 @@ class Perm:
         return f"Perm{self.images}"
 
 
-def cycle_data(sigma: Perm):
-    """(cycles, cycle type, sign, length) where length = number of cycles."""
-    cycles = sigma.cycles()
-    ctype = tuple(sorted((len(c) for c in cycles), reverse=True))
-    length = len(cycles)
-    sign = -1 if (sigma.n - length) % 2 else 1
-    return cycles, ctype, sign, length
+def cycles_of(images) -> list[tuple[int, ...]]:
+    """Disjoint cycles, fixed points included, of the permutation of 1..n
+    with the given tuple of images, each starting at its least element,
+    in order of least element."""
+    seen = [False] * len(images)
+    out = []
+    for start in range(1, len(images) + 1):
+        if seen[start - 1]:
+            continue
+        cyc = [start]
+        seen[start - 1] = True
+        x = images[start - 1]
+        while x != start:
+            cyc.append(x)
+            seen[x - 1] = True
+            x = images[x - 1]
+        out.append(tuple(cyc))
+    return out
 
 
-def class_size(n: int, ctype) -> int:
+def centralizer_order(ctype) -> int:
+    """Order of the centralizer in Sym(n) of a permutation of cycle type
+    ctype: the product of i^r r! over parts i of multiplicity r."""
     mult = {}
     for part in ctype:
         mult[part] = mult.get(part, 0) + 1
-    denom = 1
+    out = 1
     for i, r in mult.items():
-        denom *= i ** r * math.factorial(r)
-    return math.factorial(n) // denom
+        out *= i ** r * math.factorial(r)
+    return out
+
+
+def class_size(n: int, ctype) -> int:
+    return math.factorial(n) // centralizer_order(ctype)
 
 
 def class_representative(n: int, ctype) -> Perm:
@@ -130,23 +132,6 @@ def class_representative(n: int, ctype) -> Perm:
         cycles.append(tuple(range(k, k + part)))
         k += part
     return Perm.from_cycles(n, cycles)
-
-
-@lru_cache(maxsize=None)
-def conjugacy_classes(n: int, bound: int = 8):
-    """Map cycle-type partition -> (representative, class size)."""
-    if n > bound:
-        raise ResourceWarning(f"n = {n} exceeds the bound {bound}")
-    from .combinat import partitions
-    out = {}
-    for lam in partitions(n):
-        out[lam] = (class_representative(n, lam), class_size(n, lam))
-    assert sum(size for _, size in out.values()) == math.factorial(n)
-    return out
-
-
-def class_of(sigma: Perm):
-    return sigma.cycle_type()
 
 
 def young_subgroup(m: int, a: int) -> list[Perm]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 from .groups import FiniteGroupTable
 from .symgroup import Perm
@@ -42,15 +43,10 @@ def wreath_identity(H: FiniteGroupTable, n: int):
     return (tuple(range(1, n + 1)), (H.identity_idx,) * n)
 
 
-_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def wreath_group(H: FiniteGroupTable, n: int,
                  bound: int = 10000) -> FiniteGroupTable:
     """Sigma_n wr H as an explicit FiniteGroupTable."""
-    key = (H.name, n)
-    if key in _CACHE:
-        return _CACHE[key]
     order = math.factorial(n) * H.order ** n
     if order > bound:
         raise ResourceWarning(f"wreath order {order} exceeds bound {bound}")
@@ -64,7 +60,6 @@ def wreath_group(H: FiniteGroupTable, n: int,
                          wreath_identity(H, n))
     G.base = H
     G.n = n
-    _CACHE[key] = G
     return G
 
 

@@ -21,12 +21,14 @@ def run_json(*args):
 
 
 def test_usage_errors():
-    rc, _, _ = run_cli()
-    assert rc == 2
-    rc, _, _ = run_cli("verify", "no-such-suite")
-    assert rc == 2
-    rc, _, _ = run_cli("chartable", "Sporadic(1)")
-    assert rc == 2
+    for args in [(), ("verify", "no-such-suite"),
+                 ("chartable", "Sporadic(1)"),
+                 ("chartable", "Wreath(3,C3)"),
+                 ("verify", "gauss", "--q", "4", "--weil"),
+                 ("hecke", "verify-hopflike", "--n", "3")]:
+        rc, _, err = run_cli(*args)
+        assert rc == 2, (args, err)
+        assert "Traceback" not in err, args
 
 
 def test_chartable_trivial_group():

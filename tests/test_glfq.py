@@ -110,6 +110,9 @@ def test_weil_character():
     assert report["lhs"] == report["rhs"]
     with pytest.raises(ValueError):
         weil_character(3, 0)
+    # every unit of an even field is a square: no quadratic torus
+    with pytest.raises(ValueError):
+        weil_identity_check(4, 1)
 
 
 def test_kondo_induction_and_product():

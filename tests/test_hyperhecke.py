@@ -1,5 +1,6 @@
 import pytest
 
+from pshlab.cyclo import Cyclo
 from pshlab.glfq import gl_group
 from pshlab.hyperhecke import (CharacterMismatchError, ContainmentError,
                                HeckeElement, HeckeTriple, SubgroupChar,
@@ -163,3 +164,20 @@ def test_triple_serialization():
     blob = t.to_json(coeff=1)
     assert set(blob) == {"source", "g", "target", "coeff"}
     assert blob["source"].keys() == {"subgroup", "chi"}
+
+
+def test_equal_triples_at_different_conductors_collapse():
+    # GL(1,4) character values are cube roots of unity; lifted to
+    # conductor 6 they are the same values written differently
+    G = gl_group(1, 4)
+    whole = range(G.order)
+    chi = next(c for c in linear_characters(G, whole)
+               if any(isinstance(v, Cyclo) for v in c.values()))
+    lifted = {i: v.lift(6) if isinstance(v, Cyclo) else v
+              for i, v in chi.items()}
+    t3 = identity_triple(SubgroupChar(G, whole, chi))
+    t6 = identity_triple(SubgroupChar(G, whole, lifted))
+    assert t3 == t6 and hash(t3) == hash(t6)
+    both = HeckeElement([(t3, 1), (t6, 1)])
+    assert len(both.terms) == 1
+    assert both == HeckeElement.of(t3, 2)

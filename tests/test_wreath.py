@@ -3,6 +3,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pshlab.groups import FiniteGroupTable
 from pshlab.psh import _base_group
 from pshlab.symgroup import Perm
 from pshlab.wreath import (wreath_base_subgroup, wreath_embed_sym,
@@ -79,3 +80,12 @@ def test_base_subgroup_normal():
         for g in range(G.order):
             assert G.conj(x, g) in base
     assert G.is_subgroup(base)
+
+
+def test_wreath_cache_tells_equally_named_groups_apart():
+    c2 = FiniteGroupTable("H", [0, 1], lambda a, b: (a + b) % 2,
+                          lambda a: a, 0)
+    c3 = FiniteGroupTable("H", [0, 1, 2], lambda a, b: (a + b) % 3,
+                          lambda a: -a % 3, 0)
+    assert wreath_group(c2, 2).order == 8
+    assert wreath_group(c3, 2).order == 18
