@@ -2,21 +2,17 @@
 
 A ClassFunction stores one value per conjugacy class, keyed by an arbitrary
 hashable label, together with the class sizes needed for inner products.
-Values may be ints, Fractions or Cyclo numbers; the inner product
-conjugates the second argument.
+Values are exact scalars (see pshlab.cyclo); the inner product conjugates
+the second argument and returns the scalar normal form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclo import Cyclo
+from .cyclo import conj, scalar
 
 __all__ = ["ClassFunction"]
-
-
-def _conj(v):
-    return v.conj() if isinstance(v, Cyclo) else v
 
 
 class ClassFunction:
@@ -56,11 +52,9 @@ class ClassFunction:
         self._check_same_group(other)
         total = 0
         for label, size in self.sizes.items():
-            total = total + size * self.values[label] * _conj(other.values[label])
-        if isinstance(total, Cyclo):
-            value = total * Fraction(1, self.order)
-            return value.rational_value() if value.is_rational() else value
-        return Fraction(total, self.order)
+            total = total + (size * self.values[label]
+                             * conj(other.values[label]))
+        return scalar(total * Fraction(1, self.order))
 
     def __add__(self, other):
         self._check_same_group(other)

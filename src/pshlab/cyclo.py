@@ -1,9 +1,18 @@
-"""Exact arithmetic in the cyclotomic fields Q(zeta_N).
+"""Exact arithmetic in the cyclotomic fields Q(zeta_N), and the one
+definition of how an exact scalar behaves.
 
-A value is stored as a polynomial in zeta_N reduced modulo the N-th
+A Cyclo is stored as a polynomial in zeta_N reduced modulo the N-th
 cyclotomic polynomial, with Fraction coefficients.  This canonical form
 makes equality over a common conductor a structural comparison; values at
-different conductors are compared after lifting to the lcm.
+different conductors are compared after lifting to the lcm.  A rational
+value is (r, 0, ..., 0) at every conductor, so it compares and hashes
+like the int or Fraction r.
+
+An exact scalar is an int, a Fraction or a Cyclo.  scalar() gives its
+normal form: an int when the value is an integer, a Fraction when it is
+rational, and otherwise the Cyclo itself.  conj(), inverse() and
+integer() act on all three types, so no other module needs to know which
+type a value has except to serialise or display it.
 """
 
 from __future__ import annotations
@@ -12,7 +21,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-__all__ = ["Cyclo", "zeta", "one", "zero"]
+__all__ = ["Cyclo", "zeta", "one", "zero", "scalar", "conj", "inverse",
+           "integer"]
 
 
 @lru_cache(maxsize=None)
@@ -249,13 +259,15 @@ class Cyclo:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Cyclo.rational(other)
+            return self.is_rational() and self.coeffs[0] == other
         if not isinstance(other, Cyclo):
             return NotImplemented
         a, b = self._pair(other)
         return a.coeffs == b.coeffs
 
     def __hash__(self):
+        if self.is_rational():
+            return hash(self.coeffs[0])
         r = self.reduced()
         return hash((r.n, r.coeffs))
 
@@ -299,6 +311,40 @@ def zeta(n: int, k: int = 1) -> Cyclo:
     if n < 1:
         raise ValueError("conductor must be >= 1")
     return Cyclo.from_terms(n, {k % n: 1})
+
+
+def scalar(v):
+    """The normal form of an exact scalar: an int when v is an integer, a
+    Fraction when v is rational, and otherwise the Cyclo v itself."""
+    if type(v) is int:
+        return v
+    if isinstance(v, Cyclo):
+        if not v.is_rational():
+            return v
+        v = v.coeffs[0]
+    return v.numerator if v.denominator == 1 else v
+
+
+def conj(v):
+    """The complex conjugate of an exact scalar."""
+    return v.conj() if isinstance(v, Cyclo) else v
+
+
+def inverse(v):
+    """1/v for an exact scalar; the rationals 1 and -1 are their own
+    inverses and are returned unchanged."""
+    if isinstance(v, Cyclo):
+        return v.inv()
+    return v if v in (1, -1) else Fraction(1, v)
+
+
+def integer(v) -> int:
+    """scalar(v) as an int; raises AssertionError (also under python -O)
+    when v is not an integer."""
+    v = scalar(v)
+    if type(v) is not int:
+        raise AssertionError(f"{v!r} is not an integer")
+    return v
 
 
 zero = Cyclo.rational(0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclo import Cyclo, is_prime, zeta
+from .cyclo import Cyclo, conj, is_prime, scalar, zeta
 from .groups import FiniteGroupTable
 
 __all__ = ["dixon_character_table"]
@@ -210,8 +210,7 @@ def dixon_character_table(G: FiniteGroupTable):
                 assert m_ik <= deg, "lifted multiplicity out of range"
                 if m_ik:
                     acc = acc + m_ik * zeta(e, k)
-            values[i] = (int(acc.rational_value()) if acc.is_rational()
-                         else acc)
+            values[i] = scalar(acc)
         assert values[0] == deg
         chars.append(G.class_function(values))
 
@@ -236,7 +235,6 @@ def _verify_orthogonality(G: FiniteGroupTable, chars):
         total = 0
         for c in chars:
             v = c.values[k]
-            conj = v.conj() if isinstance(v, Cyclo) else v
-            total = total + v * conj
+            total = total + v * conj(v)
         expected = Fraction(G.order, sizes[k])
         assert total == expected, f"column orthogonality failure at {k}"

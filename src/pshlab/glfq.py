@@ -10,13 +10,12 @@ tuples of tuples of indices, so they are hashable and canonical.
 from __future__ import annotations
 
 import itertools
-import os
 from fractions import Fraction
 from functools import lru_cache
 
 from .chars import ClassFunction
-from .cyclo import Cyclo, is_prime, zeta
-from .groups import FiniteGroupTable
+from .cyclo import Cyclo, integer, inverse, is_prime, scalar, zeta
+from .groups import FiniteGroupTable, check_group_order
 from .symgroup import kmatrix_solutions, w_of_kmatrix
 
 __all__ = ["Fq", "build_field", "gl_group", "gl_order", "psi_measure",
@@ -24,7 +23,7 @@ __all__ = ["Fq", "build_field", "gl_group", "gl_order", "psi_measure",
            "gauss_sum", "hasse_davenport_check", "verify_bruhat_bijection",
            "mat_mul", "mat_inv", "mat_det", "mat_identity", "mat_trace",
            "block_diagonal", "diagonal_blocks",
-           "central_character", "max_group_order"]
+           "central_character"]
 
 # fixed irreducible polynomials (coefficients ascending, monic) so that
 # serialized data is reproducible bit for bit
@@ -251,20 +250,13 @@ def gl_order(n: int, q: int) -> int:
     return out
 
 
-def max_group_order() -> int:
-    return int(os.environ.get("PSHLAB_MAX_GROUP_ORDER", "100000"))
-
-
 @lru_cache(maxsize=None)
 def gl_group(n: int, q: int) -> FiniteGroupTable:
     """GL_n(F_q) by full enumeration, with the standard subgroups
     registered: U(k,n-k), P(k,n-k), L(k,n-k), Sigma, Z, D, B."""
     p, d = _prime_power(q)
     f = build_field(p, d)
-    if gl_order(n, q) > max_group_order():
-        raise ResourceWarning(
-            f"|GL({n},{q})| = {gl_order(n, q)} exceeds the group-order "
-            f"bound {max_group_order()}")
+    check_group_order(f"GL({n},{q})", gl_order(n, q))
     elements = []
     for entries in itertools.product(range(q), repeat=n * n):
         a = tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
@@ -347,15 +339,13 @@ def kondo_gauss(G: FiniteGroupTable, sub_indices, chi: dict) -> Cyclo:
     """(1/dim) sum over the subgroup of chi(X) Psi(X); chi maps each
     subgroup element index to its exact character value."""
     f = G.field
-    dim = chi[G.identity_idx]
-    if isinstance(dim, Cyclo):
-        dim = dim.rational_value()
+    dim = scalar(chi[G.identity_idx])
     if dim == 0:
         raise ValueError("character of dimension zero")
     total = Cyclo.rational(0)
     for i in sub_indices:
         total = total + chi[i] * psi_measure(f, G.elements[i])
-    return total * Fraction(1, Fraction(dim))
+    return total * inverse(dim)
 
 
 def gauss_sum(f: Fq, lam: dict) -> Cyclo:
@@ -542,15 +532,9 @@ def verify_kondo_multiplicative(q: int) -> dict:
 
 def central_character(G: FiniteGroupTable, chi: ClassFunction) -> dict:
     """Scalar action of the center on an irreducible: z -> chi(z)/deg."""
-    deg = chi.degree()
-    out = {}
-    for z in G.subgroups["Z"]:
-        v = chi.values[G.class_of(z)]
-        if isinstance(v, Cyclo):
-            out[z] = v * Fraction(1, int(deg))
-        else:
-            out[z] = Fraction(v, int(deg))
-    return out
+    inv_deg = Fraction(1, integer(chi.degree()))
+    return {z: chi.values[G.class_of(z)] * inv_deg
+            for z in G.subgroups["Z"]}
 
 
 # -- Bruhat double cosets ---------------------------------------------------

@@ -9,12 +9,23 @@ indices; the identity's class is always label 0.
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 
 from .chars import ClassFunction
-from .cyclo import Cyclo
+from .cyclo import scalar
 
-__all__ = ["FiniteGroupTable"]
+__all__ = ["FiniteGroupTable", "check_group_order"]
+
+
+def check_group_order(name: str, order: int) -> None:
+    """Raise ResourceWarning if a group of this order exceeds the one cap
+    on every group built, PSHLAB_MAX_GROUP_ORDER (default 100000).
+    Constructors call it before they enumerate any element."""
+    cap = int(os.environ.get("PSHLAB_MAX_GROUP_ORDER", "100000"))
+    if order > cap:
+        raise ResourceWarning(
+            f"|{name}| = {order} exceeds the group-order bound {cap}")
 
 
 class FiniteGroupTable:
@@ -212,15 +223,7 @@ class FiniteGroupTable:
                 c = self.conj(g, y)
                 if c in sub:
                     total = total + chi_on_elements[c]
-            if isinstance(total, Cyclo):
-                total = total * Fraction(1, len(sub))
-                if total.is_rational():
-                    total = total.rational_value()
-            else:
-                total = Fraction(total, len(sub))
-                if total.denominator == 1:
-                    total = int(total)
-            values[label] = total
+            values[label] = scalar(total * Fraction(1, len(sub)))
         return self.class_function(values)
 
     def restrict_character(self, chi: ClassFunction, sub_indices) -> dict:

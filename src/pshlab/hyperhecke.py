@@ -15,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclo import Cyclo
-from .groups import FiniteGroupTable
+from .cyclo import Cyclo, inverse, scalar
+from .groups import FiniteGroupTable, check_group_order
 from .symgroup import kmatrix_solutions
 
 __all__ = ["SubgroupChar", "HeckeTriple", "HeckeElement", "TripleError",
@@ -39,25 +39,6 @@ class ContainmentError(TripleError):
 
 class CharacterMismatchError(TripleError):
     pass
-
-
-def _value_inv(v):
-    """Inverse of a root-of-unity character value."""
-    if isinstance(v, Cyclo):
-        return v.inv()
-    return Fraction(1, v) if v not in (1, -1) else v
-
-
-def _canon_value(v):
-    """Rational character values as plain ints or Fractions so that
-    equal values hash equally."""
-    if isinstance(v, Cyclo):
-        if v.is_rational():
-            v = v.rational_value()
-        else:
-            return v
-    v = Fraction(v)
-    return int(v) if v.denominator == 1 else v
 
 
 def subgroup_table(G: FiniteGroupTable, indices) -> FiniteGroupTable:
@@ -93,7 +74,7 @@ class SubgroupChar:
         object.__setattr__(self, "amb", amb)
         object.__setattr__(self, "indices", tuple(sorted(indices)))
         object.__setattr__(self, "chi",
-                           {i: _canon_value(v) for i, v in chi.items()})
+                           {i: scalar(v) for i, v in chi.items()})
         if check:
             self.validate()
 
@@ -210,10 +191,10 @@ def identity_triple(sc: SubgroupChar) -> HeckeTriple:
     return HeckeTriple(sc, sc.amb.identity_idx, sc, check=False)
 
 
-def normalize(scalar, t: HeckeTriple):
+def normalize(coeff, t: HeckeTriple):
     """Move g to the least element of its target-g-source double coset;
-    the scalar picks up phi(h)^-1 psi(k)^-1 from the rewriting relations.
-    Idempotent, and constant on the rewrite orbit of the triple."""
+    the coefficient picks up phi(h)^-1 psi(k)^-1 from the rewriting
+    relations.  Idempotent, and constant on the rewrite orbit of the triple."""
     amb = t.amb
     k_set = set(t.source.indices)
     coset = set()
@@ -223,15 +204,14 @@ def normalize(scalar, t: HeckeTriple):
             coset.add(amb.mul(hg, k))
     g0 = min(coset)
     if g0 == t.g:
-        return scalar, t
+        return coeff, t
     # write g = h g0 k and absorb the character values
     for h in t.target.indices:
         k = amb.mul(amb.inv(amb.mul(h, g0)), t.g)
         if k in k_set:
-            factor = (_value_inv(t.target.chi[h])
-                      * _value_inv(t.source.chi[k]))
-            return scalar * factor, HeckeTriple(t.source, g0, t.target,
-                                                check=False)
+            factor = inverse(t.target.chi[h]) * inverse(t.source.chi[k])
+            return coeff * factor, HeckeTriple(t.source, g0, t.target,
+                                               check=False)
     raise AssertionError("double coset member without a factorization")
 
 
@@ -249,14 +229,9 @@ class HeckeElement:
             collected[t] = prev + c
         clean = {}
         for t, c in collected.items():
-            if isinstance(c, Cyclo):
-                if c.is_zero():
-                    continue
-                if c.is_rational():
-                    c = c.rational_value()
-            if c == 0:
-                continue
-            clean[t] = c
+            c = scalar(c)
+            if c != 0:
+                clean[t] = c
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *a):
@@ -341,7 +316,7 @@ def _reduce(sc: SubgroupChar, g: int):
     members = {amb.mul(g, k): k for k in sc.indices}
     rep = min(members)
     k = members[rep]
-    return rep, _value_inv(sc.chi[k])
+    return rep, inverse(sc.chi[k])
 
 
 def apply_triple(t: HeckeTriple, vec: dict) -> dict:
@@ -380,9 +355,8 @@ def apply_triple(t: HeckeTriple, vec: dict) -> dict:
             y = amb.mul(amb.mul(rep, x), ginv)
             rep2, twist = _reduce(t.target, y)
             prev = out.get(rep2, 0)
-            out[rep2] = prev + c * _value_inv(t.source.chi[x]) * twist
-    return {k: v for k, v in out.items()
-            if not (v == 0 or (isinstance(v, Cyclo) and v.is_zero()))}
+            out[rep2] = prev + c * inverse(t.source.chi[x]) * twist
+    return {k: v for k, v in out.items() if v != 0}
 
 
 # -- graded product and coproduct --------------------------------------------
@@ -397,10 +371,12 @@ def pair_ambient(q: int, a: int, b: int) -> FiniteGroupTable:
     if b == 0:
         return gl_group(a, q)
     Ga, Gb = gl_group(a, q), gl_group(b, q)
+    name = f"GL({a},{q})xGL({b},{q})"
+    check_group_order(name, Ga.order * Gb.order)
     f = Ga.field
     elements = [block_diagonal(x, y)
                 for x in Ga.elements for y in Gb.elements]
-    G = FiniteGroupTable(f"GL({a},{q})xGL({b},{q})", elements,
+    G = FiniteGroupTable(name, elements,
                          lambda x, y: mat_mul(f, x, y),
                          lambda x: mat_inv(f, x),
                          block_diagonal(Ga.elements[Ga.identity_idx],
@@ -672,8 +648,7 @@ def verify_normal_form(G: FiniteGroupTable, sample=None) -> dict:
             for k in t.source.indices:
                 g2 = G.mul(G.mul(h, t.g), k)
                 # [g2] = phi(h^-1) psi(k^-1) [g]
-                factor = (_value_inv(t.target.chi[h])
-                          * _value_inv(t.source.chi[k]))
+                factor = inverse(t.target.chi[h]) * inverse(t.source.chi[k])
                 s2, t2 = normalize(1, HeckeTriple(t.source, g2, t.target,
                                                   check=False))
                 cases += 1

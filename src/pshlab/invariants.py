@@ -16,21 +16,13 @@ from functools import lru_cache
 
 from .combinat import (addable_nodes, conjugate, partitions,
                        standard_tableaux)
-from .cyclo import Cyclo, zeta
+from .cyclo import Cyclo, inverse, scalar, zeta
 from .symgroup import Perm, cycles_of
 
 __all__ = ["Poly", "X", "psi_x", "w_x", "w_x_sym", "f_lambda",
            "verify_mezzadri", "verify_psh_multiplicativity",
            "lambda_invariant", "wreath_invariant", "mu_invariant_formula",
            "wreath_theorem_check", "wreath_counterexample_report"]
-
-
-def _norm_coeff(c):
-    if isinstance(c, Cyclo):
-        return c.rational_value() if c.is_rational() else c
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
 
 
 class Poly:
@@ -40,9 +32,8 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_norm_coeff(c) for c in coeffs]
-        while cs and (cs[-1] == 0 or (isinstance(cs[-1], Cyclo)
-                                      and cs[-1].is_zero())):
+        cs = [scalar(c) for c in coeffs]
+        while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -115,7 +106,7 @@ class Poly:
         out = ""
         for i in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[i]
-            if c == 0 or (isinstance(c, Cyclo) and c.is_zero()):
+            if c == 0:
                 continue
             sign = " + "
             if not isinstance(c, Cyclo) and c < 0:
@@ -173,10 +164,7 @@ def w_x(elements, value_fn) -> Poly:
             dim = v
         total = total + psi_x(h).scale(v)
     assert dim is not None and dim != 0
-    if isinstance(dim, Cyclo):
-        return total.scale(dim.inv())
-    return total.scale(Fraction(1, dim) if not isinstance(dim, Fraction)
-                       else 1 / dim)
+    return total.scale(inverse(dim))
 
 
 def _all_perms(n: int):
@@ -366,9 +354,7 @@ def wreath_invariant(H, elements, chi) -> Poly:
         term = chi(x) * lambda_invariant(H, x)
         total = total + Poly([0] * len(cycles_of(sig)) + [1]).scale(term)
     assert dim is not None
-    if isinstance(dim, Cyclo):
-        return total.scale(dim.inv())
-    return total.scale(Fraction(1, int(dim)))
+    return total.scale(inverse(dim))
 
 
 def _wreath_setup(n: int, q: int = 3):

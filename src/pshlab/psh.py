@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .chars import ClassFunction, _conj
-from .cyclo import Cyclo
+from .chars import ClassFunction
+from .cyclo import conj, integer, scalar
 from .symgroup import centralizer_order
 
 __all__ = ["PshElement", "PshStructure", "psh_inner", "verify_self_adjoint",
@@ -341,8 +341,7 @@ def _sym_induced_value(chi1, chi2, k, nk, nu) -> int:
         ratio = Fraction(centralizer_order(nu),
                          centralizer_order(nu1) * centralizer_order(nu2))
         total += ratio * chi1.values[nu1] * chi2.values[nu2]
-    assert Fraction(total).denominator == 1
-    return int(total)
+    return integer(total)
 
 
 @lru_cache(maxsize=None)
@@ -363,10 +362,9 @@ def symmetric_instance(maxdeg: int = 6) -> PshStructure:
                                 (1,) * n)
         out = {}
         for nu in partitions(n):
-            c = induced.inner(specht_character(nu))
-            assert Fraction(c).denominator == 1
+            c = integer(induced.inner(specht_character(nu)))
             if c:
-                out[(n, nu)] = int(c)
+                out[(n, nu)] = c
         return PshElement(out)
 
     def coproduct_fn(n, lam):
@@ -387,10 +385,9 @@ def symmetric_instance(maxdeg: int = 6) -> PshStructure:
                                 * chi.values[merged]
                                 * specht_character(mu).values[t1]
                                 * specht_character(nu).values[t2])
-                    c = Fraction(total, factorial(a) * factorial(b))
-                    assert c.denominator == 1
+                    c = integer(Fraction(total, factorial(a) * factorial(b)))
                     if c:
-                        out[((a, mu), (b, nu))] = int(c)
+                        out[((a, mu), (b, nu))] = c
         return out
 
     return PshStructure("symmetric", maxdeg, basis_fn, product_fn,
@@ -453,10 +450,9 @@ class _TableInstance:
         induced = G.induced_character(sub, chi)
         out = {}
         for k, irr in enumerate(G.character_table()):
-            c = induced.inner(irr)
-            assert Fraction(c).denominator == 1, (self.name, a, la, b, lb)
+            c = integer(induced.inner(irr))
             if c:
-                out[(a + b, k)] = int(c)
+                out[(a + b, k)] = c
         return PshElement(out)
 
     def _component_values(self, n, l, a):
@@ -479,11 +475,7 @@ class _TableInstance:
             total = 0
             for u in u_indices:
                 total = total + chi.values[G.class_of(G.mul(i, u))]
-            if isinstance(total, Cyclo):
-                total = total * Fraction(1, len(u_indices))
-                return (total.rational_value() if total.is_rational()
-                        else total)
-            return Fraction(total, len(u_indices))
+            return scalar(total * Fraction(1, len(u_indices)))
         return value
 
     def coproduct(self, n, l):
@@ -501,18 +493,11 @@ class _TableInstance:
                     total = 0
                     for (xa, xb), v in table.items():
                         total = (total + v
-                                 * _conj(irr_a.values[Ga.class_of(xa)])
-                                 * _conj(irr_b.values[Gb.class_of(xb)]))
-                    order = Ga.order * Gb.order
-                    if isinstance(total, Cyclo):
-                        c = total * Fraction(1, order)
-                        assert c.is_rational()
-                        c = c.rational_value()
-                    else:
-                        c = Fraction(total, order)
-                    assert c.denominator == 1, (self.name, n, l, a)
+                                 * conj(irr_a.values[Ga.class_of(xa)])
+                                 * conj(irr_b.values[Gb.class_of(xb)]))
+                    c = integer(total * Fraction(1, Ga.order * Gb.order))
                     if c:
-                        out[((a, i), (b, j))] = int(c)
+                        out[((a, i), (b, j))] = c
         return out
 
     def structure(self) -> PshStructure:

@@ -17,6 +17,7 @@ from .chars import ClassFunction
 from .combinat import (Tableau, Tabloid, addable_nodes, add_node,
                        all_tabloids, conjugate, partitions, remove_node,
                        removable_nodes, standard_tableaux)
+from .cyclo import integer
 from .linalg import det_exact, rank_exact, solve_columns
 from .symgroup import (Perm, centralizer_order, class_representative,
                        class_size)
@@ -149,9 +150,7 @@ def specht_character(mu: tuple) -> ClassFunction:
     for lam in partitions(n):
         rep = class_representative(n, lam)
         mat = specht_action(rep, mu)
-        tr = sum(mat[i][i] for i in range(len(mat)))
-        assert Fraction(tr).denominator == 1
-        values[lam] = int(tr)
+        values[lam] = integer(sum(mat[i][i] for i in range(len(mat))))
     return ClassFunction(_group_id(n), values, sym_class_sizes(n),
                          (1,) * n)
 
@@ -278,9 +277,9 @@ def submodule_theorem_check(mu: tuple) -> dict:
     kappa-multiple property; together these give irreducibility over Q."""
     gram = gram_matrix(mu)
     det = det_exact(gram)
+    kappa = kappa_multiple_check(mu)
     return {"mu": mu, "gram_det": det, "gram_nonsingular": det != 0,
-            "kappa_multiple": kappa_multiple_check(mu),
-            "pass": det != 0 and kappa_multiple_check(mu)}
+            "kappa_multiple": kappa, "pass": det != 0 and kappa}
 
 
 def sym_character_table(n: int):

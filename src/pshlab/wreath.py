@@ -11,7 +11,7 @@ import itertools
 import math
 from functools import lru_cache
 
-from .groups import FiniteGroupTable
+from .groups import FiniteGroupTable, check_group_order
 from .symgroup import Perm
 
 __all__ = ["wreath_group", "wreath_mul", "wreath_inv", "wreath_identity",
@@ -44,12 +44,10 @@ def wreath_identity(H: FiniteGroupTable, n: int):
 
 
 @lru_cache(maxsize=None)
-def wreath_group(H: FiniteGroupTable, n: int,
-                 bound: int = 10000) -> FiniteGroupTable:
+def wreath_group(H: FiniteGroupTable, n: int) -> FiniteGroupTable:
     """Sigma_n wr H as an explicit FiniteGroupTable."""
-    order = math.factorial(n) * H.order ** n
-    if order > bound:
-        raise ResourceWarning(f"wreath order {order} exceeds bound {bound}")
+    check_group_order(f"Wreath({n},{H.name})",
+                      math.factorial(n) * H.order ** n)
     elements = []
     for sig in itertools.permutations(range(1, n + 1)):
         for alphas in itertools.product(range(H.order), repeat=n):

@@ -1,4 +1,6 @@
+import argparse
 import json
+import os
 import subprocess
 import sys
 
@@ -8,9 +10,9 @@ from pshlab import cli
 from pshlab.cyclo import Cyclo
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     proc = subprocess.run([sys.executable, "-m", "pshlab.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -29,6 +31,54 @@ def test_usage_errors():
         rc, _, err = run_cli(*args)
         assert rc == 2, (args, err)
         assert "Traceback" not in err, args
+
+
+@pytest.mark.parametrize("group,cap", [("Wreath(2,C2)", 4),
+                                       ("GL(2,3)", 10)])
+def test_group_order_cap(group, cap):
+    env = dict(os.environ, PSHLAB_MAX_GROUP_ORDER=str(cap))
+    rc, _, err = run_cli("chartable", group, env=env)
+    assert rc == 3, err
+    assert "exceeds the group-order bound" in err
+
+
+# result digests that a change to how values are computed must keep
+PINNED_DIGESTS = {
+    ("verify", "hasse-davenport"):
+        "466ebb239f3bca40346c6491f938f9f397fea74ec128aa7786bd1265b9190685",
+    ("verify", "gauss"):
+        "e6c669fcf3d60f241e21469f085c65b38f449688c2767baa248992d278e240ec",
+    ("verify", "hopflike"):
+        "1cd2dce7f12b63eb9e4f4e510131f2f33453c7bac19e5c353cc2c0fa4724404b",
+    ("verify", "wreath-counterexample"):
+        "e1a1f82af6b91910f590bb943d9ca758e80acc2a7a08dc726f24ce77997ce2c8",
+    ("chartable", "GL(2,3)"):
+        "9dcfc05d7ef4893e7c8afa8a571e53485d41504aead7dcdbdc5f4d2ca80c2427",
+    ("chartable", "Wreath(3,C2)"):
+        "299e38bc75169789b10cad7d8d700ebb54141e9e1f6c402e200520f5e7e555db",
+    ("chartable", "Sym(5)"):
+        "335ac2d012bf12106e039b6bba3e631712d0a02e46fc0f14c4ebfc3533a8110b",
+}
+
+
+@pytest.mark.parametrize("args,digest", sorted(PINNED_DIGESTS.items()))
+def test_pinned_digests(args, digest):
+    assert run_json(*args)["manifest"]["result_digest"] == digest
+
+
+def test_branching_suite_runs_kappa_once_per_partition(monkeypatch):
+    from pshlab import specht
+    calls = []
+    real = specht.kappa_multiple_check
+
+    def counting(mu):
+        calls.append(mu)
+        return real(mu)
+    monkeypatch.setattr(specht, "kappa_multiple_check", counting)
+    reports = cli._suite_branching(argparse.Namespace(n=3))
+    assert len(calls) == 6 == len(set(calls))
+    kappa = [r for r in reports if r.get("check") == "kappa-multiple"]
+    assert len(kappa) == 6 and all(r["pass"] for r in kappa)
 
 
 def test_chartable_trivial_group():

@@ -1,10 +1,13 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pshlab.cyclo import Cyclo, cyclotomic_poly, euler_phi, zeta
+from pshlab.cyclo import (Cyclo, conj, cyclotomic_poly, euler_phi, integer,
+                          inverse, scalar, zeta)
 
 
 def test_zeta_powers():
@@ -56,6 +59,47 @@ def test_inverse_and_conj():
             assert z.conj() == z.inv()
             norm = z * z.conj()
             assert norm.rational_value() == 1
+
+
+def test_rational_cyclo_hashes_like_the_rational():
+    assert len({zeta(4) ** 2, -1}) == 1
+    assert hash(Cyclo(6, [Fraction(1, 2)])) == hash(Fraction(1, 2))
+    assert zeta(3) != 0 and zeta(3) != 1
+    assert zeta(6) + zeta(6, 5) == 1
+
+
+@pytest.mark.parametrize("v,normal,conjugate,inv", [
+    (3, 3, 3, Fraction(1, 3)),
+    (-1, -1, -1, -1),
+    (Fraction(4, 2), 2, 2, Fraction(1, 2)),
+    (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), 2),
+    (zeta(4) ** 2, -1, -1, -1),
+    (Cyclo(6, [Fraction(1, 2)]), Fraction(1, 2), Fraction(1, 2), 2),
+    (zeta(3), zeta(3), zeta(3, 2), zeta(3, 2)),
+])
+def test_scalar_helpers(v, normal, conjugate, inv):
+    s = scalar(v)
+    assert s == normal and type(s) is type(normal)
+    assert conj(v) == conjugate
+    assert inverse(v) == inv
+    if type(normal) is int:
+        assert integer(v) == normal and type(integer(v)) is int
+    else:
+        with pytest.raises(AssertionError):
+            integer(v)
+
+
+def test_integer_check_survives_optimize():
+    code = ("from fractions import Fraction\n"
+            "from pshlab.cyclo import integer\n"
+            "try:\n"
+            "    integer(Fraction(1, 2))\n"
+            "except AssertionError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_galois():

@@ -142,6 +142,13 @@ def test_pair_ambient():
     assert pair_ambient(2, 2, 0) is gl_group(2, 2)
 
 
+def test_pair_ambient_respects_group_order_cap(monkeypatch):
+    monkeypatch.setenv("PSHLAB_MAX_GROUP_ORDER", "10")
+    # |GL(1,5)|^2 = 16; the uncached call builds the product table afresh
+    with pytest.raises(ResourceWarning):
+        pair_ambient.__wrapped__(5, 1, 1)
+
+
 def test_hopflike_runs_and_reports():
     report = verify_hopflike(2, 2)
     assert report["pass"]
