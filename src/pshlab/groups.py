@@ -2,8 +2,9 @@
 
 FiniteGroupTable wraps an element list plus multiplication and inverse
 callbacks, and lazily computes conjugacy classes, subgroup closures,
-double cosets and induced characters.  Class labels are integer class
-indices; the identity's class is always label 0.
+double cosets, least double-coset representatives and induced
+characters.  Class labels are integer class indices; the identity's class
+is always label 0.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ class FiniteGroupTable:
         self._orders: dict = {}
         self.subgroups: dict = {}
         self._char_table = None
+        self._least_reps: dict = {}
 
     @property
     def order(self) -> int:
@@ -262,6 +264,20 @@ class FiniteGroupTable:
                 frontier = nxt
             out.append((start, frozenset(orbit)))
         return out
+
+    def least_double_coset_reps(self, left_indices, right_indices):
+        """A list mapping every element index to the least element index
+        of its left-g-right double coset.  Built once per pair of index
+        collections from the double_cosets walk and kept on the group."""
+        key = (tuple(left_indices), tuple(right_indices))
+        table = self._least_reps.get(key)
+        if table is None:
+            table = [0] * self.order
+            for rep, members in self.double_cosets(*key):
+                for x in members:
+                    table[x] = rep
+            self._least_reps[key] = table
+        return table
 
     def character_table(self):
         """Exact irreducible characters via the class-algebra method."""

@@ -196,15 +196,10 @@ def normalize(coeff, t: HeckeTriple):
     the coefficient picks up phi(h)^-1 psi(k)^-1 from the rewriting
     relations.  Idempotent, and constant on the rewrite orbit of the triple."""
     amb = t.amb
-    k_set = set(t.source.indices)
-    coset = set()
-    for h in t.target.indices:
-        hg = amb.mul(h, t.g)
-        for k in t.source.indices:
-            coset.add(amb.mul(hg, k))
-    g0 = min(coset)
+    g0 = amb.least_double_coset_reps(t.target.indices, t.source.indices)[t.g]
     if g0 == t.g:
         return coeff, t
+    k_set = set(t.source.indices)
     # write g = h g0 k and absorb the character values
     for h in t.target.indices:
         k = amb.mul(amb.inv(amb.mul(h, g0)), t.g)
@@ -292,30 +287,24 @@ def element_product(e1: HeckeElement, e2: HeckeElement) -> HeckeElement:
 
 # -- induced modules ---------------------------------------------------------
 
+def _left_coset_reps(sc: SubgroupChar):
+    """Map from element index to the least element of its left coset gK."""
+    amb = sc.amb
+    return amb.least_double_coset_reps((amb.identity_idx,), sc.indices)
+
+
 def module_basis(sc: SubgroupChar):
     """Canonical (least-element) representatives of the left cosets of
     the subgroup."""
-    amb = sc.amb
-    seen = [False] * amb.order
-    reps = []
-    for g in range(amb.order):
-        if seen[g]:
-            continue
-        members = [amb.mul(g, k) for k in sc.indices]
-        rep = min(members)
-        for x in members:
-            seen[x] = True
-        reps.append(rep)
-    return sorted(reps)
+    return sorted(set(_left_coset_reps(sc)))
 
 
 def _reduce(sc: SubgroupChar, g: int):
     """g = rep k^-1 with rep the least element of gK; returns rep and the
     coefficient multiplier chi(k)^-1 from g (x) v = rep (x) chi(k)^-1 v."""
     amb = sc.amb
-    members = {amb.mul(g, k): k for k in sc.indices}
-    rep = min(members)
-    k = members[rep]
+    rep = _left_coset_reps(sc)[g]
+    k = amb.mul(amb.inv(g), rep)
     return rep, inverse(sc.chi[k])
 
 
@@ -502,10 +491,8 @@ def _coproduct_component(t: HeckeTriple, a: int, z: int):
             psibar[p] = t.source.chi[k]
     # guaranteed by the target-side filter and triple validity
     for u in u_indices:
-        if u in psibar:
-            assert psibar[u] == 1, "source character nontrivial on U"
-
-    u_set = set(u_indices)
+        if u in psibar and psibar[u] != 1:
+            raise AssertionError("source character nontrivial on U")
 
     def quotient(indices, chi):
         q_indices = []
@@ -514,8 +501,8 @@ def _coproduct_component(t: HeckeTriple, a: int, z: int):
             mat = project(G.elements[p])
             idx = amb.index[mat]
             if idx in q_chi:
-                assert q_chi[idx] == chi[p], \
-                    "character not constant on U-fibres"
+                if q_chi[idx] != chi[p]:
+                    raise AssertionError("character not constant on U-fibres")
             else:
                 q_indices.append(idx)
                 q_chi[idx] = chi[p]
@@ -539,8 +526,8 @@ def coproduct(t: HeckeTriple, a: int) -> HeckeElement:
         if comp is not None:
             terms.append((comp, 1))
     elem = HeckeElement(terms)
-    if a in (0, n):
-        assert not elem.is_zero(), "extreme component vanished"
+    if a in (0, n) and elem.is_zero():
+        raise AssertionError("extreme component vanished")
     return elem
 
 
@@ -552,10 +539,10 @@ def coproduct_well_defined(t: HeckeTriple, a: int) -> dict:
     G = t.amb
     n = len(G.elements[0])
     p_indices, _, amb, project = _blocks(G, n, a)
-    k_list = list(t.source.indices)
+    k_set = set(t.source.indices)
     cases = 0
     failures = []
-    for z, members in G.double_cosets(p_indices, k_list):
+    for z, members in G.double_cosets(p_indices, t.source.indices):
         base = _coproduct_component(t, a, z)
         for z2 in sorted(members):
             alt = _coproduct_component(t, a, z2)
@@ -569,10 +556,11 @@ def coproduct_well_defined(t: HeckeTriple, a: int) -> dict:
             u_found = None
             for u in p_indices:
                 k = G.mul(G.inv(G.mul(u, z)), z2)
-                if k in set(k_list):
+                if k in k_set:
                     u_found = u
                     break
-            assert u_found is not None
+            if u_found is None:
+                raise AssertionError("double coset member outside P z K")
             ubar = amb.index[project(G.elements[u_found])]
             ubar_inv = amb.inv(ubar)
 
@@ -621,8 +609,8 @@ def enumerate_triples(G: FiniteGroupTable):
     out = []
     for target in chars:
         for source in chars:
-            for g, _ in G.double_cosets(list(target.indices),
-                                        list(source.indices)):
+            reps = G.least_double_coset_reps(target.indices, source.indices)
+            for g in sorted(set(reps)):
                 try:
                     out.append(HeckeTriple(source, g, target))
                 except TripleError:

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 
-from .combinat import (addable_nodes, conjugate, partitions,
-                       standard_tableaux)
+from .combinat import addable_nodes, conjugate, partitions
 from .cyclo import Cyclo, inverse, scalar, zeta
 from .symgroup import Perm, cycles_of
 

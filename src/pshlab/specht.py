@@ -14,9 +14,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .chars import ClassFunction
-from .combinat import (Tableau, Tabloid, addable_nodes, add_node,
-                       all_tabloids, conjugate, partitions, remove_node,
-                       removable_nodes, standard_tableaux)
+from .combinat import (Tableau, addable_nodes, add_node, all_tabloids,
+                       partitions, remove_node, removable_nodes,
+                       standard_tableaux)
 from .cyclo import integer
 from .linalg import det_exact, rank_exact, solve_columns
 from .symgroup import (Perm, centralizer_order, class_representative,

@@ -98,6 +98,20 @@ def test_double_cosets_partition():
     assert seen == set(range(G.order))
 
 
+def test_least_double_coset_reps():
+    G = sym_table(4)
+    H = tuple(sorted(G.closure([G.index[Perm.from_cycles(4, [(1, 2, 3)])]])))
+    K = tuple(sorted(G.closure([G.index[Perm.from_cycles(4, [(1, 2)])]])))
+    table = G.least_double_coset_reps(H, K)
+    for g in range(G.order):
+        assert table[g] == min(G.mul(G.mul(h, g), k) for h in H for k in K)
+    # built once per pair; the trivial left group gives left cosets gK
+    assert G.least_double_coset_reps(H, K) is table
+    left = G.least_double_coset_reps((G.identity_idx,), K)
+    for g in range(G.order):
+        assert left[g] == min(G.mul(g, k) for k in K)
+
+
 def test_subgroup_registry():
     G = sym_table(3)
     H = sorted(G.closure([G.index[Perm.from_cycles(3, [(1, 2, 3)])]]))

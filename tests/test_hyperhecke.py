@@ -1,10 +1,13 @@
+import subprocess
+import sys
+
 import pytest
 
-from pshlab.cyclo import Cyclo
+from pshlab.cyclo import Cyclo, inverse
 from pshlab.glfq import gl_group
 from pshlab.hyperhecke import (CharacterMismatchError, ContainmentError,
                                HeckeElement, HeckeTriple, SubgroupChar,
-                               apply_triple, coproduct,
+                               TripleError, _reduce, apply_triple, coproduct,
                                coproduct_well_defined, element_product,
                                enumerate_subgroup_chars, enumerate_triples,
                                graded_product, hecke_product, identity_triple,
@@ -188,3 +191,101 @@ def test_equal_triples_at_different_conductors_collapse():
     both = HeckeElement([(t3, 1), (t6, 1)])
     assert len(both.terms) == 1
     assert both == HeckeElement.of(t3, 2)
+
+
+# -- brute-force oracles for the table-driven normal forms --------------------
+
+def brute_normalize(coeff, t):
+    """normalize by enumerating the whole H g K double coset."""
+    amb = t.amb
+    k_set = set(t.source.indices)
+    g0 = min(amb.mul(amb.mul(h, t.g), k)
+             for h in t.target.indices for k in t.source.indices)
+    if g0 == t.g:
+        return coeff, t
+    for h in t.target.indices:
+        k = amb.mul(amb.inv(amb.mul(h, g0)), t.g)
+        if k in k_set:
+            factor = inverse(t.target.chi[h]) * inverse(t.source.chi[k])
+            return coeff * factor, HeckeTriple(t.source, g0, t.target,
+                                               check=False)
+    raise AssertionError("double coset member without a factorization")
+
+
+def brute_module_basis(sc):
+    amb = sc.amb
+    return sorted({min(amb.mul(g, k) for k in sc.indices)
+                   for g in range(amb.order)})
+
+
+def brute_reduce(sc, g):
+    amb = sc.amb
+    members = {amb.mul(g, k): k for k in sc.indices}
+    rep = min(members)
+    return rep, inverse(sc.chi[members[rep]])
+
+
+def test_normalize_matches_brute_force_gl22_with_rewrites():
+    G = gl_group(2, 2)
+    cases = 0
+    for t in enumerate_triples(G):
+        assert normalize(1, t) == brute_normalize(1, t)
+        for h in t.target.indices:
+            for k in t.source.indices:
+                raw = HeckeTriple(t.source, G.mul(G.mul(h, t.g), k),
+                                  t.target, check=False)
+                assert normalize(1, raw) == brute_normalize(1, raw)
+                cases += 1
+    assert cases > 0
+    # raw triples whose g breaks containment or the character match
+    chars = enumerate_subgroup_chars(G)
+    for target in chars:
+        for source in chars:
+            for g in range(G.order):
+                raw = HeckeTriple(source, g, target, check=False)
+                assert normalize(5, raw) == brute_normalize(5, raw)
+
+
+def test_normalize_matches_brute_force_gl23():
+    G = gl_group(2, 3)
+    triples = enumerate_triples(G)
+    assert triples
+    for t in triples:
+        assert normalize(1, t) == brute_normalize(1, t)
+
+
+def test_enumerate_triples_matches_double_cosets():
+    G = gl_group(2, 3)
+    expected = []
+    chars = enumerate_subgroup_chars(G)
+    for target in chars:
+        for source in chars:
+            for g, _ in G.double_cosets(target.indices, source.indices):
+                try:
+                    expected.append(HeckeTriple(source, g, target))
+                except TripleError:
+                    continue
+    assert enumerate_triples(G) == expected
+
+
+def test_coset_reductions_match_brute_force_gl23():
+    G = gl_group(2, 3)
+    for sc in enumerate_subgroup_chars(G):
+        assert module_basis(sc) == brute_module_basis(sc)
+        for g in range(G.order):
+            assert _reduce(sc, g) == brute_reduce(sc, g)
+
+
+def test_coproduct_check_survives_optimize():
+    code = ("from pshlab import hyperhecke\n"
+            "from pshlab.glfq import gl_group\n"
+            "t = hyperhecke.enumerate_triples(gl_group(2, 2))[0]\n"
+            "hyperhecke._coproduct_component = lambda *args: None\n"
+            "try:\n"
+            "    hyperhecke.coproduct(t, 0)\n"
+            "except AssertionError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
