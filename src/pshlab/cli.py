@@ -108,16 +108,12 @@ def _group_from_spec(spec: str):
         from .wreath import wreath_group
         return ("table", wreath_group(_base_group(m.group(2)),
                                       int(m.group(1))))
-    raise SystemExit(EXIT_USAGE)
+    raise ValueError(f"unparseable group spec: {spec}")
 
 
 def cmd_chartable(args) -> int:
     started = time.time()
-    try:
-        kind, data = _group_from_spec(args.group)
-    except SystemExit:
-        print(f"unparseable group spec: {args.group}", file=sys.stderr)
-        return EXIT_USAGE
+    kind, data = _group_from_spec(args.group)
     if kind == "sym":
         from .combinat import format_partition
         from .specht import character_table_rows
@@ -289,7 +285,9 @@ def _suite_bruhat(args):
 
 def _suite_hasse_davenport(args):
     from .glfq import hasse_davenport_check
-    pairs = ([(args.p, args.m)] if args.p and args.m
+    if (args.p is None) != (args.m is None):
+        raise ValueError("--p and --m go together")
+    pairs = ([(args.p, args.m)] if args.p is not None
              else [(3, 2), (5, 2), (3, 3)])
     out = []
     for p, m in pairs:
@@ -351,8 +349,11 @@ def _kondo_value(group: str, subgroup, char_index: int):
     from .hyperhecke import subgroup_table
     m = re.fullmatch(r"GL\((\d+),(\d+)\)", group)
     if not m:
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError(f"unparseable group spec: {group}")
     G = gl_group(int(m.group(1)), int(m.group(2)))
+    if subgroup and subgroup not in G.subgroups:
+        raise ValueError(f"{group} has no subgroup {subgroup!r}; choose from "
+                         + ", ".join(sorted(G.subgroups)))
     indices = (sorted(G.subgroups[subgroup]) if subgroup
                else list(range(G.order)))
     sub = subgroup_table(G, indices)
@@ -360,6 +361,8 @@ def _kondo_value(group: str, subgroup, char_index: int):
     triv = next(i for i, chi in enumerate(table)
                 if all(v == 1 for v in chi.values.values()))
     table.insert(0, table.pop(triv))
+    if not 0 <= char_index < len(table):
+        raise ValueError(f"--char {char_index} is not in 0..{len(table) - 1}")
     chi_cf = table[char_index]
     chi = {indices[i]: chi_cf.values[sub.class_of(i)]
            for i in range(sub.order)}
@@ -405,11 +408,7 @@ def cmd_compute(args) -> int:
         if not args.group:
             print("kondo needs --group GL(n,q)", file=sys.stderr)
             return EXIT_USAGE
-        try:
-            value = _kondo_value(args.group, args.subgroup, args.char or 0)
-        except SystemExit:
-            print(f"unparseable group spec: {args.group}", file=sys.stderr)
-            return EXIT_USAGE
+        value = _kondo_value(args.group, args.subgroup, args.char or 0)
         result = {"kind": kind, "value": value}
         if args.approx:
             result["approx"] = list(value.to_complex())

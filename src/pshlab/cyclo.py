@@ -280,8 +280,11 @@ class Cyclo:
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
-        coeffs = list(self.coeffs) + [Fraction(0)] * (self.n - len(self.coeffs))
-        return {"conductor": self.n,
+        """The value at its minimal conductor, so equal values serialise
+        equal."""
+        r = self.reduced()
+        coeffs = list(r.coeffs) + [Fraction(0)] * (r.n - len(r.coeffs))
+        return {"conductor": r.n,
                 "coeffs": [[str(c.numerator), str(c.denominator)]
                            for c in coeffs]}
 

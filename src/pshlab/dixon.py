@@ -124,9 +124,10 @@ def _restrict(a, basis, l):
     m = [[basis[j][i] for j in range(d)] + [cols[j][i] for j in range(d)]
          for i in range(n)]
     m, piv_cols = _rref(m, l, d)
-    assert len(piv_cols) == d, "basis not independent"
-    for i in range(d, n):
-        assert all(x % l == 0 for x in m[i][d:]), "image leaves the span"
+    if len(piv_cols) != d:
+        raise AssertionError("basis not independent")
+    if any(x % l for i in range(d, n) for x in m[i][d:]):
+        raise AssertionError("image leaves the span")
     return [m[i][d:] for i in range(d)]
 
 
@@ -178,8 +179,8 @@ def dixon_character_table(G: FiniteGroupTable):
                 if sub:
                     new_spaces.append(sub)
         spaces = new_spaces
-    assert len(spaces) == r and all(len(b) == 1 for b in spaces), \
-        "class algebra failed to split completely"
+    if len(spaces) != r or any(len(b) != 1 for b in spaces):
+        raise AssertionError("class algebra failed to split completely")
 
     z_idx = _primitive_root(l)
     z = pow(z_idx, (l - 1) // e, l)
@@ -207,11 +208,13 @@ def dixon_character_table(G: FiniteGroupTable):
                 m_ik = sum(chi_mod[G.power_class(i, j)]
                            * pow(z, (-j * k) % (l - 1), l)
                            for j in range(e)) * inv_e % l
-                assert m_ik <= deg, "lifted multiplicity out of range"
+                if m_ik > deg:
+                    raise AssertionError("lifted multiplicity out of range")
                 if m_ik:
                     acc = acc + m_ik * zeta(e, k)
             values[i] = scalar(acc)
-        assert values[0] == deg
+        if values[0] != deg:
+            raise AssertionError(f"degree {values[0]} lifted, {deg} expected")
         chars.append(G.class_function(values))
 
     chars.sort(key=lambda c: (c.values[0] if isinstance(c.values[0], int)
@@ -223,12 +226,16 @@ def dixon_character_table(G: FiniteGroupTable):
 
 def _verify_orthogonality(G: FiniteGroupTable, chars):
     r = len(G.classes())
-    assert len(chars) == r
-    assert sum(int(c.values[0]) ** 2 for c in chars) == G.order
+    if len(chars) != r:
+        raise AssertionError(f"{len(chars)} characters for {r} classes "
+                             f"of {G.name}")
+    if sum(int(c.values[0]) ** 2 for c in chars) != G.order:
+        raise AssertionError(f"squared degrees do not sum to |{G.name}|")
     for i, a in enumerate(chars):
         for j, b in enumerate(chars):
-            assert a.inner(b) == (1 if i == j else 0), \
-                f"orthogonality failure in {G.name} at ({i},{j})"
+            if a.inner(b) != (1 if i == j else 0):
+                raise AssertionError(
+                    f"orthogonality failure in {G.name} at ({i},{j})")
     # column orthogonality: sum over chars of chi(g) conj(chi(h))
     sizes = G.class_sizes()
     for k in range(r):
@@ -237,4 +244,5 @@ def _verify_orthogonality(G: FiniteGroupTable, chars):
             v = c.values[k]
             total = total + v * conj(v)
         expected = Fraction(G.order, sizes[k])
-        assert total == expected, f"column orthogonality failure at {k}"
+        if total != expected:
+            raise AssertionError(f"column orthogonality failure at {k}")

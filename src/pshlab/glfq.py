@@ -365,6 +365,8 @@ def unit_character(f: Fq, j: int) -> dict:
 def hasse_davenport_check(p: int, m: int) -> dict:
     """Check -tau(lam o Norm) = (-1)^m tau(lam)^m over F_{p^m} for every
     character lam of the units of F_p."""
+    if m < 1:
+        raise ValueError(f"extension degree m = {m} < 1")
     base = build_field(p)
     ext = build_field(p, m)
     failures = []

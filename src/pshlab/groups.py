@@ -88,19 +88,39 @@ class FiniteGroupTable:
 
     # -- subgroups ------------------------------------------------------
 
-    def closure(self, gens) -> frozenset:
-        seen = set(gens) | {self.identity_idx}
-        frontier = list(seen)
+    def _orbit(self, start: int, moves) -> set:
+        """The orbit of start under the moves (maps index -> index), found
+        by a breadth-first walk."""
+        seen = {start}
+        frontier = [start]
         while frontier:
             nxt = []
             for x in frontier:
-                for g in gens:
-                    y = self.mul(x, g)
+                for move in moves:
+                    y = move(x)
                     if y not in seen:
                         seen.add(y)
                         nxt.append(y)
             frontier = nxt
-        return frozenset(seen)
+        return seen
+
+    def _orbit_partition(self, moves):
+        """The orbits of the moves on all element indices, by an ascending
+        scan: a list of (least member, orbit) in order of least member,
+        and the list sending each index to the position of its orbit."""
+        label = [-1] * self.order
+        orbits = []
+        for start in range(self.order):
+            if label[start] < 0:
+                orbit = self._orbit(start, moves)
+                for x in orbit:
+                    label[x] = len(orbits)
+                orbits.append((start, orbit))
+        return orbits, label
+
+    def closure(self, gens) -> frozenset:
+        return frozenset(self._orbit(
+            self.identity_idx, [lambda x, g=g: self.mul(x, g) for g in gens]))
 
     def small_generators(self, indices) -> list[int]:
         """A short generator list for the subgroup given by its indices."""
@@ -134,32 +154,15 @@ class FiniteGroupTable:
 
     def _compute_classes(self):
         gens = self.small_generators(range(self.order))
-        class_of = [-1] * self.order
-        classes = []
-        for start in range(self.order):
-            if class_of[start] >= 0:
-                continue
-            label = len(classes)
-            orbit = {start}
-            frontier = [start]
-            class_of[start] = label
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g in gens:
-                        y = self.conj(x, g)
-                        if y not in orbit:
-                            orbit.add(y)
-                            class_of[y] = label
-                            nxt.append(y)
-                frontier = nxt
-            classes.append(sorted(orbit))
-        # relabel so that the identity's class is 0
+        orbits, class_of = self._orbit_partition(
+            [lambda x, g=g: self.conj(x, g) for g in gens])
+        classes = [sorted(orbit) for _, orbit in orbits]
+        # swap the identity's class into label 0
         ident = class_of[self.identity_idx]
         if ident != 0:
             classes[0], classes[ident] = classes[ident], classes[0]
-            for label, members in enumerate(classes):
-                for x in members:
+            for label in (0, ident):
+                for x in classes[label]:
                     class_of[x] = label
         self._classes = classes
         self._class_of = class_of
@@ -238,32 +241,10 @@ class FiniteGroupTable:
         the least element index in the coset."""
         hgens = self.small_generators(left_indices)
         kgens = self.small_generators(right_indices)
-        assigned = [False] * self.order
-        out = []
-        for start in range(self.order):
-            if assigned[start]:
-                continue
-            orbit = {start}
-            frontier = [start]
-            assigned[start] = True
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for h in hgens:
-                        y = self.mul(h, x)
-                        if y not in orbit:
-                            orbit.add(y)
-                            assigned[y] = True
-                            nxt.append(y)
-                    for k in kgens:
-                        y = self.mul(x, k)
-                        if y not in orbit:
-                            orbit.add(y)
-                            assigned[y] = True
-                            nxt.append(y)
-                frontier = nxt
-            out.append((start, frozenset(orbit)))
-        return out
+        moves = ([lambda x, h=h: self.mul(h, x) for h in hgens]
+                 + [lambda x, k=k: self.mul(x, k) for k in kgens])
+        return [(rep, frozenset(orbit))
+                for rep, orbit in self._orbit_partition(moves)[0]]
 
     def least_double_coset_reps(self, left_indices, right_indices):
         """A list mapping every element index to the least element index

@@ -1,82 +1,66 @@
 """Exact linear algebra over Q: elimination, rank, determinants, solving.
 
-Everything works on lists of lists of Fractions (or ints).  Rank and
-determinant go through fraction-free (Bareiss) elimination on integer
-matrices after clearing denominators; solving uses plain exact Gaussian
-elimination.  No tolerances exist anywhere.
+Everything works on lists of lists of Fractions (or ints).  One exact
+Gauss-Jordan elimination over Fraction serves rank, determinant and
+solving alike; it replaces the former fraction-free (Bareiss) route for
+rank and determinant.  No tolerances exist anywhere.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-__all__ = ["rank_exact", "det_exact", "solve_exact", "solve_columns",
-           "bareiss_echelon"]
+__all__ = ["rank_exact", "det_exact", "solve_exact", "solve_columns"]
 
 
-def _clear_denominators(a):
-    """Scale each row by the lcm of its denominators; returns int rows."""
-    out = []
-    for row in a:
-        row = [Fraction(x) for x in row]
-        scale = math.lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * scale) for x in row])
-    return out
+def _eliminate(a, cols=None):
+    """Gauss-Jordan elimination of a (copied to Fractions), pivoting in the
+    first cols columns only (default: all of them).
 
-
-def bareiss_echelon(a):
-    """Fraction-free echelon form of an integer matrix (copy); returns
-    (echelon, pivot_columns, sign) where sign tracks row swaps."""
-    m = [list(map(int, row)) for row in a]
+    Returns (rows, pivots, det): the reduced rows, the pivot column of
+    each of the first len(pivots) rows, and the product of the pivots
+    with its sign flipped once per row swap, which is the determinant
+    when a is square of full rank.
+    """
+    m = [[Fraction(x) for x in row] for row in a]
     rows = len(m)
-    cols = len(m[0]) if rows else 0
-    prev = 1
-    sign = 1
-    piv_cols = []
+    if cols is None:
+        cols = len(m[0]) if rows else 0
+    piv = []
+    det = Fraction(1)
     r = 0
     for c in range(cols):
+        if r == rows:
+            break
         pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
         if pivot != r:
             m[r], m[pivot] = m[pivot], m[r]
-            sign = -sign
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        piv_cols.append(c)
+            det = -det
+        pr = m[r]
+        det *= pr[c]
+        inv = 1 / pr[c]
+        m[r] = pr = [x * inv for x in pr]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], pr)]
+        piv.append(c)
         r += 1
-        if r == rows:
-            break
-    return m, piv_cols, sign
+    return m, piv, det
 
 
 def rank_exact(a) -> int:
-    if not a or not a[0]:
-        return 0
-    _, piv, _ = bareiss_echelon(_clear_denominators(a))
-    return len(piv)
+    return len(_eliminate(a)[1])
 
 
 def det_exact(a) -> Fraction:
     n = len(a)
-    if n == 0:
-        return Fraction(1)
-    assert all(len(row) == n for row in a)
-    rows = [[Fraction(x) for x in row] for row in a]
-    scale = Fraction(1)
-    int_rows = []
-    for row in rows:
-        s = math.lcm(*(x.denominator for x in row))
-        scale *= s
-        int_rows.append([int(x * s) for x in row])
-    ech, piv, sign = bareiss_echelon(int_rows)
-    if len(piv) < n:
-        return Fraction(0)
-    return Fraction(sign * ech[n - 1][n - 1]) / scale
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant of a non-square matrix")
+    _, piv, det = _eliminate(a)
+    return det if len(piv) == n else Fraction(0)
 
 
 def solve_exact(a, b):
@@ -93,35 +77,16 @@ def solve_columns(a, bs):
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    k = len(bs)
-    m = [[Fraction(x) for x in row] + [Fraction(b[i]) for b in bs]
-         for i, row in enumerate(a)]
-    piv = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pr = m[r]
-        inv = 1 / pr[c]
-        m[r] = pr = [x * inv for x in pr]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], pr)]
-        piv.append((r, c))
-        r += 1
-        if r == rows:
-            break
+    m, piv, _ = _eliminate([list(row) + [b[i] for b in bs]
+                            for i, row in enumerate(a)], cols)
+    r = len(piv)
     sols = []
-    for t in range(k):
-        ok = all(m[i][cols + t] == 0 for i in range(r, rows))
-        if not ok:
+    for t in range(cols, cols + len(bs)):
+        if any(m[i][t] for i in range(r, rows)):
             sols.append(None)
             continue
         x = [Fraction(0)] * cols
-        for row, col in piv:
-            x[col] = m[row][cols + t]
+        for row, col in enumerate(piv):
+            x[col] = m[row][t]
         sols.append(x)
     return sols

@@ -399,55 +399,47 @@ def symmetric_instance(maxdeg: int = 6) -> PshStructure:
 class _TableInstance:
     """Shared machinery for instances whose degree-n piece is the
     character ring of an explicit group with a block embedding of
-    group(a) x group(b) into group(a+b)."""
+    group(a) x group(b) into group(a+b).
 
-    def __init__(self, name, maxdeg, group_fn, embed, parabolic: bool):
+    The parabolic subgroup P is the embedded group(a) x group(b) times the
+    radical registered as "U(a,b)"; towers that register none (wreath
+    products) have the trivial radical.  The product induces the inflated
+    tensor character from P, and a coproduct component averages over the
+    radical coset, which for a trivial radical is plain restriction."""
+
+    def __init__(self, name, maxdeg, group_fn, embed):
         self.name = name
         self.maxdeg = maxdeg
         self.group_fn = group_fn
         self.embed = embed
-        # parabolic: induce the inflated character from the full block
-        # upper-triangular subgroup instead of the plain direct product,
-        # and take coproduct components as unipotent-radical fixed points
-        # instead of plain restrictions
-        self.parabolic = parabolic
 
     def basis(self, n):
         return list(range(len(self.group_fn(n).character_table())))
 
-    def _product_domain(self, a, b):
-        """Subgroup indices and value map for the character to induce."""
+    def _parabolic(self, a, b):
+        """The radical of group(a+b) over the blocks (sorted indices), and
+        (xa, xb, index of embed(xa, xb)) for every pair of block
+        elements."""
         G = self.group_fn(a + b)
         Ga, Gb = self.group_fn(a), self.group_fn(b)
-        if self.parabolic:
-            from .glfq import diagonal_blocks
-            sub = sorted(G.subgroups[f"P({a},{b})"])
-
-            def pair_of(i):
-                top, bottom = diagonal_blocks(G.elements[i], a)
-                return Ga.index[top], Gb.index[bottom]
-            return sub, pair_of
-        sub = []
-        pairs = {}
-        for xa in range(Ga.order):
-            for xb in range(Gb.order):
-                i = G.index[self.embed(Ga.elements[xa], Gb.elements[xb])]
-                sub.append(i)
-                pairs[i] = (xa, xb)
-        return sub, pairs.__getitem__
+        radical = sorted(G.subgroups.get(f"U({a},{b})", [G.identity_idx]))
+        pairs = [(xa, xb, G.index[self.embed(Ga.elements[xa],
+                                             Gb.elements[xb])])
+                 for xa in range(Ga.order) for xb in range(Gb.order)]
+        return radical, pairs
 
     def product(self, a, la, b, lb):
         G = self.group_fn(a + b)
         Ga, Gb = self.group_fn(a), self.group_fn(b)
         chi1 = Ga.character_table()[la]
         chi2 = Gb.character_table()[lb]
-        sub, pair_of = self._product_domain(a, b)
+        radical, pairs = self._parabolic(a, b)
         chi = {}
-        for i in sub:
-            xa, xb = pair_of(i)
-            chi[i] = (chi1.values[Ga.class_of(xa)]
-                      * chi2.values[Gb.class_of(xb)])
-        induced = G.induced_character(sub, chi)
+        for xa, xb, i in pairs:
+            v = chi1.values[Ga.class_of(xa)] * chi2.values[Gb.class_of(xb)]
+            for u in radical:
+                chi[G.mul(i, u)] = v
+        induced = G.induced_character(chi.keys(), chi)
         out = {}
         for k, irr in enumerate(G.character_table()):
             c = integer(induced.inner(irr))
@@ -455,39 +447,19 @@ class _TableInstance:
                 out[(a + b, k)] = c
         return PshElement(out)
 
-    def _component_values(self, n, l, a):
-        """Map (xa, xb) element pairs to the value of the (a, n-a)
-        coproduct component character of basis label l."""
-        G = self.group_fn(n)
-        Ga, Gb = self.group_fn(a), self.group_fn(n - a)
-        chi = G.character_table()[l]
-        emb = self.embed
-        if not self.parabolic:
-            def value(xa, xb):
-                i = G.index[emb(Ga.elements[xa], Gb.elements[xb])]
-                return chi.values[G.class_of(i)]
-            return value
-        # U-fixed points at character level
-        u_indices = sorted(G.subgroups[f"U({a},{n - a})"])
-
-        def value(xa, xb):
-            i = G.index[emb(Ga.elements[xa], Gb.elements[xb])]
-            total = 0
-            for u in u_indices:
-                total = total + chi.values[G.class_of(G.mul(i, u))]
-            return scalar(total * Fraction(1, len(u_indices)))
-        return value
-
     def coproduct(self, n, l):
+        G = self.group_fn(n)
+        chi = G.character_table()[l]
         out = {((0, UNIT), (n, l)): 1, ((n, l), (0, UNIT)): 1}
         for a in range(1, n):
             b = n - a
             Ga, Gb = self.group_fn(a), self.group_fn(b)
-            value = self._component_values(n, l, a)
+            radical, pairs = self._parabolic(a, b)
             table = {}
-            for xa in range(Ga.order):
-                for xb in range(Gb.order):
-                    table[(xa, xb)] = value(xa, xb)
+            for xa, xb, x in pairs:
+                total = sum(chi.values[G.class_of(G.mul(x, u))]
+                            for u in radical)
+                table[(xa, xb)] = scalar(total * Fraction(1, len(radical)))
             for i, irr_a in enumerate(Ga.character_table()):
                 for j, irr_b in enumerate(Gb.character_table()):
                     total = 0
@@ -521,8 +493,7 @@ def wreath_instance(h_name: str = "C2", maxdeg: int = 3) -> PshStructure:
         sig = tuple(sig1) + tuple(s + len(sig1) for s in sig2)
         return (sig, tuple(al1) + tuple(al2))
 
-    inst = _TableInstance(f"wreath({h_name})", maxdeg, group_fn, embed,
-                          parabolic=False)
+    inst = _TableInstance(f"wreath({h_name})", maxdeg, group_fn, embed)
     return inst.structure()
 
 
@@ -548,8 +519,7 @@ def gl_instance(q: int, maxdeg: int = 2) -> PshStructure:
     def group_fn(n):
         return gl_group(n, q)
 
-    inst = _TableInstance(f"GL(q={q})", maxdeg, group_fn, block_diagonal,
-                          parabolic=True)
+    inst = _TableInstance(f"GL(q={q})", maxdeg, group_fn, block_diagonal)
     return inst.structure()
 
 

@@ -20,7 +20,7 @@ from .combinat import (Tableau, addable_nodes, add_node, all_tabloids,
 from .cyclo import integer
 from .linalg import det_exact, rank_exact, solve_columns
 from .symgroup import (Perm, centralizer_order, class_representative,
-                       class_size)
+                       class_size, sign_of)
 
 __all__ = ["polytabloid", "apply_kappa", "standard_basis", "specht_dim",
            "specht_action", "specht_character", "permutation_character",
@@ -32,45 +32,22 @@ __all__ = ["polytabloid", "apply_kappa", "standard_basis", "specht_dim",
 
 def _column_stabilizer(t: Tableau):
     """Yield (images, sign) over the column stabilizer of t."""
-    cols = t.columns()
     n = t.n
-    per_col = []
-    for col in cols:
-        perms = []
-        for arrangement in itertools.permutations(col):
-            # parity of the arrangement relative to col
-            pos = {x: k for k, x in enumerate(col)}
-            seq = [pos[x] for x in arrangement]
-            sign, seen = 1, set()
-            for start in range(len(seq)):
-                if start in seen:
-                    continue
-                length, x = 0, start
-                while x not in seen:
-                    seen.add(x)
-                    x = seq[x]
-                    length += 1
-                if length % 2 == 0:
-                    sign = -sign
-            perms.append((dict(zip(col, arrangement)), sign))
-        per_col.append(perms)
+    per_col = [[dict(zip(col, arrangement))
+                for arrangement in itertools.permutations(col)]
+               for col in t.columns()]
     for combo in itertools.product(*per_col):
         images = list(range(1, n + 1))
-        sign = 1
-        for mapping, s in combo:
-            sign *= s
+        for mapping in combo:
             for src, dst in mapping.items():
                 images[src - 1] = dst
-        yield tuple(images), sign
+        images = tuple(images)
+        yield images, sign_of(images)
 
 
 def polytabloid(t: Tableau) -> dict:
     """e_t as a map Tabloid -> +-1."""
-    out: dict = {}
-    for images, sign in _column_stabilizer(t):
-        tab = t.apply(images).tabloid()
-        out[tab] = out.get(tab, 0) + sign
-    return {k: v for k, v in out.items() if v}
+    return apply_kappa(t, {t.tabloid(): 1})
 
 
 def apply_kappa(t: Tableau, vec: dict) -> dict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 
-__all__ = ["Perm", "cycles_of", "centralizer_order", "class_size",
+__all__ = ["Perm", "cycles_of", "sign_of", "centralizer_order", "class_size",
            "young_subgroup", "KMatrix", "kmatrix_solutions", "kmatrix_of",
            "w_of_kmatrix", "young_double_cosets", "double_coset_decompose"]
 
@@ -70,7 +70,7 @@ class Perm:
         return tuple(sorted(map(len, cycles_of(self.images)), reverse=True))
 
     def sign(self) -> int:
-        return -1 if (self.n - len(cycles_of(self.images))) % 2 else 1
+        return sign_of(self.images)
 
     def cycle_notation(self) -> str:
         nontrivial = [c for c in self.cycles() if len(c) > 1]
@@ -106,6 +106,12 @@ def cycles_of(images) -> list[tuple[int, ...]]:
             x = images[x - 1]
         out.append(tuple(cyc))
     return out
+
+
+def sign_of(images) -> int:
+    """The sign of the permutation of 1..n with the given tuple of images:
+    -1 to the power n minus the number of cycles."""
+    return -1 if (len(images) - len(cycles_of(images))) % 2 else 1
 
 
 def centralizer_order(ctype) -> int:
@@ -240,6 +246,8 @@ def double_coset_decompose(g: Perm, a: int, alpha: int, m: int):
     h = Perm(h_images)
     u = g * h.inv() * w.inv()
     # sanity: u really does preserve the I blocks
-    assert all((u(x) <= a) == (x <= a) for x in range(1, m + 1))
-    assert u * w * h == g
+    if any((u(x) <= a) != (x <= a) for x in range(1, m + 1)):
+        raise AssertionError(f"{u} does not preserve the blocks of {a}")
+    if u * w * h != g:
+        raise AssertionError(f"u * w * h != {g}")
     return u, w, h

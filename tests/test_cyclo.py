@@ -122,6 +122,15 @@ def test_json_roundtrip():
     assert Cyclo.from_json(Cyclo.rational(-2).to_json()) == -2
 
 
+def test_json_is_conductor_independent():
+    values = [zeta(3), zeta(6) ** 2, zeta(3).lift(12)]
+    assert len({v.n for v in values}) == 3
+    blobs = [v.to_json() for v in values]
+    assert blobs[0] == blobs[1] == blobs[2]
+    assert blobs[0]["conductor"] == 3
+    assert all(Cyclo.from_json(b) == v for b, v in zip(blobs, values))
+
+
 def test_to_complex():
     re, im = zeta(4).to_complex()
     assert abs(re) < 1e-12 and abs(im - 1) < 1e-12

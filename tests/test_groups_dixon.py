@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 from pshlab.cyclo import Cyclo
 from pshlab.glfq import gl_group
@@ -128,3 +130,19 @@ def test_class_functions_consistent():
     assert f.degree() == 1
     assert f.values[G.class_of(G.index[Perm.from_cycles(3, [(1, 2, 3)])])] \
         == 3
+
+
+def test_orthogonality_check_survives_optimize():
+    code = ("from pshlab.dixon import _verify_orthogonality\n"
+            "from pshlab.glfq import gl_group\n"
+            "G = gl_group(2, 2)\n"
+            "chars = G.character_table()\n"
+            "_verify_orthogonality(G, chars)\n"
+            "try:\n"
+            "    _verify_orthogonality(G, chars[:-1])\n"
+            "except AssertionError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
