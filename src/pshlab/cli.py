@@ -87,9 +87,22 @@ def _emit(args, command, params, started, result, lines):
         print("manifest: " + json.dumps(manifest, separators=(",", ":")))
 
 
-def _parse_partition(text: str):
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
+def _lambda_arg(args, what: str):
+    """The --lambda partition, checked against --n when --n is given."""
     from .combinat import parse_partition
-    return parse_partition(text)
+    if not args.lam:
+        raise ValueError(f"{what} needs --lambda")
+    lam = parse_partition(args.lam)
+    if args.n is not None and args.n != sum(lam):
+        raise ValueError(f"--n {args.n} does not match |lambda| = {sum(lam)}")
+    return lam
 
 
 # -- chartable ----------------------------------------------------------------
@@ -305,15 +318,16 @@ def _suite_wreath_counterexample(args):
     return reports
 
 
+# each suite, with the options it reads; verify rejects any other
 _SUITES = {
-    "psh": _suite_psh,
-    "mezzadri": _suite_mezzadri,
-    "gauss": _suite_gauss,
-    "branching": _suite_branching,
-    "hopflike": _suite_hopflike,
-    "bruhat": _suite_bruhat,
-    "hasse-davenport": _suite_hasse_davenport,
-    "wreath-counterexample": _suite_wreath_counterexample,
+    "psh": (_suite_psh, ()),
+    "mezzadri": (_suite_mezzadri, ("n",)),
+    "gauss": (_suite_gauss, ("q", "weil")),
+    "branching": (_suite_branching, ("n",)),
+    "hopflike": (_suite_hopflike, ("n", "q", "out")),
+    "bruhat": (_suite_bruhat, ("m",)),
+    "hasse-davenport": (_suite_hasse_davenport, ("p", "m")),
+    "wreath-counterexample": (_suite_wreath_counterexample, ("q",)),
 }
 
 
@@ -323,7 +337,13 @@ def cmd_verify(args) -> int:
         print(f"unknown suite: {args.suite}; choose from "
               + ", ".join(sorted(_SUITES)), file=sys.stderr)
         return EXIT_USAGE
-    reports = _SUITES[args.suite](args)
+    suite, reads = _SUITES[args.suite]
+    unread = [f"--{k}" for k in ("n", "q", "m", "p", "weil", "out")
+              if getattr(args, k) not in (None, False) and k not in reads]
+    if unread:
+        raise ValueError(f"suite {args.suite} does not read "
+                         + ", ".join(unread))
+    reports = suite(args)
     passed = all(r.get("pass", True) for r in reports)
     lines = []
     for r in reports:
@@ -377,10 +397,7 @@ def cmd_compute(args) -> int:
               "char": args.char}
     if kind == "f-lambda":
         from .invariants import f_lambda
-        if not args.lam:
-            print("f-lambda needs --lambda", file=sys.stderr)
-            return EXIT_USAGE
-        poly = f_lambda(_parse_partition(args.lam))
+        poly = f_lambda(_lambda_arg(args, kind))
         result = {"kind": kind, "coefficients": poly.to_json(),
                   "pretty": poly.pretty()}
         if args.approx:
@@ -389,16 +406,8 @@ def cmd_compute(args) -> int:
     elif kind == "w-x":
         from .invariants import w_x_sym
         from .specht import specht_character
-        if not args.lam:
-            print("w-x needs --lambda", file=sys.stderr)
-            return EXIT_USAGE
-        lam = _parse_partition(args.lam)
-        n = args.n or sum(lam)
-        if n != sum(lam):
-            print(f"--n {n} does not match |lambda| = {sum(lam)}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        poly = w_x_sym(specht_character(lam), n)
+        lam = _lambda_arg(args, kind)
+        poly = w_x_sym(specht_character(lam), sum(lam))
         result = {"kind": kind, "coefficients": poly.to_json(),
                   "pretty": poly.pretty()}
         if args.approx:
@@ -414,24 +423,8 @@ def cmd_compute(args) -> int:
             result["approx"] = list(value.to_complex())
         lines = [str(scalar(value))]
     elif kind == "wreath-w":
-        from .invariants import _sym_subgroup, _wreath_setup, wreath_invariant
-        from .specht import specht_character
-        from .symgroup import Perm
-        if not args.lam:
-            print("wreath-w needs --lambda", file=sys.stderr)
-            return EXIT_USAGE
-        lam = _parse_partition(args.lam)
-        n = args.n or sum(lam)
-        q = args.q or 3
-        H, J = _wreath_setup(n, q)
-        sub = _sym_subgroup(J, H, n)
-        chi = specht_character(lam)
-        on_sub = {i: chi.values[Perm(J.elements[i][0]).cycle_type()]
-                  for i in sub}
-        induced = J.induced_character(sub, on_sub)
-        poly = wreath_invariant(
-            H, J.elements,
-            lambda x: induced.values[J.class_of(J.index[x])])
+        from .invariants import specht_wreath_invariant
+        poly = specht_wreath_invariant(_lambda_arg(args, kind), args.q or 3)
         result = {"kind": kind, "coefficients": poly.to_json(),
                   "pretty": poly.pretty()}
         if args.approx:
@@ -448,15 +441,8 @@ def cmd_mezzadri(args) -> int:
     started = time.time()
     from .invariants import f_lambda, w_x_sym
     from .specht import specht_character
-    if not args.lam:
-        print("mezzadri needs --lambda", file=sys.stderr)
-        return EXIT_USAGE
-    lam = _parse_partition(args.lam)
-    n = args.n or sum(lam)
-    if n != sum(lam):
-        print(f"--n {n} does not match |lambda| = {sum(lam)}",
-              file=sys.stderr)
-        return EXIT_USAGE
+    lam = _lambda_arg(args, "mezzadri")
+    n = sum(lam)
     target = f_lambda(lam)
     brute = w_x_sym(specht_character(lam), n)
     match = target == brute
@@ -506,10 +492,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite",
                        parents=[common])
     p.add_argument("suite", choices=sorted(_SUITES))
-    p.add_argument("--n", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--p", type=int)
+    p.add_argument("--n", type=_positive_int)
+    p.add_argument("--q", type=_positive_int)
+    p.add_argument("--m", type=_positive_int)
+    p.add_argument("--p", type=_positive_int)
     p.add_argument("--weil", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
@@ -520,8 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lam_positional", nargs="?", default=None,
                    metavar="lambda")
     p.add_argument("--lambda", dest="lam")
-    p.add_argument("--n", type=int)
-    p.add_argument("--q", type=int)
+    p.add_argument("--n", type=_positive_int)
+    p.add_argument("--q", type=_positive_int)
     p.add_argument("--group")
     p.add_argument("--subgroup")
     p.add_argument("--char", type=int)
@@ -532,15 +518,15 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[common],
                        help="compare the node polynomial with the "
                             "brute-force invariant for one partition")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_positive_int)
     p.add_argument("--lambda", dest="lam", required=True)
     p.set_defaults(func=cmd_mezzadri)
 
     p = sub.add_parser("hecke", help="triple-algebra commands",
                        parents=[common])
     p.add_argument("hecke_command", choices=["verify-hopflike"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--q", type=int)
+    p.add_argument("--n", type=_positive_int)
+    p.add_argument("--q", type=_positive_int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_hecke)
 

@@ -200,15 +200,6 @@ class Tableau:
     def tabloid(self) -> "Tabloid":
         return Tabloid(self.rows)
 
-    def is_standard(self) -> bool:
-        for r in self.rows:
-            if any(r[j] >= r[j + 1] for j in range(len(r) - 1)):
-                return False
-        for c in self.columns():
-            if any(c[i] >= c[i + 1] for i in range(len(c) - 1)):
-                return False
-        return True
-
     def __eq__(self, other):
         return isinstance(other, Tableau) and self.rows == other.rows
 

@@ -50,7 +50,8 @@ def _polydiv_exact(num, den):
         if c:
             for j, b in enumerate(den):
                 num[i - dd + j] -= c * b
-    assert all(c == 0 for c in num[:dd]), "inexact polynomial division"
+    if any(num[:dd]):
+        raise AssertionError("inexact polynomial division")
     return out
 
 
@@ -215,7 +216,9 @@ class Cyclo:
         a = [[cols[j][i] for j in range(deg)] for i in range(deg)]
         b = [Fraction(1)] + [Fraction(0)] * (deg - 1)
         x = solve_exact(a, b)
-        assert x is not None
+        if x is None:
+            raise AssertionError(
+                f"{self!r} has no inverse in Q(zeta_{self.n})")
         return Cyclo(self.n, x)
 
     def galois(self, j: int) -> "Cyclo":

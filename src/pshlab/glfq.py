@@ -105,9 +105,6 @@ class Fq:
     def mul(self, i, j):
         return self.mul_table[i][j]
 
-    def neg(self, i):
-        return self.neg_table[i]
-
     def inv(self, i):
         if i == 0:
             raise ZeroDivisionError("inverse of zero field element")
@@ -134,18 +131,20 @@ class Fq:
         for _ in range(self.d):
             total = self.add_table[total][x]
             x = self.pow(x, self.p)
-        coeffs = self.elements[total]
-        assert all(c == 0 for c in coeffs[1:])
-        return coeffs[0]
+        return self._prime_field_int(total, "trace")
 
     def _norm(self, i) -> int:
         """Norm to the prime field as an integer 0..p-1 (norm(0) = 0)."""
         if i == 0:
             return 0
         e = (self.q - 1) // (self.p - 1)
-        x = self.pow(i, e)
-        coeffs = self.elements[x]
-        assert all(c == 0 for c in coeffs[1:])
+        return self._prime_field_int(self.pow(i, e), "norm")
+
+    def _prime_field_int(self, i, what) -> int:
+        """Element i of the prime field as an integer 0..p-1."""
+        coeffs = self.elements[i]
+        if any(coeffs[1:]):
+            raise AssertionError(f"{what} {coeffs} is not in F_{self.p}")
         return coeffs[0]
 
     def trace(self, i) -> int:
@@ -254,6 +253,8 @@ def gl_order(n: int, q: int) -> int:
 def gl_group(n: int, q: int) -> FiniteGroupTable:
     """GL_n(F_q) by full enumeration, with the standard subgroups
     registered: U(k,n-k), P(k,n-k), L(k,n-k), Sigma, Z, D, B."""
+    if n < 1:
+        raise ValueError(f"GL({n},{q}) needs n >= 1")
     p, d = _prime_power(q)
     f = build_field(p, d)
     check_group_order(f"GL({n},{q})", gl_order(n, q))
@@ -262,7 +263,9 @@ def gl_group(n: int, q: int) -> FiniteGroupTable:
         a = tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
         if mat_det(f, a):
             elements.append(a)
-    assert len(elements) == gl_order(n, q)
+    if len(elements) != gl_order(n, q):
+        raise AssertionError(f"{len(elements)} invertible matrices, "
+                             f"not |GL({n},{q})| = {gl_order(n, q)}")
     G = FiniteGroupTable(f"GL({n},{q})", elements,
                          lambda a, b: mat_mul(f, a, b),
                          lambda a: mat_inv(f, a),
@@ -402,13 +405,16 @@ def _nonsplit_torus(G: FiniteGroupTable):
             mat = ((a, f.mul(b, s)), (b, a))
             if mat in G.index:
                 torus.append(G.index[mat])
-    assert len(torus) == q * q - 1
+    if len(torus) != q * q - 1:
+        raise AssertionError(f"nonsplit torus of order {len(torus)}, "
+                             f"not {q * q - 1}")
     return torus, s
 
 
 def weil_theta_exponents(q: int) -> list[int]:
     """Exponents j for which the j-th torus character is moved by the
     field Frobenius (the hypothesis for a Weil character)."""
+    _prime_power(q)  # a ValueError unless q is a prime power
     return [j for j in range(q * q - 1) if (j * q - j) % (q * q - 1) != 0]
 
 
@@ -460,7 +466,9 @@ def weil_identity_check(q: int, j: int) -> dict:
     e = q * q - 1
     theta = {i: zeta(e, j * dlog[i]) for i in torus}
     r_theta = weil_character(q, j)
-    assert r_theta.degree() == q - 1
+    if r_theta.degree() != q - 1:
+        raise AssertionError(f"Weil character of degree {r_theta.degree()}, "
+                             f"not {q - 1}")
     chi = {i: r_theta.values[G.class_of(i)] for i in range(G.order)}
     lhs = kondo_gauss(G, range(G.order), chi)
     w_torus = kondo_gauss(G, torus, theta)
@@ -473,31 +481,16 @@ def verify_kondo_induction(n: int, q: int) -> dict:
     induction to the whole group; exhaustive over all cyclic subgroups
     and all of their characters."""
     G = gl_group(n, q)
-    seen = set()
     cases = 0
     failures = []
-    for g in range(G.order):
-        chain = [g]
-        x = g
-        while x != G.identity_idx:
-            x = G.mul(x, g)
-            chain.append(x)
-        sub = frozenset(chain)
-        if sub in seen:
-            continue
-        seen.add(sub)
-        order = len(chain)
-        for j in range(order):
-            chi = {chain[k]: zeta(order, (j * (k + 1)) % order)
-                   for k in range(order)}
-            lhs = kondo_gauss(G, chain, chi)
-            ind = G.induced_character(chain, chi)
-            chi_full = {i: ind.values[G.class_of(i)]
-                        for i in range(G.order)}
-            rhs = kondo_gauss(G, range(G.order), chi_full)
-            cases += 1
-            if lhs != rhs:
-                failures.append({"generator": g, "character": j})
+    for g, chain, j, chi in G.cyclic_characters():
+        lhs = kondo_gauss(G, chain, chi)
+        ind = G.induced_character(chain, chi)
+        chi_full = {i: ind.values[G.class_of(i)] for i in range(G.order)}
+        rhs = kondo_gauss(G, range(G.order), chi_full)
+        cases += 1
+        if lhs != rhs:
+            failures.append({"generator": g, "character": j})
     return {"check": "kondo-induction", "n": n, "q": q, "cases": cases,
             "failures": failures, "pass": not failures}
 

@@ -14,7 +14,7 @@ import os
 from fractions import Fraction
 
 from .chars import ClassFunction
-from .cyclo import scalar
+from .cyclo import scalar, zeta
 
 __all__ = ["FiniteGroupTable", "check_group_order"]
 
@@ -207,29 +207,44 @@ class FiniteGroupTable:
         values = {}
         for label, members in enumerate(self.classes()):
             first = fn(members[0])
-            assert all(fn(x) == first for x in members[1:]), \
-                f"not a class function on class {label} of {self.name}"
+            if any(fn(x) != first for x in members[1:]):
+                raise AssertionError(
+                    f"not a class function on class {label} of {self.name}")
             values[label] = first
         return self.class_function(values)
 
-    def trivial_character(self) -> ClassFunction:
-        return self.class_function({c: 1 for c in range(len(self.classes()))})
-
     def induced_character(self, sub_indices, chi_on_elements) -> ClassFunction:
-        """Induce to the whole group from the subgroup with the given
+        """Induce to the whole group from the subgroup H with the given
         index set; chi_on_elements maps each subgroup element index to its
-        character value."""
+        character value.  By class sums: Ind chi(g) = |C_G(g)|/|H| times the
+        sum of chi over the elements of H in the class of g."""
         sub = set(sub_indices)
-        values = {}
-        for label, members in enumerate(self.classes()):
-            g = members[0]
-            total = 0
-            for y in range(self.order):
-                c = self.conj(g, y)
-                if c in sub:
-                    total = total + chi_on_elements[c]
-            values[label] = scalar(total * Fraction(1, len(sub)))
-        return self.class_function(values)
+        sums: dict = {}
+        for h in sub:
+            label = self.class_of(h)
+            sums[label] = sums.get(label, 0) + chi_on_elements[h]
+        return self.class_function(
+            {label: scalar(sums.get(label, 0)
+                           * Fraction(self.order, len(members) * len(sub)))
+             for label, members in enumerate(self.classes())})
+
+    def cyclic_characters(self):
+        """Yield (g, chain, j, chi) for every cyclic subgroup, taken at its
+        least generator g, and every j in 0..order-1: chain is
+        [g, g^2, ..., 1] and chi maps g^k to zeta_order^(j k)."""
+        seen = set()
+        for g in range(self.order):
+            chain = [g]
+            while chain[-1] != self.identity_idx:
+                chain.append(self.mul(chain[-1], g))
+            sub = frozenset(chain)
+            if sub in seen:
+                continue
+            seen.add(sub)
+            order = len(chain)
+            for j in range(order):
+                yield g, chain, j, {chain[k]: zeta(order, j * (k + 1) % order)
+                                    for k in range(order)}
 
     def restrict_character(self, chi: ClassFunction, sub_indices) -> dict:
         """Restriction as a map subgroup-element-index -> value."""

@@ -20,7 +20,8 @@ from .symgroup import Perm, cycles_of
 __all__ = ["Poly", "X", "psi_x", "w_x", "w_x_sym", "f_lambda",
            "verify_mezzadri", "verify_psh_multiplicativity",
            "lambda_invariant", "wreath_invariant", "mu_invariant_formula",
-           "wreath_theorem_check", "wreath_counterexample_report"]
+           "specht_wreath_invariant", "wreath_theorem_check",
+           "wreath_counterexample_report"]
 
 
 class Poly:
@@ -161,7 +162,8 @@ def w_x(elements, value_fn) -> Poly:
         if h == Perm.identity(len(h.images)):
             dim = v
         total = total + psi_x(h).scale(v)
-    assert dim is not None and dim != 0
+    if dim is None or dim == 0:
+        raise AssertionError("no identity, or a character of degree 0")
     return total.scale(inverse(dim))
 
 
@@ -180,42 +182,21 @@ def verify_induction_invariance(n: int) -> dict:
     """w_x is unchanged by inducing from a cyclic subgroup up to the full
     symmetric group: exhaustive over all cyclic subgroups of Sigma_n and
     all of their linear characters."""
-    perms = list(_all_perms(n))
-    seen = set()
+    from .groups import FiniteGroupTable
+    G = FiniteGroupTable(f"Sym({n})", _all_perms(n), lambda a, b: a * b,
+                         lambda a: a.inv(), Perm.identity(n))
     cases = 0
     failures = []
-    for g in perms:
-        chain = [g]
-        while chain[-1] != Perm.identity(n):
-            chain.append(chain[-1] * g)
-        sub = frozenset(chain)
-        if sub in seen:
-            continue
-        seen.add(sub)
-        order = len(chain)
-        for j in range(order):
-            chi = {chain[k]: zeta(order, (j * (k + 1)) % order)
-                   for k in range(order)}
-            lhs = w_x(chain, chi.__getitem__)
-
-            # the induced character is a class function: evaluate it once
-            # per cycle type
-            by_type: dict = {}
-            for s in perms:
-                ct = s.cycle_type()
-                if ct in by_type:
-                    continue
-                total = Cyclo.rational(0)
-                for t in perms:
-                    c = t * s * t.inv()
-                    if c in chi:
-                        total = total + chi[c]
-                by_type[ct] = total * Fraction(1, order)
-
-            rhs = w_x(perms, lambda s: by_type[s.cycle_type()])
-            cases += 1
-            if lhs != rhs:
-                failures.append({"generator": g.images, "character": j})
+    for g, chain, j, chi in G.cyclic_characters():
+        lhs = w_x([G.elements[x] for x in chain],
+                  lambda h: chi[G.index[h]])
+        ind = G.induced_character(chain, chi)
+        rhs = w_x(G.elements,
+                  lambda s: ind.values[G.class_of(G.index[s])])
+        cases += 1
+        if lhs != rhs:
+            failures.append({"generator": G.elements[g].images,
+                             "character": j})
     return {"check": "induction-invariance", "n": n, "cases": cases,
             "failures": failures, "pass": not failures}
 
@@ -270,27 +251,22 @@ def _add(mu, node):
 def verify_psh_multiplicativity(k: int, n: int) -> dict:
     """w_x of the induced product character factors as the product of the
     w_x's; also the one-step induction multiplies by x."""
-    from .psh import _sym_induced_value
-    from .specht import specht_character
+    from .specht import induce_young, specht_character
     checks = []
     ok = True
     for lam in partitions(k):
         for mu in partitions(n - k):
-            chi1 = specht_character(lam)
-            chi2 = specht_character(mu)
-            value = {nu: _sym_induced_value(chi1, chi2, k, n - k, nu)
-                     for nu in partitions(n)}
-            lhs = w_x(_all_perms(n), lambda h: value[h.cycle_type()])
+            induced = induce_young(specht_character(lam),
+                                   specht_character(mu))
+            lhs = w_x_sym(induced, n)
             rhs = f_lambda(lam) * f_lambda(mu)
             checks.append({"pair": [lam, mu], "match": lhs == rhs})
             ok = ok and lhs == rhs
     one_step = []
     for lam in partitions(n - 1):
-        chi1 = specht_character(lam)
-        chi2 = specht_character((1,))
-        value = {nu: _sym_induced_value(chi1, chi2, n - 1, 1, nu)
-                 for nu in partitions(n)}
-        lhs = w_x(_all_perms(n), lambda h: value[h.cycle_type()])
+        induced = induce_young(specht_character(lam),
+                               specht_character((1,)))
+        lhs = w_x_sym(induced, n)
         match = lhs == X * f_lambda(lam)
         one_step.append({"lambda": lam, "match": match})
         ok = ok and match
@@ -351,7 +327,8 @@ def wreath_invariant(H, elements, chi) -> Poly:
             dim = chi(x)
         term = chi(x) * lambda_invariant(H, x)
         total = total + Poly([0] * len(cycles_of(sig)) + [1]).scale(term)
-    assert dim is not None
+    if dim is None:
+        raise AssertionError("the listed wreath elements miss the identity")
     return total.scale(inverse(dim))
 
 
@@ -363,34 +340,36 @@ def _wreath_setup(n: int, q: int = 3):
     return H, J
 
 
-def _sym_subgroup(J, H, n):
+def specht_wreath_invariant(lam, q: int = 3) -> Poly:
+    """The wreath invariant of the Specht character of lam, induced from
+    the permutation subgroup Sigma_n up the full wreath product of
+    GL(1,q), n = |lam|."""
+    from .specht import specht_character
+    n = sum(lam)
+    H, J = _wreath_setup(n, q)
+    chi = specht_character(lam)
     ident = (H.identity_idx,) * n
-    return [i for i, (sig, alphas) in enumerate(J.elements)
-            if alphas == ident]
+    on_sub = {i: chi.values[Perm(sig).cycle_type()]
+              for i, (sig, alphas) in enumerate(J.elements)
+              if alphas == ident}
+    induced = J.induced_character(on_sub.keys(), on_sub)
+    return wreath_invariant(
+        H, J.elements, lambda x: induced.values[J.class_of(J.index[x])])
 
 
 def wreath_theorem_check(n: int, q: int = 3) -> dict:
     """The invariant of the representation induced from a Specht module
     up the full wreath product equals f_lambda evaluated at
     x zeta_p^(m d)."""
-    from .specht import specht_character
-    H, J = _wreath_setup(n, q)
+    H, _ = _wreath_setup(n, q)
     p, d = H.field.p, H.field.d
     m = len(H.elements[0])
     twist = zeta(p, (m * d) % p)
-    sub = _sym_subgroup(J, H, n)
     checks = []
     ok = True
     for lam in partitions(n):
-        chi = specht_character(lam)
-        on_sub = {i: chi.values[Perm(J.elements[i][0]).cycle_type()]
-                  for i in sub}
-        induced = J.induced_character(sub, on_sub)
-        lhs = wreath_invariant(
-            H, J.elements,
-            lambda x: induced.values[J.class_of(J.index[x])])
-        rhs = f_lambda(lam).x_scale(twist)
-        match = lhs == rhs
+        lhs = specht_wreath_invariant(lam, q)
+        match = lhs == f_lambda(lam).x_scale(twist)
         checks.append({"lambda": lam, "match": match})
         ok = ok and match
     return {"check": "wreath-theorem", "n": n, "q": q,

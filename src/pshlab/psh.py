@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .chars import ClassFunction
 from .cyclo import conj, integer, scalar
 from .symgroup import centralizer_order
 
@@ -321,45 +320,17 @@ def decompose(R: PshStructure, maxdeg: int | None = None) -> dict:
 
 # -- symmetric instance ------------------------------------------------------
 
-def _sym_induced_value(chi1, chi2, k, nk, nu) -> int:
-    """Value at cycle type nu of the induced product character, via the
-    centralizer-ratio formula over all splits of nu."""
-    parts = list(nu)
-    total = 0
-    seen = set()
-    for mask in range(1 << len(parts)):
-        first = tuple(p for i, p in enumerate(parts) if mask >> i & 1)
-        if sum(first) != k:
-            continue
-        second = tuple(p for i, p in enumerate(parts) if not mask >> i & 1)
-        key = (tuple(sorted(first)), tuple(sorted(second)))
-        if key in seen:
-            continue
-        seen.add(key)
-        nu1 = tuple(sorted(first, reverse=True))
-        nu2 = tuple(sorted(second, reverse=True))
-        ratio = Fraction(centralizer_order(nu),
-                         centralizer_order(nu1) * centralizer_order(nu2))
-        total += ratio * chi1.values[nu1] * chi2.values[nu2]
-    return integer(total)
-
-
 @lru_cache(maxsize=None)
 def symmetric_instance(maxdeg: int = 6) -> PshStructure:
     from .combinat import partitions
-    from .specht import specht_character, sym_class_sizes
+    from .specht import induce_young, specht_character
 
     def basis_fn(n):
         return list(partitions(n))
 
     def product_fn(k, lam, nk, mu):
         n = k + nk
-        chi1 = specht_character(lam)
-        chi2 = specht_character(mu)
-        values = {nu: _sym_induced_value(chi1, chi2, k, nk, nu)
-                  for nu in partitions(n)}
-        induced = ClassFunction(f"Sym({n})", values, sym_class_sizes(n),
-                                (1,) * n)
+        induced = induce_young(specht_character(lam), specht_character(mu))
         out = {}
         for nu in partitions(n):
             c = integer(induced.inner(specht_character(nu)))

@@ -24,7 +24,7 @@ from .symgroup import (Perm, centralizer_order, class_representative,
 
 __all__ = ["polytabloid", "apply_kappa", "standard_basis", "specht_dim",
            "specht_action", "specht_character", "permutation_character",
-           "sym_class_sizes", "sym_character_table", "induce_character",
+           "sym_class_sizes", "sym_character_table", "induce_young",
            "restrict_character", "verify_branching",
            "submodule_theorem_check", "kappa_multiple_check",
            "tabloid_adjacency_check", "character_table_rows"]
@@ -106,8 +106,9 @@ def specht_action(sigma: Perm, mu: tuple):
             coords[index[tab]] = c
         targets.append(coords)
     sols = solve_columns(a, targets)
-    assert all(s is not None for s in sols), \
-        f"action of {sigma} does not preserve the span for {mu}"
+    if any(s is None for s in sols):
+        raise AssertionError(
+            f"action of {sigma} does not preserve the span for {mu}")
     return [[sols[j][i] for j in range(d)] for i in range(d)]
 
 
@@ -151,19 +152,31 @@ def sign_character(n: int) -> ClassFunction:
     return ClassFunction(_group_id(n), values, sym_class_sizes(n), (1,) * n)
 
 
-def induce_character(chi: ClassFunction, n: int) -> ClassFunction:
-    """Induce from Sym(n) one step up to Sym(n+1)."""
+def induce_young(chi1: ClassFunction, chi2: ClassFunction) -> ClassFunction:
+    """Induce chi1 x chi2 from the Young subgroup Sym(k) x Sym(n-k) up to
+    Sym(n), for class functions keyed by cycle type.  The value at nu sums
+    z(nu) / (z(nu1) z(nu2)) chi1(nu1) chi2(nu2), z the centraliser order,
+    over the distinct ways of splitting the cycles of nu into a cycle type
+    nu1 of k and nu2 of n-k."""
+    k = len(chi1.identity)
+    n = k + len(chi2.identity)
     values = {}
-    for lam in partitions(n + 1):
-        if lam[-1] != 1:
-            values[lam] = 0
-        else:
-            kappa = lam[:-1]
-            num = centralizer_order(lam) * chi.values[kappa]
-            assert num % centralizer_order(kappa) == 0
-            values[lam] = num // centralizer_order(kappa)
-    return ClassFunction(_group_id(n + 1), values, sym_class_sizes(n + 1),
-                         (1,) * (n + 1))
+    for nu in partitions(n):
+        total = 0
+        seen = set()
+        for mask in range(1 << len(nu)):
+            # a subsequence of nu is again sorted descending
+            nu1 = tuple(p for i, p in enumerate(nu) if mask >> i & 1)
+            if sum(nu1) != k or nu1 in seen:
+                continue
+            seen.add(nu1)
+            nu2 = tuple(p for i, p in enumerate(nu) if not mask >> i & 1)
+            total += (Fraction(centralizer_order(nu),
+                               centralizer_order(nu1)
+                               * centralizer_order(nu2))
+                      * chi1.values[nu1] * chi2.values[nu2])
+        values[nu] = integer(total)
+    return ClassFunction(_group_id(n), values, sym_class_sizes(n), (1,) * n)
 
 
 def restrict_character(chi: ClassFunction, n: int) -> ClassFunction:
@@ -179,7 +192,7 @@ def restrict_character(chi: ClassFunction, n: int) -> ClassFunction:
 def verify_branching(mu: tuple) -> dict:
     """Check both branching directions for the Specht character of mu."""
     n = sum(mu)
-    up = induce_character(specht_character(mu), n)
+    up = induce_young(specht_character(mu), specht_character((1,)))
     up_expected = None
     for node in sorted(addable_nodes(mu)):
         term = specht_character(add_node(mu, node))

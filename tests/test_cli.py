@@ -33,7 +33,15 @@ def test_usage_errors():
                  ("compute", "kondo", "--group", "GL(1,5)",
                   "--subgroup", "NOPE"),
                  ("verify", "hasse-davenport", "--p", "3"),
-                 ("verify", "hasse-davenport", "--p", "3", "--m", "0")]:
+                 ("verify", "hasse-davenport", "--p", "3", "--m", "0"),
+                 ("verify", "bruhat", "--m", "0"),
+                 ("verify", "branching", "--n", "0"),
+                 ("compute", "wreath-w", "--lambda", "(2,1)", "--q", "0"),
+                 ("hecke", "verify-hopflike", "--q", "0"),
+                 ("verify", "psh", "--q", "1"),
+                 ("verify", "gauss", "--q", "1", "--weil"),
+                 ("chartable", "GL(0,3)"),
+                 ("compute", "wreath-w", "--lambda", "(2,1)", "--n", "4")]:
         rc, _, err = run_cli(*args)
         assert rc == 2, (args, err)
         assert "Traceback" not in err, args

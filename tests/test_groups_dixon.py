@@ -1,11 +1,15 @@
 import itertools
 import subprocess
 import sys
+from fractions import Fraction
 
-from pshlab.cyclo import Cyclo
-from pshlab.glfq import gl_group
+from pshlab.cyclo import Cyclo, zeta
+from pshlab.glfq import (_nonsplit_torus, _torus_dlog, gl_group,
+                         weil_theta_exponents)
 from pshlab.groups import FiniteGroupTable
+from pshlab.hyperhecke import subgroup_table
 from pshlab.symgroup import Perm
+from pshlab.wreath import wreath_base_subgroup, wreath_group
 
 
 def sym_table(n: int) -> FiniteGroupTable:
@@ -71,7 +75,7 @@ def test_frobenius_reciprocity():
         total = Cyclo.rational(0)
         for h in H:
             total = total + phi[h] * _sub_conj(res[h])
-        rhs = (total * __import__("fractions").Fraction(1, len(H)))
+        rhs = total * Fraction(1, len(H))
         assert lhs == rhs.rational_value()
 
 
@@ -140,6 +144,81 @@ def test_orthogonality_check_survives_optimize():
             "_verify_orthogonality(G, chars)\n"
             "try:\n"
             "    _verify_orthogonality(G, chars[:-1])\n"
+            "except AssertionError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def induced_by_definition(G, chi_on_elements):
+    """(1/|H|) sum over y in G of chi°(y g y^-1), chi° being chi on H and
+    0 off it, at each class representative g."""
+    values = {}
+    for label, members in enumerate(G.classes()):
+        total = 0
+        for y in range(G.order):
+            total = total + chi_on_elements.get(G.conj(members[0], y), 0)
+        values[label] = total * Fraction(1, len(chi_on_elements))
+    return G.class_function(values)
+
+
+def subgroup_characters(G, indices):
+    """Every irreducible of the subgroup, as a map element index -> value."""
+    sub = subgroup_table(G, indices)
+    indices = sorted(indices)
+    return [{indices[i]: chi.values[sub.class_of(i)]
+             for i in range(sub.order)} for chi in sub.character_table()]
+
+
+def test_induced_character_gl23_subgroups():
+    G = gl_group(2, 3)
+    for name in ("Z", "D", "B", "Sigma"):
+        for chi in subgroup_characters(G, G.subgroups[name]):
+            assert G.induced_character(chi.keys(), chi) \
+                == induced_by_definition(G, chi), name
+
+
+def test_induced_character_weil_torus():
+    G = gl_group(2, 3)
+    torus, _ = _nonsplit_torus(G)
+    dlog, _ = _torus_dlog(G, torus)
+    for j in weil_theta_exponents(3):
+        theta = {i: zeta(8, j * dlog[i]) for i in torus}
+        assert G.induced_character(torus, theta) \
+            == induced_by_definition(G, theta)
+
+
+def test_induced_character_wreath_base():
+    G = wreath_group(gl_group(1, 3), 2)
+    for chi in subgroup_characters(G, wreath_base_subgroup(G)):
+        assert G.induced_character(chi.keys(), chi) \
+            == induced_by_definition(G, chi)
+
+
+def test_cyclic_characters_sym4():
+    G = sym_table(4)
+    subgroups = set()
+    for g, chain, j, chi in G.cyclic_characters():
+        assert chain[-1] == G.identity_idx and len(set(chain)) == len(chain)
+        assert frozenset(chain) == G.closure([g])
+        assert g == min(x for x in chain
+                        if G.closure([x]) == frozenset(chain))
+        subgroups.add(frozenset(chain))
+        assert chi[g] == zeta(len(chain), j)
+        assert G.induced_character(chain, chi) \
+            == induced_by_definition(G, chi)
+    # the trivial group, six transpositions, three double transpositions,
+    # four 3-cycle and three 4-cycle subgroups
+    assert len(subgroups) == 17
+
+
+def test_class_function_check_survives_optimize():
+    code = ("from pshlab.glfq import gl_group\n"
+            "G = gl_group(2, 2)\n"
+            "try:\n"
+            "    G.function_to_class_function(lambda i: i)\n"
             "except AssertionError:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit(1)\n")

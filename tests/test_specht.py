@@ -1,9 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
 from pshlab.combinat import Tableau, conjugate, partitions, standard_tableaux
+from pshlab.groups import FiniteGroupTable
 from pshlab.linalg import rank_exact
-from pshlab.specht import (induce_character, kappa_multiple_check,
+from pshlab.specht import (induce_young, kappa_multiple_check,
                            permutation_character, polytabloid,
                            restrict_character, sign_character, specht_action,
                            specht_character, specht_dim, standard_basis,
@@ -94,7 +96,7 @@ def test_induce_restrict_adjoint():
     # Frobenius reciprocity across one level
     for mu in partitions(3):
         for lam in partitions(4):
-            up = induce_character(specht_character(mu), 3)
+            up = induce_young(specht_character(mu), specht_character((1,)))
             down = restrict_character(specht_character(lam), 4)
             assert up.inner(specht_character(lam)) \
                 == specht_character(mu).inner(down)
@@ -115,3 +117,32 @@ def test_gram_det_positive():
     from pshlab.linalg import det_exact
     for mu in partitions(4):
         assert det_exact(gram_matrix(mu)) > 0
+
+
+def test_induce_young_matches_table_induction():
+    # the Young-subgroup formula against class-sum induction from
+    # Sym(k) x Sym(n-k) on a Sym(n) group table
+    for n in range(2, 6):
+        perms = [Perm(p) for p in itertools.permutations(range(1, n + 1))]
+        G = FiniteGroupTable(f"S{n}", perms, lambda a, b: a * b,
+                             lambda a: a.inv(), Perm.identity(n))
+        for k in range(1, n):
+            young = [i for i, s in enumerate(G.elements)
+                     if all(s(x) <= k for x in range(1, k + 1))]
+            assert len(young) == math.factorial(k) * math.factorial(n - k)
+            for lam in partitions(k):
+                for mu in partitions(n - k):
+                    chi1, chi2 = specht_character(lam), specht_character(mu)
+                    on_young = {}
+                    for i in young:
+                        images = G.elements[i].images
+                        top = Perm(images[:k]).cycle_type()
+                        bottom = Perm(tuple(x - k for x in images[k:]))
+                        on_young[i] = (chi1.values[top]
+                                       * chi2.values[bottom.cycle_type()])
+                    by_table = G.induced_character(young, on_young)
+                    by_formula = induce_young(chi1, chi2)
+                    for label, members in enumerate(G.classes()):
+                        ctype = G.elements[members[0]].cycle_type()
+                        assert by_formula.values[ctype] \
+                            == by_table.values[label], (lam, mu, ctype)
