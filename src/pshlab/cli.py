@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .cyclo import Cyclo, scalar
+from .cyclo import scalar, scalar_json
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -51,10 +51,8 @@ SUITE_CHECKS = {
 
 
 def _jsonable(obj):
-    if isinstance(obj, Cyclo):
-        return obj.to_json()
     if isinstance(obj, Fraction):
-        return int(obj) if obj.denominator == 1 else str(obj)
+        return scalar_json(obj)
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if isinstance(obj, dict):
@@ -366,7 +364,7 @@ def cmd_verify(args) -> int:
 
 def _kondo_value(group: str, subgroup, char_index: int):
     from .glfq import gl_group, kondo_gauss
-    from .hyperhecke import subgroup_table
+    from .hyperhecke import subgroup_characters
     m = re.fullmatch(r"GL\((\d+),(\d+)\)", group)
     if not m:
         raise ValueError(f"unparseable group spec: {group}")
@@ -376,17 +374,13 @@ def _kondo_value(group: str, subgroup, char_index: int):
                          + ", ".join(sorted(G.subgroups)))
     indices = (sorted(G.subgroups[subgroup]) if subgroup
                else list(range(G.order)))
-    sub = subgroup_table(G, indices)
-    table = list(sub.character_table())
+    table = subgroup_characters(G, indices)
     triv = next(i for i, chi in enumerate(table)
-                if all(v == 1 for v in chi.values.values()))
+                if all(v == 1 for v in chi.values()))
     table.insert(0, table.pop(triv))
     if not 0 <= char_index < len(table):
         raise ValueError(f"--char {char_index} is not in 0..{len(table) - 1}")
-    chi_cf = table[char_index]
-    chi = {indices[i]: chi_cf.values[sub.class_of(i)]
-           for i in range(sub.order)}
-    return kondo_gauss(G, indices, chi)
+    return kondo_gauss(G, indices, table[char_index])
 
 
 def cmd_compute(args) -> int:

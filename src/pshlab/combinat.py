@@ -11,8 +11,8 @@ import itertools
 from functools import lru_cache
 
 __all__ = ["parse_partition", "format_partition", "partitions", "conjugate",
-           "dominates", "lex_compare", "addable_nodes", "removable_nodes",
-           "add_node", "remove_node", "diagram_nodes", "Tableau", "Tabloid",
+           "dominates", "addable_nodes", "removable_nodes",
+           "add_node", "remove_node", "Tableau", "Tabloid",
            "standard_tableaux", "all_tableaux", "all_tabloids",
            "combinatorial_lemma_check",
            "tabloid_m_counts", "tabloid_leq", "tabloid_lt"]
@@ -106,17 +106,6 @@ def dominates(lam, mu) -> bool:
         if total_l < total_m:
             return False
     return True
-
-
-def lex_compare(lam, mu) -> int:
-    """-1 / 0 / +1 lexicographic comparison of equal-size partitions."""
-    if sum(lam) != sum(mu):
-        raise ValueError("lex order compares partitions of the same n")
-    return (lam > mu) - (lam < mu)
-
-
-def diagram_nodes(parts):
-    return [(i + 1, j + 1) for i, p in enumerate(parts) for j in range(p)]
 
 
 def addable_nodes(parts) -> set[tuple[int, int]]:

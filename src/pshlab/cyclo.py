@@ -10,9 +10,9 @@ like the int or Fraction r.
 
 An exact scalar is an int, a Fraction or a Cyclo.  scalar() gives its
 normal form: an int when the value is an integer, a Fraction when it is
-rational, and otherwise the Cyclo itself.  conj(), inverse() and
-integer() act on all three types, so no other module needs to know which
-type a value has except to serialise or display it.
+rational, and otherwise the Cyclo itself.  conj(), inverse(), integer()
+and scalar_json() act on all three types, so no other module needs to
+know which type a value has except to display it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 __all__ = ["Cyclo", "zeta", "one", "zero", "scalar", "conj", "inverse",
-           "integer"]
+           "integer", "scalar_json"]
 
 
 @lru_cache(maxsize=None)
@@ -351,6 +351,15 @@ def integer(v) -> int:
     if type(v) is not int:
         raise AssertionError(f"{v!r} is not an integer")
     return v
+
+
+def scalar_json(v):
+    """The JSON form of an exact scalar: a Cyclo as its to_json gives it,
+    an integral value as an int, any other rational as the text "a/b"."""
+    if isinstance(v, Cyclo):
+        return v.to_json()
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else str(v)
 
 
 zero = Cyclo.rational(0)

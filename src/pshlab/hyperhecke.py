@@ -12,20 +12,19 @@ exploratory check of their compatibility.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .cyclo import Cyclo, inverse, scalar
+from .cyclo import inverse, scalar, scalar_json
 from .groups import FiniteGroupTable, check_group_order
 from .symgroup import kmatrix_solutions
 
 __all__ = ["SubgroupChar", "HeckeTriple", "HeckeElement", "TripleError",
-           "ContainmentError", "CharacterMismatchError", "triple_validate",
-           "normalize", "hecke_product", "element_product", "apply_triple",
+           "ContainmentError", "CharacterMismatchError", "normalize",
+           "hecke_product", "element_product", "apply_triple",
            "module_basis", "graded_product", "pair_ambient", "pair_triple",
-           "coproduct", "coproduct_well_defined", "linear_characters",
-           "enumerate_subgroup_chars", "enumerate_triples",
-           "verify_normal_form", "verify_associativity",
+           "coproduct", "coproduct_well_defined", "subgroup_characters",
+           "linear_characters", "enumerate_subgroup_chars",
+           "enumerate_triples", "verify_normal_form", "verify_associativity",
            "verify_apply_faithful", "verify_hopflike"]
 
 
@@ -49,23 +48,26 @@ def subgroup_table(G: FiniteGroupTable, indices) -> FiniteGroupTable:
                             G.elements[G.identity_idx])
 
 
+def subgroup_characters(G: FiniteGroupTable, indices):
+    """Every irreducible character of the subgroup, in the order of its
+    character table, as a map from ambient element index to value."""
+    sub = subgroup_table(G, indices)
+    indices = sorted(indices)
+    return [{indices[i]: chi.values[sub.class_of(i)]
+             for i in range(sub.order)} for chi in sub.character_table()]
+
+
 def linear_characters(G: FiniteGroupTable, indices):
     """Degree-one characters of the subgroup, as maps from ambient
     element index to value."""
-    sub = subgroup_table(G, indices)
-    indices = sorted(indices)
-    out = []
-    for chi in sub.character_table():
-        if chi.values[0] != 1:
-            continue
-        out.append({indices[i]: chi.values[sub.class_of(i)]
-                    for i in range(sub.order)})
-    return out
+    return [chi for chi in subgroup_characters(G, indices)
+            if chi[G.identity_idx] == 1]
 
 
 class SubgroupChar:
     """A subgroup of the ambient group together with a linear character,
-    the character stored as value per ambient element index."""
+    the character stored as value per ambient element index (exactly
+    the subgroup's indices are keys)."""
 
     __slots__ = ("amb", "indices", "chi")
 
@@ -74,7 +76,7 @@ class SubgroupChar:
         object.__setattr__(self, "amb", amb)
         object.__setattr__(self, "indices", tuple(sorted(indices)))
         object.__setattr__(self, "chi",
-                           {i: scalar(v) for i, v in chi.items()})
+                           {i: scalar(chi[i]) for i in self.indices})
         if check:
             self.validate()
 
@@ -119,9 +121,7 @@ class SubgroupChar:
 
     def to_json(self):
         return {"subgroup": [self.amb.elements[i] for i in self.indices],
-                "chi": [self.chi[i].to_json()
-                        if isinstance(self.chi[i], Cyclo)
-                        else int(self.chi[i]) for i in self.indices]}
+                "chi": [scalar_json(self.chi[i]) for i in self.indices]}
 
 
 class HeckeTriple:
@@ -135,17 +135,8 @@ class HeckeTriple:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "target", target)
-        if check:
-            amb = source.amb
-            h_set = set(target.indices)
-            for k in source.indices:
-                h = amb.conj(k, g)
-                if h not in h_set:
-                    raise ContainmentError(
-                        f"source is not inside g^-1 target g (element {k})")
-                if source.chi[k] != target.chi[h]:
-                    raise CharacterMismatchError(
-                        f"character values disagree at element {k}")
+        if check and len(_meet(source, g, target)) < len(source.indices):
+            raise ContainmentError("source is not inside g^-1 target g")
 
     def __setattr__(self, *a):
         raise AttributeError("HeckeTriple is immutable")
@@ -173,18 +164,54 @@ class HeckeTriple:
         return {"source": self.source.to_json(),
                 "g": self.amb.elements[self.g],
                 "target": self.target.to_json(),
-                "coeff": coeff.to_json() if isinstance(coeff, Cyclo)
-                else (int(coeff) if Fraction(coeff).denominator == 1
-                      else str(Fraction(coeff)))}
+                "coeff": scalar_json(coeff)}
 
 
-def triple_validate(K, psi, g, H, phi, amb=None) -> HeckeTriple:
-    """Build a validated triple from raw data; K, H are index iterables
-    and psi, phi value dicts."""
-    amb = amb or K.amb if isinstance(K, SubgroupChar) else amb
-    source = K if isinstance(K, SubgroupChar) else SubgroupChar(amb, K, psi)
-    target = H if isinstance(H, SubgroupChar) else SubgroupChar(amb, H, phi)
-    return HeckeTriple(source, g, target)
+# -- carrying subgroup characters along maps ---------------------------------
+
+def _pullback(domain, f, chi) -> dict:
+    """chi carried back along the index map f: the value chi[f(i)] at each
+    i of domain with f(i) in the support of chi."""
+    out = {}
+    for i in domain:
+        j = f(i)
+        if j in chi:
+            out[i] = chi[j]
+    return out
+
+
+def _image(amb: FiniteGroupTable, chi: dict, f) -> SubgroupChar:
+    """chi carried forward along the index map f into amb; the values on
+    each fibre of f must agree."""
+    out: dict = {}
+    for i, v in chi.items():
+        if out.setdefault(f(i), v) != v:
+            raise AssertionError("character not constant on the fibres")
+    return SubgroupChar(amb, out, out, check=False)
+
+
+def _meet(source: SubgroupChar, g: int, target: SubgroupChar) -> list:
+    """The elements k of the source subgroup with g k g^-1 in the target,
+    ascending; the two characters must agree there."""
+    amb = source.amb
+    out = []
+    for k in source.indices:
+        h = amb.conj(k, g)
+        if h in target.chi:
+            if source.chi[k] != target.chi[h]:
+                raise CharacterMismatchError(
+                    f"character values disagree at element {k}")
+            out.append(k)
+    return out
+
+
+def _factor(amb: FiniteGroupTable, left, g0: int, right, g: int):
+    """(h, k) with h in left, k in right and g = h g0 k."""
+    for h in left:
+        k = amb.mul(amb.inv(amb.mul(h, g0)), g)
+        if k in right:
+            return h, k
+    raise AssertionError("double coset member without a factorization")
 
 
 def identity_triple(sc: SubgroupChar) -> HeckeTriple:
@@ -199,15 +226,10 @@ def normalize(coeff, t: HeckeTriple):
     g0 = amb.least_double_coset_reps(t.target.indices, t.source.indices)[t.g]
     if g0 == t.g:
         return coeff, t
-    k_set = set(t.source.indices)
     # write g = h g0 k and absorb the character values
-    for h in t.target.indices:
-        k = amb.mul(amb.inv(amb.mul(h, g0)), t.g)
-        if k in k_set:
-            factor = inverse(t.target.chi[h]) * inverse(t.source.chi[k])
-            return coeff * factor, HeckeTriple(t.source, g0, t.target,
-                                               check=False)
-    raise AssertionError("double coset member without a factorization")
+    h, k = _factor(amb, t.target.indices, g0, t.source.chi, t.g)
+    factor = inverse(t.target.chi[h]) * inverse(t.source.chi[k])
+    return coeff * factor, HeckeTriple(t.source, g0, t.target, check=False)
 
 
 class HeckeElement:
@@ -319,25 +341,10 @@ def apply_triple(t: HeckeTriple, vec: dict) -> dict:
     recovers the classical Hecke operator for (B, w, B)."""
     amb = t.amb
     ginv = amb.inv(t.g)
-    h_set = set(t.target.indices)
-    meet = []
-    for k in t.source.indices:
-        h = amb.conj(k, t.g)
-        if h in h_set:
-            if t.source.chi[k] != t.target.chi[h]:
-                raise CharacterMismatchError(
-                    "characters disagree on the intersection; the "
-                    "operator is not well-defined")
-            meet.append(k)
-    meet_set = set(meet)
-    coset_reps = []
-    seen: set = set()
-    for x in t.source.indices:
-        if x in seen:
-            continue
-        coset_reps.append(x)
-        for d in meet_set:
-            seen.add(amb.mul(x, d))
+    # least representatives of the left cosets of the meet inside K
+    least = amb.least_double_coset_reps((amb.identity_idx,),
+                                        _meet(t.source, t.g, t.target))
+    coset_reps = sorted({least[x] for x in t.source.indices})
     out: dict = {}
     for rep, c in vec.items():
         for x in coset_reps:
@@ -371,8 +378,18 @@ def pair_ambient(q: int, a: int, b: int) -> FiniteGroupTable:
                          block_diagonal(Ga.elements[Ga.identity_idx],
                                         Gb.elements[Gb.identity_idx]))
     G.field = f
-    G.parts = (a, b)
     return G
+
+
+def _pair(amb: FiniteGroupTable, s1: SubgroupChar,
+          s2: SubgroupChar) -> SubgroupChar:
+    """The product character of s1 and s2 on their block-diagonal product
+    inside the pair ambient amb."""
+    from .glfq import block_diagonal
+    G1, G2 = s1.amb, s2.amb
+    chi = {amb.index[block_diagonal(G1.elements[i], G2.elements[j])]:
+           s1.chi[i] * s2.chi[j] for i in s1.indices for j in s2.indices}
+    return SubgroupChar(amb, chi, chi, check=False)
 
 
 def pair_triple(t1: HeckeTriple, t2: HeckeTriple, q: int) -> HeckeTriple:
@@ -387,28 +404,16 @@ def pair_triple(t1: HeckeTriple, t2: HeckeTriple, q: int) -> HeckeTriple:
     if b == 0:
         return t1
     amb = pair_ambient(q, a, b)
-
-    def embed_sc(s1, s2):
-        indices = []
-        chi = {}
-        for i in s1.indices:
-            for j in s2.indices:
-                idx = amb.index[block_diagonal(G1.elements[i],
-                                               G2.elements[j])]
-                indices.append(idx)
-                chi[idx] = s1.chi[i] * s2.chi[j]
-        return SubgroupChar(amb, indices, chi, check=False)
-
     g = amb.index[block_diagonal(G1.elements[t1.g], G2.elements[t2.g])]
-    return HeckeTriple(embed_sc(t1.source, t2.source), g,
-                       embed_sc(t1.target, t2.target))
+    return HeckeTriple(_pair(amb, t1.source, t2.source), g,
+                       _pair(amb, t1.target, t2.target))
 
 
 def graded_product(t1: HeckeTriple, t2: HeckeTriple, q: int) -> HeckeTriple:
     """Block product landing in GL_{n+m}: subgroups are extended by the
     unipotent radical, characters by inflation, g embeds block
     diagonally.  Validity of the result is asserted."""
-    from .glfq import block_diagonal, diagonal_blocks, gl_group
+    from .glfq import block_diagonal, gl_group
     G1, G2 = t1.amb, t2.amb
     n = len(G1.elements[0])
     m = len(G2.elements[0])
@@ -417,41 +422,31 @@ def graded_product(t1: HeckeTriple, t2: HeckeTriple, q: int) -> HeckeTriple:
     if m == 0:
         return t1
     G = gl_group(n + m, q)
-    p_indices = sorted(G.subgroups[f"P({n},{m})"])
+    p_indices, _, amb, project = _blocks(G, n + m, n)
 
-    def inflate_sc(s1, s2):
-        k1 = {G1.elements[i] for i in s1.indices}
-        k2 = {G2.elements[i] for i in s2.indices}
-        indices = []
-        chi = {}
-        for p in p_indices:
-            x, y = diagonal_blocks(G.elements[p], n)
-            if x in k1 and y in k2:
-                indices.append(p)
-                chi[p] = (s1.chi[G1.index[x]] * s2.chi[G2.index[y]])
-        return SubgroupChar(amb=G, indices=indices, chi=chi, check=False)
+    def inflate(s1, s2):
+        chi = _pullback(p_indices, project, _pair(amb, s1, s2).chi)
+        return SubgroupChar(G, chi, chi, check=False)
 
     g = G.index[block_diagonal(G1.elements[t1.g], G2.elements[t2.g])]
-    return HeckeTriple(inflate_sc(t1.source, t2.source), g,
-                       inflate_sc(t1.target, t2.target))
+    return HeckeTriple(inflate(t1.source, t2.source), g,
+                       inflate(t1.target, t2.target))
 
 
 def _blocks(G, n, a):
-    """(P indices, U indices, projection to the block-diagonal pair
-    ambient) for the (a, n-a) block structure; a in {0, n} degenerates to
-    the whole group."""
+    """(P indices, U indices, the block-diagonal pair ambient, and the
+    index map projecting P onto it) for the (a, n-a) block structure;
+    a in {0, n} degenerates to the whole group."""
     from .glfq import block_diagonal, diagonal_blocks
-    q = G.field.q
+    amb = pair_ambient(G.field.q, a, n - a)
     if a == 0 or a == n:
-        amb = pair_ambient(q, a, n - a)
-        return (list(range(G.order)), [G.identity_idx],
-                amb, lambda mat: mat)
-    p_indices = sorted(G.subgroups[f"P({a},{n - a})"])
-    u_indices = sorted(G.subgroups[f"U({a},{n - a})"])
-    amb = pair_ambient(q, a, n - a)
+        p_indices, u_indices = list(range(G.order)), [G.identity_idx]
+    else:
+        p_indices = sorted(G.subgroups[f"P({a},{n - a})"])
+        u_indices = sorted(G.subgroups[f"U({a},{n - a})"])
 
-    def project(mat):
-        return block_diagonal(*diagonal_blocks(mat, a))
+    def project(p):
+        return amb.index[block_diagonal(*diagonal_blocks(G.elements[p], a))]
 
     return p_indices, u_indices, amb, project
 
@@ -466,50 +461,20 @@ def _coproduct_component(t: HeckeTriple, a: int, z: int):
     w = G.mul(z, G.inv(t.g))
     winv = G.inv(w)
     zinv = G.inv(z)
-    h_set = set(t.target.indices)
-    k_set = set(t.source.indices)
-
     # target side: P meet w H w^-1 with the transported character
-    hbar = []
-    phibar = {}
-    for p in p_indices:
-        h = G.mul(G.mul(winv, p), w)
-        if h in h_set:
-            hbar.append(p)
-            phibar[p] = t.target.chi[h]
+    phibar = _pullback(p_indices, lambda p: G.mul(G.mul(winv, p), w),
+                       t.target.chi)
     # the filter: transported character trivial on U meet w H w^-1
-    for u in u_indices:
-        if u in phibar and phibar[u] != 1:
-            return None
-
-    kbar = []
-    psibar = {}
-    for p in hbar:
-        k = G.mul(G.mul(zinv, p), z)
-        if k in k_set:
-            kbar.append(p)
-            psibar[p] = t.source.chi[k]
+    if any(phibar.get(u, 1) != 1 for u in u_indices):
+        return None
+    psibar = _pullback(phibar, lambda p: G.mul(G.mul(zinv, p), z),
+                       t.source.chi)
     # guaranteed by the target-side filter and triple validity
-    for u in u_indices:
-        if u in psibar and psibar[u] != 1:
-            raise AssertionError("source character nontrivial on U")
-
-    def quotient(indices, chi):
-        q_indices = []
-        q_chi = {}
-        for p in indices:
-            mat = project(G.elements[p])
-            idx = amb.index[mat]
-            if idx in q_chi:
-                if q_chi[idx] != chi[p]:
-                    raise AssertionError("character not constant on U-fibres")
-            else:
-                q_indices.append(idx)
-                q_chi[idx] = chi[p]
-        return SubgroupChar(amb, q_indices, q_chi, check=False)
-
-    source = quotient(kbar, psibar)
-    target = quotient(hbar, phibar)
+    if any(psibar.get(u, 1) != 1 for u in u_indices):
+        raise AssertionError("source character nontrivial on U")
+    # both characters are trivial on U, so they pass to the Levi quotient
+    source = _image(amb, psibar, project)
+    target = _image(amb, phibar, project)
     return HeckeTriple(source, amb.identity_idx, target)
 
 
@@ -539,7 +504,6 @@ def coproduct_well_defined(t: HeckeTriple, a: int) -> dict:
     G = t.amb
     n = len(G.elements[0])
     p_indices, _, amb, project = _blocks(G, n, a)
-    k_set = set(t.source.indices)
     cases = 0
     failures = []
     for z, members in G.double_cosets(p_indices, t.source.indices):
@@ -552,28 +516,14 @@ def coproduct_well_defined(t: HeckeTriple, a: int) -> dict:
                 continue
             if base is None:
                 continue
-            # find u in P with z2 in u z K
-            u_found = None
-            for u in p_indices:
-                k = G.mul(G.inv(G.mul(u, z)), z2)
-                if k in k_set:
-                    u_found = u
-                    break
-            if u_found is None:
-                raise AssertionError("double coset member outside P z K")
-            ubar = amb.index[project(G.elements[u_found])]
-            ubar_inv = amb.inv(ubar)
+            # write z2 = u z k with u in P
+            u, _ = _factor(G, p_indices, z, t.source.chi, z2)
+            ubar_inv = amb.inv(project(u))
 
             # the z' data is the z data conjugated by ubar, so undoing
             # that conjugation must recover the canonical component
             def transport(sc):
-                indices = []
-                chi = {}
-                for i in sc.indices:
-                    j = amb.conj(i, ubar_inv)
-                    indices.append(j)
-                    chi[j] = sc.chi[i]
-                return SubgroupChar(amb, indices, chi, check=False)
+                return _image(amb, sc.chi, lambda i: amb.conj(i, ubar_inv))
 
             moved = HeckeTriple(transport(alt.source), amb.identity_idx,
                                 transport(alt.target), check=False)
@@ -618,12 +568,18 @@ def enumerate_triples(G: FiniteGroupTable):
     return out
 
 
-def verify_normal_form(G: FiniteGroupTable, sample=None) -> dict:
-    """normalize is idempotent, and every rewrite h g k of a triple's g
-    normalizes to the same scalar multiple of the same representative."""
+def _sampled_triples(G: FiniteGroupTable, sample):
+    """enumerate_triples, or about sample of them evenly spaced."""
     triples = enumerate_triples(G)
     if sample is not None:
         triples = triples[::max(1, len(triples) // sample)]
+    return triples
+
+
+def verify_normal_form(G: FiniteGroupTable, sample=None) -> dict:
+    """normalize is idempotent, and every rewrite h g k of a triple's g
+    normalizes to the same scalar multiple of the same representative."""
+    triples = _sampled_triples(G, sample)
     cases = 0
     failures = []
     for t in triples:
@@ -648,9 +604,7 @@ def verify_normal_form(G: FiniteGroupTable, sample=None) -> dict:
 
 
 def verify_associativity(G: FiniteGroupTable, sample=None) -> dict:
-    triples = enumerate_triples(G)
-    if sample is not None:
-        triples = triples[::max(1, len(triples) // sample)]
+    triples = _sampled_triples(G, sample)
     elems = [HeckeElement.of(t) for t in triples]
     cases = 0
     failures = []
@@ -669,9 +623,7 @@ def verify_associativity(G: FiniteGroupTable, sample=None) -> dict:
 def verify_apply_faithful(G: FiniteGroupTable, sample=None) -> dict:
     """Composition of module maps agrees with the triple product on
     every basis vector of the relevant induced module."""
-    triples = enumerate_triples(G)
-    if sample is not None:
-        triples = triples[::max(1, len(triples) // sample)]
+    triples = _sampled_triples(G, sample)
     cases = 0
     failures = []
     for t1 in triples:

@@ -81,6 +81,17 @@ PINNED_DIGESTS = {
         "a4e1d12d3836022830689f0763b1d8dd831ecbcd33c96cb098bdcb26ba7b9126",
     ("verify", "mezzadri", "--n", "4"):
         "93f40135aa9dab1f5ddcc85becde7a63cbe15f21ff540dba70f4147987ddd57d",
+    ("verify", "hopflike", "--q", "3"):
+        "b4957e898e72a913b150c420d8ffda5d713f52d698adaeeb90d9676fc72d8223",
+    ("verify", "hopflike", "--q", "5"):
+        "5d44fbdb9757898d69f9a2a2d095a99f9a0d03e3af1aec2fc65e6b233f3a88c7",
+    ("hecke", "verify-hopflike", "--q", "4"):
+        "8f417d5f2f8cd840710d1c56b01679785e13b92dc55918a2971423b2118ae3ab",
+    ("compute", "kondo", "--group", "GL(2,2)"):
+        "c6cda2f682ba9c88eaf1beeee46612296f61cc41c218c4c740655ccc53648eac",
+    ("compute", "kondo", "--group", "GL(2,3)", "--subgroup", "D",
+     "--char", "3"):
+        "2f81b674a8d575910d79a6ac9cceede084e809ceea924e542bbee87471340e65",
 }
 
 

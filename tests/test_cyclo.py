@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pshlab.cyclo import (Cyclo, conj, cyclotomic_poly, euler_phi, integer,
-                          inverse, scalar, zeta)
+                          inverse, scalar, scalar_json, zeta)
 
 
 def test_zeta_powers():
@@ -129,6 +129,13 @@ def test_json_is_conductor_independent():
     assert blobs[0] == blobs[1] == blobs[2]
     assert blobs[0]["conductor"] == 3
     assert all(Cyclo.from_json(b) == v for b, v in zip(blobs, values))
+
+
+def test_scalar_json():
+    assert scalar_json(zeta(6) ** 2) == zeta(3).to_json()
+    for v in (3, Fraction(4, 2), -1):
+        assert type(scalar_json(v)) is int and scalar_json(v) == v
+    assert scalar_json(Fraction(-1, 3)) == "-1/3"
 
 
 def test_to_complex():

@@ -7,7 +7,7 @@ from pshlab.cyclo import Cyclo, zeta
 from pshlab.glfq import (_nonsplit_torus, _torus_dlog, gl_group,
                          weil_theta_exponents)
 from pshlab.groups import FiniteGroupTable
-from pshlab.hyperhecke import subgroup_table
+from pshlab.hyperhecke import subgroup_characters
 from pshlab.symgroup import Perm
 from pshlab.wreath import wreath_base_subgroup, wreath_group
 
@@ -162,14 +162,6 @@ def induced_by_definition(G, chi_on_elements):
             total = total + chi_on_elements.get(G.conj(members[0], y), 0)
         values[label] = total * Fraction(1, len(chi_on_elements))
     return G.class_function(values)
-
-
-def subgroup_characters(G, indices):
-    """Every irreducible of the subgroup, as a map element index -> value."""
-    sub = subgroup_table(G, indices)
-    indices = sorted(indices)
-    return [{indices[i]: chi.values[sub.class_of(i)]
-             for i in range(sub.order)} for chi in sub.character_table()]
 
 
 def test_induced_character_gl23_subgroups():

@@ -7,12 +7,13 @@ from pshlab.cyclo import Cyclo, inverse
 from pshlab.glfq import gl_group
 from pshlab.hyperhecke import (CharacterMismatchError, ContainmentError,
                                HeckeElement, HeckeTriple, SubgroupChar,
-                               TripleError, _reduce, apply_triple, coproduct,
-                               coproduct_well_defined, element_product,
-                               enumerate_subgroup_chars, enumerate_triples,
-                               graded_product, hecke_product, identity_triple,
+                               TripleError, _coproduct_component, _reduce,
+                               apply_triple, coproduct, coproduct_well_defined,
+                               element_product, enumerate_subgroup_chars,
+                               enumerate_triples, graded_product,
+                               hecke_product, identity_triple,
                                linear_characters, module_basis, normalize,
-                               pair_ambient, subgroup_table, triple_validate,
+                               pair_ambient, pair_triple, subgroup_table,
                                verify_apply_faithful, verify_associativity,
                                verify_hopflike, verify_normal_form)
 
@@ -274,6 +275,229 @@ def test_coset_reductions_match_brute_force_gl23():
         assert module_basis(sc) == brute_module_basis(sc)
         for g in range(G.order):
             assert _reduce(sc, g) == brute_reduce(sc, g)
+
+
+# -- oracles for the characters carried along maps ---------------------------
+# the loop-per-case versions that _pullback, _image, _meet and _pair replaced
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the error it raised."""
+    try:
+        return fn(*args)
+    except (TripleError, AssertionError) as exc:
+        return type(exc)
+
+
+def brute_blocks(G, n, a):
+    from pshlab.glfq import block_diagonal, diagonal_blocks
+    q = G.field.q
+    amb = pair_ambient(q, a, n - a)
+    if a == 0 or a == n:
+        return list(range(G.order)), [G.identity_idx], amb, lambda mat: mat
+    p_indices = sorted(G.subgroups[f"P({a},{n - a})"])
+    u_indices = sorted(G.subgroups[f"U({a},{n - a})"])
+
+    def project(mat):
+        return block_diagonal(*diagonal_blocks(mat, a))
+
+    return p_indices, u_indices, amb, project
+
+
+def brute_coproduct_component(t, a, z):
+    G = t.amb
+    n = len(G.elements[0])
+    p_indices, u_indices, amb, project = brute_blocks(G, n, a)
+    w = G.mul(z, G.inv(t.g))
+    winv = G.inv(w)
+    zinv = G.inv(z)
+    h_set = set(t.target.indices)
+    k_set = set(t.source.indices)
+    hbar = []
+    phibar = {}
+    for p in p_indices:
+        h = G.mul(G.mul(winv, p), w)
+        if h in h_set:
+            hbar.append(p)
+            phibar[p] = t.target.chi[h]
+    for u in u_indices:
+        if u in phibar and phibar[u] != 1:
+            return None
+    kbar = []
+    psibar = {}
+    for p in hbar:
+        k = G.mul(G.mul(zinv, p), z)
+        if k in k_set:
+            kbar.append(p)
+            psibar[p] = t.source.chi[k]
+    for u in u_indices:
+        if u in psibar and psibar[u] != 1:
+            raise AssertionError("source character nontrivial on U")
+
+    def quotient(indices, chi):
+        q_indices = []
+        q_chi = {}
+        for p in indices:
+            idx = amb.index[project(G.elements[p])]
+            if idx in q_chi:
+                if q_chi[idx] != chi[p]:
+                    raise AssertionError("character not constant on U-fibres")
+            else:
+                q_indices.append(idx)
+                q_chi[idx] = chi[p]
+        return SubgroupChar(amb, q_indices, q_chi, check=False)
+
+    source = quotient(kbar, psibar)
+    target = quotient(hbar, phibar)
+    return HeckeTriple(source, amb.identity_idx, target)
+
+
+def brute_pair_triple(t1, t2, q):
+    from pshlab.glfq import block_diagonal
+    G1, G2 = t1.amb, t2.amb
+    amb = pair_ambient(q, len(G1.elements[0]), len(G2.elements[0]))
+
+    def embed_sc(s1, s2):
+        indices = []
+        chi = {}
+        for i in s1.indices:
+            for j in s2.indices:
+                idx = amb.index[block_diagonal(G1.elements[i],
+                                               G2.elements[j])]
+                indices.append(idx)
+                chi[idx] = s1.chi[i] * s2.chi[j]
+        return SubgroupChar(amb, indices, chi, check=False)
+
+    g = amb.index[block_diagonal(G1.elements[t1.g], G2.elements[t2.g])]
+    return HeckeTriple(embed_sc(t1.source, t2.source), g,
+                       embed_sc(t1.target, t2.target))
+
+
+def brute_graded_product(t1, t2, q):
+    from pshlab.glfq import block_diagonal, diagonal_blocks
+    G1, G2 = t1.amb, t2.amb
+    n = len(G1.elements[0])
+    m = len(G2.elements[0])
+    G = gl_group(n + m, q)
+    p_indices = sorted(G.subgroups[f"P({n},{m})"])
+
+    def inflate_sc(s1, s2):
+        k1 = {G1.elements[i] for i in s1.indices}
+        k2 = {G2.elements[i] for i in s2.indices}
+        indices = []
+        chi = {}
+        for p in p_indices:
+            x, y = diagonal_blocks(G.elements[p], n)
+            if x in k1 and y in k2:
+                indices.append(p)
+                chi[p] = (s1.chi[G1.index[x]] * s2.chi[G2.index[y]])
+        return SubgroupChar(amb=G, indices=indices, chi=chi, check=False)
+
+    g = G.index[block_diagonal(G1.elements[t1.g], G2.elements[t2.g])]
+    return HeckeTriple(inflate_sc(t1.source, t2.source), g,
+                       inflate_sc(t1.target, t2.target))
+
+
+def brute_apply_triple(t, vec):
+    amb = t.amb
+    ginv = amb.inv(t.g)
+    h_set = set(t.target.indices)
+    meet = []
+    for k in t.source.indices:
+        h = amb.conj(k, t.g)
+        if h in h_set:
+            if t.source.chi[k] != t.target.chi[h]:
+                raise CharacterMismatchError("characters disagree")
+            meet.append(k)
+    coset_reps = []
+    seen: set = set()
+    for x in t.source.indices:
+        if x in seen:
+            continue
+        coset_reps.append(x)
+        for d in meet:
+            seen.add(amb.mul(x, d))
+    out: dict = {}
+    for rep, c in vec.items():
+        for x in coset_reps:
+            rep2, twist = brute_reduce(t.target,
+                                       amb.mul(amb.mul(rep, x), ginv))
+            out[rep2] = out.get(rep2, 0) + c * inverse(t.source.chi[x]) * twist
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def fibre_breaking_triple():
+    """A raw GL(2,3) triple on the Borel subgroup whose character is 1 on
+    U but not constant on one U-coset, so only the fibre check stops it."""
+    G = gl_group(2, 3)
+    B = sorted(G.subgroups["B"])
+    b0 = next(b for b in B if b not in G.subgroups["U(1,1)"])
+    sc = SubgroupChar(G, B, {b: -1 if b == b0 else 1 for b in B},
+                      check=False)
+    return HeckeTriple(sc, G.identity_idx, sc, check=False)
+
+
+def test_coproduct_components_match_oracle():
+    cases = 0
+    for q in (2, 3):
+        G = gl_group(2, q)
+        triples = enumerate_triples(G)
+        if q == 3:
+            triples.append(fibre_breaking_triple())
+        for t in triples:
+            for a in (0, 1, 2):
+                p_indices = brute_blocks(G, 2, a)[0]
+                for _, members in G.double_cosets(p_indices,
+                                                  t.source.indices):
+                    for z in members:
+                        assert outcome(_coproduct_component, t, a, z) \
+                            == outcome(brute_coproduct_component, t, a, z)
+                        cases += 1
+    assert cases == 612 + 10656 + 3 * 48
+
+
+def test_fibre_check_rejects_a_character_not_constant_on_fibres():
+    t = fibre_breaking_triple()
+    with pytest.raises(AssertionError):
+        _coproduct_component(t, 1, t.g)
+
+
+def gl1_generators(q):
+    """The generator triples of GL(1,q), and every triple g on one linear
+    character of the whole (abelian) group."""
+    G = gl_group(1, q)
+    out = enumerate_triples(G)
+    for chi in linear_characters(G, range(G.order)):
+        sc = SubgroupChar(G, range(G.order), chi)
+        out += [HeckeTriple(sc, g, sc) for g in range(G.order)]
+    return out
+
+
+def test_block_products_match_oracle():
+    for q in (2, 3, 4, 5):
+        gens = gl1_generators(q)
+        for t1 in gens:
+            for t2 in gens:
+                assert graded_product(t1, t2, q) \
+                    == brute_graded_product(t1, t2, q)
+                assert pair_triple(t1, t2, q) == brute_pair_triple(t1, t2, q)
+
+
+def test_apply_triple_matches_oracle_gl22():
+    G = gl_group(2, 2)
+    for t in enumerate_triples(G):
+        for rep in module_basis(t.source):
+            assert apply_triple(t, {rep: 1}) \
+                == brute_apply_triple(t, {rep: 1})
+    # raw triples: every g, valid or not, between every pair of
+    # subgroup characters
+    chars = enumerate_subgroup_chars(G)
+    for target in chars:
+        for source in chars:
+            vec = {rep: 2 for rep in module_basis(source)}
+            for g in range(G.order):
+                raw = HeckeTriple(source, g, target, check=False)
+                assert outcome(apply_triple, raw, vec) \
+                    == outcome(brute_apply_triple, raw, vec)
 
 
 def test_coproduct_check_survives_optimize():

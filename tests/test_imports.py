@@ -1,17 +1,28 @@
-"""Every name a pshlab module imports is used in that module.
+"""Every name a pshlab module imports is used in that module, and every
+top-level function or class of the package is used somewhere.
 
-The scan reads each module's syntax tree: an imported name counts as used
-if it appears as a bare name anywhere in the module, as the base of an
-attribute access, or in the module's ``__all__``.  ``from __future__``
-imports and the re-exports of the package ``__init__`` are exempt.
+The import scan reads each module's syntax tree: an imported name counts
+as used if it appears as a bare name anywhere in the module, as the base
+of an attribute access, or in the module's ``__all__``.  ``from
+__future__`` imports and the re-exports of the package ``__init__`` are
+exempt.
+
+The definition scan reads every file under src, tests and perfbench: a
+top-level function or class counts as used if its name appears there as
+a bare name, as an attribute, or as one part of a dotted string such as
+"hyperhecke.verify_hopflike".  ``__all__`` entries and import lines are
+not uses.
 """
 
 import ast
 import pathlib
+import re
 
 import pshlab
 
 PACKAGE = pathlib.Path(pshlab.__file__).parent
+REPO = pathlib.Path(__file__).resolve().parents[1]
+DOTTED = re.compile(r"\w+(?:\.\w+)+")
 
 
 def imported_names(tree):
@@ -67,3 +78,56 @@ def test_no_module_imports_a_name_it_never_uses():
         if unused:
             found[path.name] = unused
     assert not found, found
+
+
+def top_level_definitions(tree):
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))]
+
+
+def references(tree):
+    """Bare names, attribute names and the parts of dotted strings."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED.fullmatch(node.value)):
+            out.update(node.value.split("."))
+    return out
+
+
+def unreferenced_definitions(package_sources, scanned_sources):
+    used = set()
+    for source in scanned_sources:
+        used |= references(ast.parse(source))
+    return sorted(name for source in package_sources
+                  for name in top_level_definitions(ast.parse(source))
+                  if name not in used)
+
+
+def test_scanner_flags_an_unreferenced_definition():
+    package = ("__all__ = ['a', 'b', 'c', 'd', 'e']\n"
+               "def a(): pass\n"
+               "def b(): pass\n"
+               "class c: pass\n"
+               "def d(): pass\n"
+               "def e(): pass\n")
+    caller = ("from m import a, e\n"
+              "import m\n"
+              "CHECKS = ('m.b', 'a')\n"
+              "def f():\n"
+              "    return m.c, a()\n")
+    assert unreferenced_definitions([package], [caller]) == ["d", "e"]
+
+
+def test_no_top_level_definition_goes_unreferenced():
+    package = [path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))]
+    scanned = [path.read_text(encoding="utf-8")
+               for folder in ("src", "tests", "perfbench")
+               for path in sorted((REPO / folder).rglob("*.py"))]
+    assert unreferenced_definitions(package, scanned) == []
