@@ -3,16 +3,19 @@
 A ClassFunction stores one value per conjugacy class, keyed by an arbitrary
 hashable label, together with the class sizes needed for inner products.
 Values are exact scalars (see pshlab.cyclo); the inner product conjugates
-the second argument and returns the scalar normal form.
+the second argument and returns the scalar normal form.  A character known
+element by element on a subgroup is the ClassFunction whose classes are its
+single elements (elementwise).  numerical_invariant is the one class sum
+behind every Gauss, Kondo-Gauss, w_x and wreath invariant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclo import conj, scalar
+from .cyclo import conj, inverse, scalar
 
-__all__ = ["ClassFunction"]
+__all__ = ["ClassFunction", "elementwise", "numerical_invariant"]
 
 
 class ClassFunction:
@@ -95,3 +98,22 @@ class ClassFunction:
 
     def __repr__(self):
         return f"ClassFunction({self.group_id}, {self.values})"
+
+
+def elementwise(group_id: str, values: dict, identity) -> ClassFunction:
+    """A character known element by element on a subgroup, as the class
+    function whose classes are its single elements, each of size 1."""
+    return ClassFunction(group_id, values, dict.fromkeys(values, 1), identity)
+
+
+def numerical_invariant(chi: ClassFunction, measure):
+    """chi(1)^-1 times the sum over the classes c of chi of
+    |c| chi(c) measure(c), for a conjugation-invariant measure given on
+    class labels; the measure's values may be exact scalars or Polys."""
+    dim = scalar(chi.degree())
+    if dim == 0:
+        raise ValueError("a character of degree 0 has no numerical invariant")
+    total = 0
+    for label, size in chi.sizes.items():
+        total = total + measure(label) * (size * chi.values[label])
+    return total * inverse(dim)

@@ -363,7 +363,8 @@ def cmd_verify(args) -> int:
 # -- compute ------------------------------------------------------------------
 
 def _kondo_value(group: str, subgroup, char_index: int):
-    from .glfq import gl_group, kondo_gauss
+    from .chars import elementwise, numerical_invariant
+    from .glfq import gl_group, kondo_measure
     from .hyperhecke import subgroup_characters
     m = re.fullmatch(r"GL\((\d+),(\d+)\)", group)
     if not m:
@@ -380,7 +381,9 @@ def _kondo_value(group: str, subgroup, char_index: int):
     table.insert(0, table.pop(triv))
     if not 0 <= char_index < len(table):
         raise ValueError(f"--char {char_index} is not in 0..{len(table) - 1}")
-    return kondo_gauss(G, indices, table[char_index])
+    return numerical_invariant(
+        elementwise(G.name, table[char_index], G.identity_idx),
+        kondo_measure(G))
 
 
 def cmd_compute(args) -> int:
@@ -401,7 +404,7 @@ def cmd_compute(args) -> int:
         from .invariants import w_x_sym
         from .specht import specht_character
         lam = _lambda_arg(args, kind)
-        poly = w_x_sym(specht_character(lam), sum(lam))
+        poly = w_x_sym(specht_character(lam))
         result = {"kind": kind, "coefficients": poly.to_json(),
                   "pretty": poly.pretty()}
         if args.approx:
@@ -438,7 +441,7 @@ def cmd_mezzadri(args) -> int:
     lam = _lambda_arg(args, "mezzadri")
     n = sum(lam)
     target = f_lambda(lam)
-    brute = w_x_sym(specht_character(lam), n)
+    brute = w_x_sym(specht_character(lam))
     match = target == brute
     result = {"lambda": list(lam), "n": n,
               "f_lambda": target.to_json(), "w_x": brute.to_json(),

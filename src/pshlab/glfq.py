@@ -13,13 +13,13 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .chars import ClassFunction
-from .cyclo import Cyclo, integer, inverse, is_prime, scalar, zeta
+from .chars import ClassFunction, elementwise, numerical_invariant
+from .cyclo import Cyclo, integer, is_prime, zeta
 from .groups import FiniteGroupTable, check_group_order
 from .symgroup import kmatrix_solutions, w_of_kmatrix
 
 __all__ = ["Fq", "build_field", "gl_group", "gl_order", "psi_measure",
-           "kondo_gauss", "weil_character", "weil_theta_exponents",
+           "kondo_measure", "weil_character", "weil_theta_exponents",
            "gauss_sum", "hasse_davenport_check", "verify_bruhat_bijection",
            "mat_mul", "mat_inv", "mat_det", "mat_identity", "mat_trace",
            "block_diagonal", "diagonal_blocks",
@@ -338,31 +338,25 @@ def psi_measure(f: Fq, x) -> Cyclo:
     return zeta(f.p, f.trace(mat_trace(f, x)))
 
 
-def kondo_gauss(G: FiniteGroupTable, sub_indices, chi: dict) -> Cyclo:
-    """(1/dim) sum over the subgroup of chi(X) Psi(X); chi maps each
-    subgroup element index to its exact character value."""
+def kondo_measure(G: FiniteGroupTable):
+    """Psi on the element indices of G.  The Kondo-Gauss sum of a
+    character chi is numerical_invariant(chi, kondo_measure(G)) when chi
+    is known element by element, and numerical_invariant(chi,
+    G.class_measure(kondo_measure(G))) when chi is a class function of G."""
     f = G.field
-    dim = scalar(chi[G.identity_idx])
-    if dim == 0:
-        raise ValueError("character of dimension zero")
-    total = Cyclo.rational(0)
-    for i in sub_indices:
-        total = total + chi[i] * psi_measure(f, G.elements[i])
-    return total * inverse(dim)
+    return lambda i: psi_measure(f, G.elements[i])
 
 
-def gauss_sum(f: Fq, lam: dict) -> Cyclo:
-    """tau(lam) = sum over units of lam(x) zeta_p^{trace(x)}; lam maps
-    each nonzero field index to its value."""
-    total = Cyclo.rational(0)
-    for x in range(1, f.q):
-        total = total + lam[x] * zeta(f.p, f.trace(x))
-    return total
+def gauss_sum(f: Fq, lam: ClassFunction) -> Cyclo:
+    """tau(lam) = sum over units of lam(x) zeta_p^{trace(x)}, for a unit
+    character lam known element by element."""
+    return numerical_invariant(lam, lambda x: zeta(f.p, f.trace(x)))
 
 
-def unit_character(f: Fq, j: int) -> dict:
+def unit_character(f: Fq, j: int) -> ClassFunction:
     """The j-th power character of the cyclic unit group."""
-    return {x: zeta(f.q - 1, j * f.dlog[x]) for x in range(1, f.q)}
+    values = {x: zeta(f.q - 1, j * f.dlog[x]) for x in range(1, f.q)}
+    return elementwise(f"units of {f!r}", values, 1)
 
 
 def hasse_davenport_check(p: int, m: int) -> dict:
@@ -376,7 +370,8 @@ def hasse_davenport_check(p: int, m: int) -> dict:
     for j in range(p - 1):
         lam = unit_character(base, j)
         tau = gauss_sum(base, lam)
-        lifted = {y: lam[ext.norm(y)] for y in range(1, ext.q)}
+        lifted = elementwise(f"units of {ext!r}",
+                             {y: lam(ext.norm(y)) for y in range(1, ext.q)}, 1)
         tau_ext = gauss_sum(ext, lifted)
         lhs = -tau_ext
         rhs = tau ** m * ((-1) ** m)
@@ -408,7 +403,7 @@ def _nonsplit_torus(G: FiniteGroupTable):
     if len(torus) != q * q - 1:
         raise AssertionError(f"nonsplit torus of order {len(torus)}, "
                              f"not {q * q - 1}")
-    return torus, s
+    return torus
 
 
 def weil_theta_exponents(q: int) -> list[int]:
@@ -419,7 +414,7 @@ def weil_theta_exponents(q: int) -> list[int]:
 
 
 def _torus_dlog(G: FiniteGroupTable, torus):
-    """Discrete logs on the cyclic embedded torus; returns (dlog, gen)."""
+    """Discrete logs on the cyclic embedded torus."""
     order = len(torus)
     members = set(torus)
     for g in torus:
@@ -429,8 +424,16 @@ def _torus_dlog(G: FiniteGroupTable, torus):
             dlog[x] = k
             x = G.mul(x, g)
         if len(dlog) == order and set(dlog) == members:
-            return dlog, g
+            return dlog
     raise AssertionError("torus is not cyclic")
+
+
+def _torus_character(G: FiniteGroupTable, j: int):
+    """(torus, Theta): the nonsplit torus of G = GL(2,q) and its j-th
+    character Theta as a map element index -> value."""
+    torus = _nonsplit_torus(G)
+    dlog = _torus_dlog(G, torus)
+    return torus, {i: zeta(len(torus), j * dlog[i]) for i in torus}
 
 
 def weil_character(q: int, j: int) -> ClassFunction:
@@ -441,10 +444,7 @@ def weil_character(q: int, j: int) -> ClassFunction:
         raise ValueError(f"torus character {j} is Frobenius-invariant")
     G = gl_group(2, q)
     f = G.field
-    torus, _ = _nonsplit_torus(G)
-    dlog, _ = _torus_dlog(G, torus)
-    e = q * q - 1
-    theta = {i: zeta(e, j * dlog[i]) for i in torus}
+    torus, theta = _torus_character(G, j)
     # scalar-unipotent subgroup [[a, b], [0, a]] with the linear character
     # Theta(a) Psi(b/a); linearity needs the equal diagonal entries
     top = [G.index[((a, b), (0, a))] for a in range(1, q) for b in range(q)]
@@ -461,18 +461,15 @@ def weil_character(q: int, j: int) -> ClassFunction:
 def weil_identity_check(q: int, j: int) -> dict:
     """Both sides of W_{GL_2}(r(Theta)) = -q W_{torus}(Theta), exactly."""
     G = gl_group(2, q)
-    torus, _ = _nonsplit_torus(G)
-    dlog, _ = _torus_dlog(G, torus)
-    e = q * q - 1
-    theta = {i: zeta(e, j * dlog[i]) for i in torus}
+    _, theta = _torus_character(G, j)
     r_theta = weil_character(q, j)
     if r_theta.degree() != q - 1:
         raise AssertionError(f"Weil character of degree {r_theta.degree()}, "
                              f"not {q - 1}")
-    chi = {i: r_theta.values[G.class_of(i)] for i in range(G.order)}
-    lhs = kondo_gauss(G, range(G.order), chi)
-    w_torus = kondo_gauss(G, torus, theta)
-    rhs = -q * w_torus
+    psi = kondo_measure(G)
+    lhs = numerical_invariant(r_theta, G.class_measure(psi))
+    rhs = -q * numerical_invariant(
+        elementwise(G.name, theta, G.identity_idx), psi)
     return {"q": q, "theta": j, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs}
 
 
@@ -481,13 +478,15 @@ def verify_kondo_induction(n: int, q: int) -> dict:
     induction to the whole group; exhaustive over all cyclic subgroups
     and all of their characters."""
     G = gl_group(n, q)
+    psi = kondo_measure(G)
+    on_classes = G.class_measure(psi)
     cases = 0
     failures = []
     for g, chain, j, chi in G.cyclic_characters():
-        lhs = kondo_gauss(G, chain, chi)
-        ind = G.induced_character(chain, chi)
-        chi_full = {i: ind.values[G.class_of(i)] for i in range(G.order)}
-        rhs = kondo_gauss(G, range(G.order), chi_full)
+        lhs = numerical_invariant(
+            elementwise(G.name, chi, G.identity_idx), psi)
+        rhs = numerical_invariant(G.induced_character(chain, chi),
+                                  on_classes)
         cases += 1
         if lhs != rhs:
             failures.append({"generator": g, "character": j})
@@ -501,7 +500,7 @@ def verify_kondo_multiplicative(q: int) -> dict:
     characters."""
     G = gl_group(2, q)
     f = G.field
-    G1 = gl_group(1, q)
+    psi = kondo_measure(G)
     diag = sorted(G.subgroups["D"])
     cases = 0
     failures = []
@@ -509,17 +508,12 @@ def verify_kondo_multiplicative(q: int) -> dict:
         for j2 in range(q - 1):
             lam1 = unit_character(f, j1)
             lam2 = unit_character(f, j2)
-            w1 = kondo_gauss(G1, range(G1.order),
-                             {G1.index[((x,),)]: lam1[x]
-                              for x in range(1, q)})
-            w2 = kondo_gauss(G1, range(G1.order),
-                             {G1.index[((x,),)]: lam2[x]
-                              for x in range(1, q)})
-            chi = {i: lam1[G.elements[i][0][0]] * lam2[G.elements[i][1][1]]
+            chi = {i: lam1(G.elements[i][0][0]) * lam2(G.elements[i][1][1])
                    for i in diag}
-            lhs = kondo_gauss(G, diag, chi)
+            lhs = numerical_invariant(
+                elementwise(G.name, chi, G.identity_idx), psi)
             cases += 1
-            if lhs != w1 * w2:
+            if lhs != gauss_sum(f, lam1) * gauss_sum(f, lam2):
                 failures.append({"j1": j1, "j2": j2})
     return {"check": "kondo-multiplicative", "q": q, "cases": cases,
             "failures": failures, "pass": not failures}

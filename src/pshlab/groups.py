@@ -213,6 +213,12 @@ class FiniteGroupTable:
             values[label] = first
         return self.class_function(values)
 
+    def class_measure(self, fn):
+        """A conjugation-invariant fn of element indices as a measure on
+        class labels: its value at each class representative."""
+        reps = self.class_reps()
+        return lambda label: fn(reps[label])
+
     def induced_character(self, sub_indices, chi_on_elements) -> ClassFunction:
         """Induce to the whole group from the subgroup H with the given
         index set; chi_on_elements maps each subgroup element index to its

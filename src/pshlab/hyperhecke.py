@@ -397,13 +397,7 @@ def pair_triple(t1: HeckeTriple, t2: HeckeTriple, q: int) -> HeckeTriple:
     realization of the product group (no unipotent inflation)."""
     from .glfq import block_diagonal
     G1, G2 = t1.amb, t2.amb
-    a = len(G1.elements[0])
-    b = len(G2.elements[0])
-    if a == 0:
-        return t2
-    if b == 0:
-        return t1
-    amb = pair_ambient(q, a, b)
+    amb = pair_ambient(q, len(G1.elements[0]), len(G2.elements[0]))
     g = amb.index[block_diagonal(G1.elements[t1.g], G2.elements[t2.g])]
     return HeckeTriple(_pair(amb, t1.source, t2.source), g,
                        _pair(amb, t1.target, t2.target))
@@ -417,10 +411,6 @@ def graded_product(t1: HeckeTriple, t2: HeckeTriple, q: int) -> HeckeTriple:
     G1, G2 = t1.amb, t2.amb
     n = len(G1.elements[0])
     m = len(G2.elements[0])
-    if n == 0:
-        return t2
-    if m == 0:
-        return t1
     G = gl_group(n + m, q)
     p_indices, _, amb, project = _blocks(G, n + m, n)
 

@@ -6,6 +6,7 @@ for irreducible Specht characters this produces the monic node-product
 polynomial f_lambda.  The wreath version twists each cycle by a root of
 unity read off the trace of the product of the matrix components, and is
 famously not inductive: the module exhibits the explicit counterexample.
+Both are chars.numerical_invariant with their own measure.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .chars import elementwise, numerical_invariant
 from .combinat import addable_nodes, conjugate, partitions
-from .cyclo import Cyclo, inverse, scalar, zeta
+from .cyclo import Cyclo, scalar, zeta
 from .symgroup import Perm, cycles_of
 
-__all__ = ["Poly", "X", "psi_x", "w_x", "w_x_sym", "f_lambda",
+__all__ = ["Poly", "X", "w_x_sym", "f_lambda",
            "verify_mezzadri", "verify_psh_multiplicativity",
            "lambda_invariant", "wreath_invariant", "mu_invariant_formula",
            "specht_wreath_invariant", "wreath_theorem_check",
@@ -42,6 +44,11 @@ class Poly:
     @staticmethod
     def const(c) -> "Poly":
         return Poly([c])
+
+    @staticmethod
+    def monomial(k: int) -> "Poly":
+        """x^k."""
+        return Poly([0] * k + [1])
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -146,36 +153,15 @@ class Poly:
 X = Poly([0, 1])
 
 
-def psi_x(sigma: Perm) -> Poly:
-    """x to the number of cycles of sigma."""
-    return Poly([0] * len(sigma.cycle_type()) + [1])
-
-
-def w_x(elements, value_fn) -> Poly:
-    """(1/dim) sum over a subgroup of Sigma_n of chi(h) x^(cycles of h);
-    value_fn maps a Perm to its exact character value."""
-    elements = list(elements)
-    total = Poly()
-    dim = None
-    for h in elements:
-        v = value_fn(h)
-        if h == Perm.identity(len(h.images)):
-            dim = v
-        total = total + psi_x(h).scale(v)
-    if dim is None or dim == 0:
-        raise AssertionError("no identity, or a character of degree 0")
-    return total.scale(inverse(dim))
-
-
 def _all_perms(n: int):
     for images in itertools.permutations(range(1, n + 1)):
         yield Perm(images)
 
 
-def w_x_sym(chi, n: int) -> Poly:
+def w_x_sym(chi) -> Poly:
     """w_x over the whole of Sigma_n for a class function keyed by cycle
-    type."""
-    return w_x(_all_perms(n), lambda h: chi.values[h.cycle_type()])
+    type: the measure is x^(number of cycles)."""
+    return numerical_invariant(chi, lambda lam: Poly.monomial(len(lam)))
 
 
 def verify_induction_invariance(n: int) -> dict:
@@ -185,14 +171,17 @@ def verify_induction_invariance(n: int) -> dict:
     from .groups import FiniteGroupTable
     G = FiniteGroupTable(f"Sym({n})", _all_perms(n), lambda a, b: a * b,
                          lambda a: a.inv(), Perm.identity(n))
+
+    def cycles(i):
+        return Poly.monomial(len(G.elements[i].cycle_type()))
+    on_classes = G.class_measure(cycles)
     cases = 0
     failures = []
     for g, chain, j, chi in G.cyclic_characters():
-        lhs = w_x([G.elements[x] for x in chain],
-                  lambda h: chi[G.index[h]])
-        ind = G.induced_character(chain, chi)
-        rhs = w_x(G.elements,
-                  lambda s: ind.values[G.class_of(G.index[s])])
+        lhs = numerical_invariant(
+            elementwise(G.name, chi, G.identity_idx), cycles)
+        rhs = numerical_invariant(G.induced_character(chain, chi),
+                                  on_classes)
         cases += 1
         if lhs != rhs:
             failures.append({"generator": G.elements[g].images,
@@ -218,7 +207,7 @@ def verify_mezzadri(n: int) -> dict:
     checks = []
     ok = True
     for lam in partitions(n):
-        brute = w_x_sym(specht_character(lam), n)
+        brute = w_x_sym(specht_character(lam))
         target = f_lambda(lam)
         match = brute == target
         conj_ok = brute == f_lambda(conjugate(lam)).negate_x().scale(
@@ -258,7 +247,7 @@ def verify_psh_multiplicativity(k: int, n: int) -> dict:
         for mu in partitions(n - k):
             induced = induce_young(specht_character(lam),
                                    specht_character(mu))
-            lhs = w_x_sym(induced, n)
+            lhs = w_x_sym(induced)
             rhs = f_lambda(lam) * f_lambda(mu)
             checks.append({"pair": [lam, mu], "match": lhs == rhs})
             ok = ok and lhs == rhs
@@ -266,7 +255,7 @@ def verify_psh_multiplicativity(k: int, n: int) -> dict:
     for lam in partitions(n - 1):
         induced = induce_young(specht_character(lam),
                                specht_character((1,)))
-        lhs = w_x_sym(induced, n)
+        lhs = w_x_sym(induced)
         match = lhs == X * f_lambda(lam)
         one_step.append({"lambda": lam, "match": match})
         ok = ok and match
@@ -276,31 +265,25 @@ def verify_psh_multiplicativity(k: int, n: int) -> dict:
 
 # -- wreath products of matrix groups ----------------------------------------
 
-def _cycle_twist(H, alphas, cycle) -> int:
-    """Exponent of zeta_p for one cycle: the field trace of the matrix
-    trace of the product of the alphas along the cycle."""
-    from .glfq import mat_identity, mat_mul, mat_trace
-    f = H.field
-    prod = mat_identity(f, len(H.elements[0]))
-    for pos in cycle:
-        prod = mat_mul(f, prod, H.elements[alphas[pos - 1]])
-    return f.trace(mat_trace(f, prod))
-
-
 def lambda_invariant(H, element) -> Cyclo:
     """Product over the cycles of the permutation part of
     zeta_p^(trace of the product of the matrix components on the cycle)."""
+    from .glfq import mat_identity, mat_mul, mat_trace
     sig, alphas = element
-    p = H.field.p
+    f = H.field
     out = Cyclo.rational(1)
     for cyc in cycles_of(sig):
-        out = out * zeta(p, _cycle_twist(H, alphas, cyc))
+        prod = mat_identity(f, len(H.elements[0]))
+        for pos in cyc:
+            prod = mat_mul(f, prod, H.elements[alphas[pos - 1]])
+        out = out * zeta(f.p, f.trace(mat_trace(f, prod)))
     return out
 
 
 def mu_invariant_formula(H, w_elt, y_elt) -> Cyclo:
     """Twist of the conjugate y^-1 w y computed from w's own matrix
-    components along the cycles of the conjugated permutation."""
+    components along the cycles of the conjugated permutation: the
+    lambda_invariant of (conjugated permutation, w's components)."""
     sig, alphas = w_elt
     sig2 = y_elt[0]
     n = len(sig)
@@ -308,28 +291,17 @@ def mu_invariant_formula(H, w_elt, y_elt) -> Cyclo:
     for i, v in enumerate(sig2, start=1):
         inv2[v - 1] = i
     conj_sig = tuple(inv2[sig[sig2[i - 1] - 1] - 1] for i in range(1, n + 1))
-    p = H.field.p
-    out = Cyclo.rational(1)
-    for cyc in cycles_of(conj_sig):
-        out = out * zeta(p, _cycle_twist(H, alphas, cyc))
-    return out
+    return lambda_invariant(H, (conj_sig, alphas))
 
 
-def wreath_invariant(H, elements, chi) -> Poly:
-    """(1/dim) sum of chi(X) x^(cycles of sigma) twist(X) over the listed
-    wreath elements; chi maps an element to its exact value."""
-    total = Poly()
-    dim = None
-    for x in elements:
-        sig = x[0]
-        if all(sig[i] == i + 1 for i in range(len(sig))) and all(
-                a == H.identity_idx for a in x[1]):
-            dim = chi(x)
-        term = chi(x) * lambda_invariant(H, x)
-        total = total + Poly([0] * len(cycles_of(sig)) + [1]).scale(term)
-    if dim is None:
-        raise AssertionError("the listed wreath elements miss the identity")
-    return total.scale(inverse(dim))
+def wreath_invariant(H, G, chi) -> Poly:
+    """(1/dim) sum over G of chi(X) x^(cycles of sigma) twist(X), for a
+    table G of wreath elements over H and a class function chi of G."""
+    def measure(i):
+        x = G.elements[i]
+        return Poly.monomial(len(cycles_of(x[0]))).scale(
+            lambda_invariant(H, x))
+    return numerical_invariant(chi, G.class_measure(measure))
 
 
 def _wreath_setup(n: int, q: int = 3):
@@ -352,9 +324,7 @@ def specht_wreath_invariant(lam, q: int = 3) -> Poly:
     on_sub = {i: chi.values[Perm(sig).cycle_type()]
               for i, (sig, alphas) in enumerate(J.elements)
               if alphas == ident}
-    induced = J.induced_character(on_sub.keys(), on_sub)
-    return wreath_invariant(
-        H, J.elements, lambda x: induced.values[J.class_of(J.index[x])])
+    return wreath_invariant(H, J, J.induced_character(on_sub.keys(), on_sub))
 
 
 def wreath_theorem_check(n: int, q: int = 3) -> dict:
@@ -404,10 +374,13 @@ def induced_invariant_conjugate_route(H, J, G, chi_fn, dim) -> Poly:
     induced character.  The cycle twist is a class function (the trace of
     a product along a cycle is conjugation invariant), so the plain
     definition is induction invariant; the conjugated-cycle indexing used
-    here breaks that and is what produces the recorded failure."""
+    here breaks that and is what produces the recorded failure.  That
+    measure depends on the conjugator and is not a class function, so
+    this route stays a double sum over elements instead of
+    chars.numerical_invariant."""
     total = Poly()
     for w_elt in G.elements:
-        psi = Poly([0] * len(cycles_of(w_elt[0])) + [1])
+        psi = Poly.monomial(len(cycles_of(w_elt[0])))
         value = chi_fn(w_elt)
         for y_elt in J.elements:
             total = total + psi.scale(
@@ -441,7 +414,7 @@ def wreath_counterexample_report(q: int = 3) -> dict:
         def chi_g(x, chi=chi):
             return chi.values[G.class_of(G.index[x])]
 
-        w_g = wreath_invariant(H, G.elements, chi_g)
+        w_g = wreath_invariant(H, G, chi)
 
         # closed-form expansion of dim * W over the small group: cubic
         # term from sigma = identity, quadratic term from the swap
@@ -477,10 +450,7 @@ def wreath_counterexample_report(q: int = 3) -> dict:
         # induced character up the full wreath product; plain definition
         sub = [J.index[x] for x in G.elements]
         on_sub = {J.index[x]: chi_g(x) for x in G.elements}
-        induced = J.induced_character(sub, on_sub)
-        w_j_def = wreath_invariant(
-            H, J.elements,
-            lambda x: induced.values[J.class_of(J.index[x])])
+        w_j_def = wreath_invariant(H, J, J.induced_character(sub, on_sub))
 
         # conjugated-cycle double-sum route
         w_j_conj = induced_invariant_conjugate_route(H, J, G, chi_g, dim)

@@ -92,6 +92,14 @@ PINNED_DIGESTS = {
     ("compute", "kondo", "--group", "GL(2,3)", "--subgroup", "D",
      "--char", "3"):
         "2f81b674a8d575910d79a6ac9cceede084e809ceea924e542bbee87471340e65",
+    ("verify", "gauss", "--q", "5", "--weil"):
+        "332ae666954a0ef68f5160228dc5d1013d22fbb55b59ce8f631b4d0b97554794",
+    ("compute", "wreath-w", "--lambda", "(2,1)", "--q", "5"):
+        "49003614185316846959a98543fef65445405199e2d57b5c73bfa44f6a0b1a84",
+    ("compute", "w-x", "--lambda", "(3,1)"):
+        "35537f0e9860ca392b9e5b1e86d05f5ba281b617605ba207081cf7ae7c9f0dbf",
+    ("mezzadri", "--lambda", "(3,2)"):
+        "ca32fda57da22e0bb70c0f6bca3b2dcb53029ce5775f69722f22116206558db8",
 }
 
 

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from pshlab.chars import elementwise, numerical_invariant
 from pshlab.cyclo import Cyclo, zeta
 from pshlab.glfq import (build_field, gauss_sum, gl_group, gl_order,
-                         hasse_davenport_check, kondo_gauss, mat_det,
+                         hasse_davenport_check, kondo_measure, mat_det,
                          mat_identity, mat_inv, mat_mul, mat_trace,
                          permutation_matrix, psi_measure, unit_character,
                          verify_bruhat_bijection, verify_kondo_induction,
@@ -75,13 +76,18 @@ def test_psi_measure_values():
 def test_kondo_trivial_gl1():
     G = gl_group(1, 5)
     chi = {i: 1 for i in range(G.order)}
-    assert kondo_gauss(G, range(G.order), chi) == -1
+    assert numerical_invariant(elementwise(G.name, chi, G.identity_idx),
+                               kondo_measure(G)) == -1
+    trivial = G.class_function({c: 1 for c in range(len(G.classes()))})
+    assert numerical_invariant(
+        trivial, G.class_measure(kondo_measure(G))) == -1
 
 
 def test_kondo_scales_with_dimension():
     G = gl_group(1, 5)
     chi = {i: 2 for i in range(G.order)}
-    assert kondo_gauss(G, range(G.order), chi) == -1
+    assert numerical_invariant(elementwise(G.name, chi, G.identity_idx),
+                               kondo_measure(G)) == -1
 
 
 def test_gauss_sum_quadratic():

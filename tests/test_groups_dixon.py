@@ -174,8 +174,8 @@ def test_induced_character_gl23_subgroups():
 
 def test_induced_character_weil_torus():
     G = gl_group(2, 3)
-    torus, _ = _nonsplit_torus(G)
-    dlog, _ = _torus_dlog(G, torus)
+    torus = _nonsplit_torus(G)
+    dlog = _torus_dlog(G, torus)
     for j in weil_theta_exponents(3):
         theta = {i: zeta(8, j * dlog[i]) for i in torus}
         assert G.induced_character(torus, theta) \

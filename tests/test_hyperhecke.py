@@ -120,11 +120,17 @@ def test_classical_hecke_operator():
 
 
 def test_graded_product_valid():
-    q = 2
-    gens = enumerate_triples(gl_group(1, q))
-    t = graded_product(gens[0], gens[0], q)
-    assert t.amb is gl_group(2, q)
-    t.validate() if hasattr(t, "validate") else None
+    # graded_product builds the inflated characters with check=False:
+    # validate both, and rebuild the triple with its checks on
+    for q in (2, 3):
+        gens = gl1_generators(q)
+        for t1 in gens:
+            for t2 in gens:
+                t = graded_product(t1, t2, q)
+                assert t.amb is gl_group(2, q)
+                t.source.validate()
+                t.target.validate()
+                assert HeckeTriple(t.source, t.g, t.target) == t
 
 
 def test_coproduct_components():

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
-from pshlab.invariants import (Poly, X, f_lambda, psi_x,
+from pshlab.chars import elementwise
+from pshlab.invariants import (Poly, X, f_lambda,
                                verify_induction_invariance, verify_mezzadri,
-                               verify_psh_multiplicativity, w_x, w_x_sym,
+                               verify_psh_multiplicativity, w_x_sym,
                                wreath_counterexample_report,
                                wreath_theorem_check)
 from pshlab.specht import specht_character
@@ -30,8 +31,12 @@ def test_poly_pretty_and_json():
 
 
 def test_psi_x():
-    assert psi_x(Perm.identity(3)) == Poly([0, 0, 0, 1])
-    assert psi_x(Perm.from_cycles(3, [(1, 2, 3)])) == Poly([0, 1])
+    # the w_x measure x^(number of cycles) at one element h: the invariant
+    # of the point mass on the cycle type of h
+    for h, expected in ((Perm.identity(3), Poly([0, 0, 0, 1])),
+                        (Perm.from_cycles(3, [(1, 2, 3)]), Poly([0, 1]))):
+        point = elementwise("Sym(3)", {h.cycle_type(): 1}, h.cycle_type())
+        assert w_x_sym(point) == expected
 
 
 def test_f_lambda_oracles():
@@ -45,14 +50,15 @@ def test_w_x_matches_f_lambda():
     for n in range(1, 5):
         report = verify_mezzadri(n)
         assert report["pass"], report
-    assert w_x_sym(specht_character((2, 1)), 3) == Poly([0, -1, 0, 1])
+    assert w_x_sym(specht_character((2, 1))) == Poly([0, -1, 0, 1])
 
 
 def test_w_x_trivial_character():
     # trivial character of the two-element subgroup {e, (12)} in degree 2;
     # the normalization divides by the dimension, not the subgroup order
     elems = [Perm.identity(2), Perm.from_cycles(2, [(1, 2)])]
-    assert w_x(elems, lambda h: 1) == Poly([0, 1, 1])
+    chi = elementwise("Sym(2)", {h.cycle_type(): 1 for h in elems}, (1, 1))
+    assert w_x_sym(chi) == Poly([0, 1, 1])
 
 
 def test_induction_invariance():
