@@ -1,12 +1,16 @@
 """Exact character tables of small finite groups via the class-algebra
 (Burnside/Dixon) method.
 
-The class-sum matrices are simultaneously diagonalized over a prime field
-F_l with l = 1 (mod exponent) and l > 2|G|, degrees are recovered from the
-second orthogonality relation, and values are lifted to Q(zeta_e) by
-discrete Fourier inversion over the power maps.  Both orthogonality
-relations are re-verified exactly in cyclotomic arithmetic before the
-table is returned.
+One power map, computed once, gives all class-level data: for each class
+representative, the classes of its powers.  The exponent e is the lcm of
+the row lengths and the inverse class is read from the same row.  The
+class-sum matrices are simultaneously diagonalized over a prime field F_l
+with l = 1 (mod e) and l > 2|G|; every eigenspace is a nullspace from the
+one F_l eliminator, _rref.  Degrees are recovered from the second
+orthogonality relation, and values are lifted to Q(zeta_e) by discrete
+Fourier inversion over the power map.  Both orthogonality relations are
+re-verified exactly in cyclotomic arithmetic before the table is
+returned.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclo import Cyclo, conj, is_prime, scalar, zeta
+from .cyclo import Cyclo, conj, is_prime, scalar
 from .groups import FiniteGroupTable
 
 __all__ = ["dixon_character_table"]
@@ -48,32 +52,6 @@ def _primitive_root(l: int) -> int:
 def _mat_vec(a, v, l):
     return [sum(a[i][j] * v[j] for j in range(len(v))) % l
             for i in range(len(a))]
-
-
-def _charpoly_eval(a, x, l):
-    """det(xI - a) mod l by Gaussian elimination."""
-    n = len(a)
-    m = [[(x if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)]
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] % l), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        inv = pow(m[c][c], l - 2, l)
-        det = det * m[c][c] % l
-        for i in range(c + 1, n):
-            f = m[i][c] * inv % l
-            if f:
-                m[i] = [(m[i][j] - f * m[c][j]) % l for j in range(n)]
-    return det % l
-
-
-def _eigenvalues(a, l):
-    """All eigenvalues in F_l of the matrix a (roots of its char poly)."""
-    return [x for x in range(l) if _charpoly_eval(a, x, l) == 0]
 
 
 def _rref(rows, l, ncols):
@@ -132,6 +110,8 @@ def _restrict(a, basis, l):
 
 
 def _class_matrices(G: FiniteGroupTable):
+    """The class-sum matrices B_i: (B_i)[k][j] counts the x in class i
+    with x^-1 z in class j, z the representative of class k."""
     classes = G.classes()
     r = len(classes)
     reps = G.class_reps()
@@ -142,59 +122,67 @@ def _class_matrices(G: FiniteGroupTable):
             i = G.class_of(x)
             j = G.class_of(G.mul(G.inv(x), z))
             mats[i][k][j] += 1
-    # mats[i][k][j] currently counts a_{i j k}; transpose to (B_i)_{k j}
-    out = []
-    for i in range(r):
-        out.append([[mats[i][k][j] for j in range(r)] for k in range(r)])
-    return out
+    return mats
+
+
+def _power_map(G: FiniteGroupTable):
+    """For each class, the classes of rep, rep^2, ..., 1 for its
+    representative rep; the row's length is the order of the class."""
+    return [[G.class_of(x) for x in G.powers(rep)] for rep in G.class_reps()]
+
+
+def _power(row, j):
+    """The class of rep^j, read from the power map row of rep."""
+    return row[(j - 1) % len(row)]
 
 
 def dixon_character_table(G: FiniteGroupTable):
     """List of exact irreducible ClassFunctions, sorted by degree."""
-    classes = G.classes()
-    r = len(classes)
+    r = len(G.classes())
     sizes = G.class_sizes()
-    e = G.exponent()
+    power_map = _power_map(G)
+    e = math.lcm(*map(len, power_map))
     l = _choose_prime(e, 2 * G.order)
     mats = _class_matrices(G)
 
-    # split the class algebra into common eigenlines over F_l
+    # split the class algebra into common eigenlines over F_l; it is split
+    # semisimple there, so each scan stops once its eigenspaces fill the space
     spaces = [[[1 if i == j else 0 for j in range(r)] for i in range(r)]]
     for i in range(1, r):
         new_spaces = []
         for basis in spaces:
-            if len(basis) == 1:
+            d = len(basis)
+            if d == 1:
                 new_spaces.append(basis)
                 continue
             restricted = _restrict(mats[i], basis, l)
-            for lam in _eigenvalues(restricted, l):
+            found = 0
+            for lam in range(l):
                 shifted = [[(restricted[a][b] - (lam if a == b else 0)) % l
-                            for b in range(len(basis))]
-                           for a in range(len(basis))]
-                sub = []
-                for coords in _nullspace(shifted, l):
-                    sub.append([sum(coords[t] * basis[t][c]
-                                    for t in range(len(basis))) % l
-                                for c in range(r)])
+                            for b in range(d)] for a in range(d)]
+                sub = [[sum(coords[t] * basis[t][c] for t in range(d)) % l
+                        for c in range(r)]
+                       for coords in _nullspace(shifted, l)]
                 if sub:
                     new_spaces.append(sub)
+                    found += len(sub)
+                    if found == d:
+                        break
         spaces = new_spaces
     if len(spaces) != r or any(len(b) != 1 for b in spaces):
         raise AssertionError("class algebra failed to split completely")
 
-    z_idx = _primitive_root(l)
-    z = pow(z_idx, (l - 1) // e, l)
+    z = pow(_primitive_root(l), (l - 1) // e, l)
+    z_pows = [pow(z, t, l) for t in range(e)]
     inv_e = pow(e, l - 2, l)
 
     chars = []
-    for (v,) in [tuple(b) for b in spaces]:
-        omega = []
+    for (v,) in spaces:
         pivot = next(c for c in range(r) if v[c] % l)
         pinv = pow(v[pivot], l - 2, l)
-        for i in range(r):
-            w = _mat_vec(mats[i], v, l)
-            omega.append(w[pivot] * pinv % l)
-        s = sum(omega[i] * omega[G.inverse_class(i)]
+        omega = [sum(x * y for x, y in zip(mats[i][pivot], v)) * pinv % l
+                 for i in range(r)]
+        s = sum(omega[i] * omega[_power(power_map[i], -1)]
                 * pow(sizes[i], l - 2, l) for i in range(r)) % l
         d2 = G.order * pow(s, l - 2, l) % l
         deg = next(d for d in range(1, int(math.isqrt(G.order)) + 1)
@@ -202,17 +190,17 @@ def dixon_character_table(G: FiniteGroupTable):
         chi_mod = [deg * omega[i] * pow(sizes[i], l - 2, l) % l
                    for i in range(r)]
         values = {}
-        for i in range(r):
-            acc = Cyclo.rational(0)
+        for i, row in enumerate(power_map):
+            at_powers = [chi_mod[_power(row, j)] for j in range(e)]
+            terms = {}
             for k in range(e):
-                m_ik = sum(chi_mod[G.power_class(i, j)]
-                           * pow(z, (-j * k) % (l - 1), l)
-                           for j in range(e)) * inv_e % l
+                m_ik = sum(x * z_pows[(-j * k) % e]
+                           for j, x in enumerate(at_powers)) * inv_e % l
                 if m_ik > deg:
                     raise AssertionError("lifted multiplicity out of range")
                 if m_ik:
-                    acc = acc + m_ik * zeta(e, k)
-            values[i] = scalar(acc)
+                    terms[k] = m_ik
+            values[i] = scalar(Cyclo.from_terms(e, terms))
         if values[0] != deg:
             raise AssertionError(f"degree {values[0]} lifted, {deg} expected")
         chars.append(G.class_function(values))

@@ -9,7 +9,6 @@ is always label 0.
 
 from __future__ import annotations
 
-import math
 import os
 from fractions import Fraction
 
@@ -44,7 +43,6 @@ class FiniteGroupTable:
         self._inv_cache: dict = {}
         self._classes = None
         self._class_of = None
-        self._orders: dict = {}
         self.subgroups: dict = {}
         self._char_table = None
         self._least_reps: dict = {}
@@ -72,19 +70,13 @@ class FiniteGroupTable:
         """g x g^-1."""
         return self.mul(self.mul(g, x), self.inv(g))
 
-    def element_order(self, i: int) -> int:
-        out = self._orders.get(i)
-        if out is None:
-            out, x = 1, i
-            while x != self.identity_idx:
-                x = self.mul(x, i)
-                out += 1
-            self._orders[i] = out
-        return out
-
-    def exponent(self) -> int:
-        return math.lcm(*(self.element_order(i)
-                          for i in range(self.order)))
+    def powers(self, g: int) -> list[int]:
+        """[g, g^2, ..., 1]: the powers of g up to the identity, so the
+        list's length is the order of g."""
+        chain = [g]
+        while chain[-1] != self.identity_idx:
+            chain.append(self.mul(chain[-1], g))
+        return chain
 
     # -- subgroups ------------------------------------------------------
 
@@ -184,17 +176,6 @@ class FiniteGroupTable:
         return {label: len(members)
                 for label, members in enumerate(self.classes())}
 
-    def power_class(self, label: int, k: int) -> int:
-        """Class label of rep^k for the representative of a class."""
-        rep = self.classes()[label][0]
-        x = self.identity_idx
-        for _ in range(k % self.element_order(rep)):
-            x = self.mul(x, rep)
-        return self.class_of(x)
-
-    def inverse_class(self, label: int) -> int:
-        return self.class_of(self.inv(self.classes()[label][0]))
-
     # -- class functions ------------------------------------------------
 
     def class_function(self, values_by_class: dict) -> ClassFunction:
@@ -240,9 +221,7 @@ class FiniteGroupTable:
         [g, g^2, ..., 1] and chi maps g^k to zeta_order^(j k)."""
         seen = set()
         for g in range(self.order):
-            chain = [g]
-            while chain[-1] != self.identity_idx:
-                chain.append(self.mul(chain[-1], g))
+            chain = self.powers(g)
             sub = frozenset(chain)
             if sub in seen:
                 continue

@@ -10,6 +10,7 @@ coordinates.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -18,6 +19,7 @@ from .combinat import (Tableau, addable_nodes, add_node, all_tabloids,
                        partitions, remove_node, removable_nodes,
                        standard_tableaux)
 from .cyclo import integer
+from .groups import check_group_order
 from .linalg import det_exact, rank_exact, solve_columns
 from .symgroup import (Perm, centralizer_order, class_representative,
                        class_size, sign_of)
@@ -281,6 +283,8 @@ def sym_character_table(n: int):
 
 
 def character_table_rows(n: int):
-    """(row labels, column labels, integer matrix)."""
+    """(row labels, column labels, integer matrix).  Checks the
+    group-order cap on n! before any Specht work."""
+    check_group_order(f"Sym({n})", math.factorial(n))
     parts = partitions(n)
     return parts, parts, sym_character_table(n)

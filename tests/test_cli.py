@@ -48,7 +48,8 @@ def test_usage_errors():
 
 
 @pytest.mark.parametrize("group,cap", [("Wreath(2,C2)", 4),
-                                       ("GL(2,3)", 10)])
+                                       ("GL(2,3)", 10),
+                                       ("Sym(4)", 10)])
 def test_group_order_cap(group, cap):
     env = dict(os.environ, PSHLAB_MAX_GROUP_ORDER=str(cap))
     rc, _, err = run_cli("chartable", group, env=env)
@@ -100,6 +101,14 @@ PINNED_DIGESTS = {
         "35537f0e9860ca392b9e5b1e86d05f5ba281b617605ba207081cf7ae7c9f0dbf",
     ("mezzadri", "--lambda", "(3,2)"):
         "ca32fda57da22e0bb70c0f6bca3b2dcb53029ce5775f69722f22116206558db8",
+    ("chartable", "GL(2,4)"):
+        "12fe4c9910f639ad33dc43692b9aaafe0e8299001c5610f6d92bce21d5f09933",
+    ("chartable", "GL(3,2)"):
+        "9e6bdffa0d1d54507e2076a1e6c53191f9477cf201068f56f8da1353286dfd63",
+    ("chartable", "Wreath(2,GL(1,5))"):
+        "37279cf1c3913317bc5e3e343db6d9165cd12bf0cfb6ffdcccacc85ed5ed7c27",
+    ("chartable", "Wreath(4,C2)"):
+        "df868d9651b7908b34a2b33fdd76647d811307733886d83f0afe1f316ccbeb21",
 }
 
 

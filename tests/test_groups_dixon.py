@@ -1,13 +1,17 @@
 import itertools
+import math
 import subprocess
 import sys
 from fractions import Fraction
 
+from pshlab.combinat import partitions
 from pshlab.cyclo import Cyclo, zeta
+from pshlab.dixon import _power, _power_map
 from pshlab.glfq import (_nonsplit_torus, _torus_dlog, gl_group,
                          weil_theta_exponents)
 from pshlab.groups import FiniteGroupTable
 from pshlab.hyperhecke import subgroup_characters
+from pshlab.specht import specht_character
 from pshlab.symgroup import Perm
 from pshlab.wreath import wreath_base_subgroup, wreath_group
 
@@ -28,10 +32,18 @@ def test_table_bookkeeping():
     assert G.order == 6
     assert G.classes()[0] == [G.identity_idx]
     assert sorted(G.class_sizes().values()) == [1, 2, 3]
-    assert G.exponent() == 6
     for x in range(G.order):
         assert G.mul(x, G.inv(x)) == G.identity_idx
-        assert G.element_order(x) in (1, 2, 3)
+    # one power map row per class: its length is the order of the class
+    rows = _power_map(G)
+    assert sorted(map(len, rows)) == [1, 2, 3]
+    assert math.lcm(*map(len, rows)) == 6
+    for rep, row in zip(G.class_reps(), rows):
+        assert _power(row, -1) == G.class_of(G.inv(rep))
+        x = G.identity_idx
+        for j in range(7):
+            assert _power(row, j) == G.class_of(x)
+            x = G.mul(x, rep)
 
 
 def test_cyclic_all_linear():
@@ -146,6 +158,36 @@ def test_orthogonality_check_survives_optimize():
             "    _verify_orthogonality(G, chars[:-1])\n"
             "except AssertionError:\n"
             "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_dixon_agrees_with_specht():
+    for n in range(1, 7):
+        G = sym_table(n)
+        cycle_type = {label: G.elements[rep].cycle_type()
+                      for label, rep in enumerate(G.class_reps())}
+        parts = partitions(n)
+        dixon = set()
+        for chi in G.character_table():
+            by_type = {cycle_type[c]: v for c, v in chi.values.items()}
+            dixon.add(tuple(by_type[lam] for lam in parts))
+        specht = {tuple(specht_character(mu).values[lam] for lam in parts)
+                  for mu in parts}
+        assert dixon == specht, n
+
+
+def test_eigen_scan_fails_loudly_under_optimize():
+    code = ("from pshlab import dixon\n"
+            "from pshlab.glfq import gl_group\n"
+            "dixon._nullspace = lambda a, l: []\n"
+            "try:\n"
+            "    gl_group(2, 2).character_table()\n"
+            "except AssertionError as exc:\n"
+            "    raise SystemExit(0 if 'failed to split' in str(exc) "
+            "else 1)\n"
             "raise SystemExit(1)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True)
