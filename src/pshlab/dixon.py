@@ -219,18 +219,21 @@ def _verify_orthogonality(G: FiniteGroupTable, chars):
                              f"of {G.name}")
     if sum(int(c.values[0]) ** 2 for c in chars) != G.order:
         raise AssertionError(f"squared degrees do not sum to |{G.name}|")
+    # each character is conjugated once; row (i, j) sums
+    # |class| chi_i conj(chi_j) over the classes and must be |G| or 0
+    sizes = G.class_sizes()
+    bars = [[conj(c.values[k]) for k in range(r)] for c in chars]
+    weighted = [[sizes[k] * v for k, v in enumerate(bar)] for bar in bars]
     for i, a in enumerate(chars):
-        for j, b in enumerate(chars):
-            if a.inner(b) != (1 if i == j else 0):
+        values = [a.values[k] for k in range(r)]
+        for j, w in enumerate(weighted):
+            total = sum(v * x for v, x in zip(values, w))
+            if total != (G.order if i == j else 0):
                 raise AssertionError(
                     f"orthogonality failure in {G.name} at ({i},{j})")
     # column orthogonality: sum over chars of chi(g) conj(chi(h))
-    sizes = G.class_sizes()
     for k in range(r):
-        total = 0
-        for c in chars:
-            v = c.values[k]
-            total = total + v * conj(v)
+        total = sum(c.values[k] * bar[k] for c, bar in zip(chars, bars))
         expected = Fraction(G.order, sizes[k])
         if total != expected:
             raise AssertionError(f"column orthogonality failure at {k}")

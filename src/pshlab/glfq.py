@@ -4,7 +4,8 @@ Gauss-sum identities along field extensions, and the double-coset count
 for pairs of parabolic subgroups.
 
 Field elements are integer indices into a fixed enumeration; matrices are
-tuples of tuples of indices, so they are hashable and canonical.
+tuples of tuples of indices, so they are hashable and canonical.  Matrices
+multiply row by row through lookup tables of the row space F_q^m.
 """
 
 from __future__ import annotations
@@ -76,6 +77,26 @@ class Fq:
         self.generator = next(g for g in range(1, q)
                               if self.element_order(g) == q - 1)
         self.dlog = {self.pow(self.generator, k): k for k in range(q - 1)}
+        self._rows = {}
+
+    def _row_tables(self, m: int):
+        """(vecs, code, add, scale) for the row space F_q^m: vecs lists
+        the rows in itertools.product order, code maps a row to its
+        position there, and add[u][v] and scale[c][v] are the codes of
+        the sum u + v and the multiple c v.  Built once per m; the add
+        table has q^(2m) entries, so GL(m, q) must be within the
+        group-order cap."""
+        tables = self._rows.get(m)
+        if tables is None:
+            check_group_order(f"GL({m},{self.q})", gl_order(m, self.q))
+            vecs = list(itertools.product(range(self.q), repeat=m))
+            code = {v: i for i, v in enumerate(vecs)}
+            add = [[code[tuple(self.add_table[x][y] for x, y in zip(u, v))]
+                    for v in vecs] for u in vecs]
+            scale = [[code[tuple(self.mul_table[c][x] for x in v)]
+                      for v in vecs] for c in range(self.q)]
+            tables = self._rows[m] = (vecs, code, add, scale)
+        return tables
 
     def _poly_add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
@@ -169,19 +190,19 @@ def mat_identity(f: Fq, n: int):
                  for i in range(n))
 
 
-def _dot(f: Fq, row, col):
-    total = 0
-    for x, y in zip(row, col):
-        total = f.add_table[total][f.mul_table[x][y]]
-    return total
-
-
 def mat_mul(f: Fq, a, b):
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    return tuple(tuple(_dot(f, a[i], tuple(b[t][j] for t in range(k)))
-                       for j in range(m)) for i in range(n))
+    """The product a b; row i of it is the sum over t of a[i][t] b[t],
+    read from the row tables of F_q^m, m the row length of b."""
+    vecs, code, add, scale = f._row_tables(len(b[0]))
+    rows = [code[row] for row in b]
+    out = []
+    for arow in a:
+        acc = 0  # the zero row
+        for x, row in zip(arow, rows):
+            if x:
+                acc = add[acc][scale[x][row]]
+        out.append(vecs[acc])
+    return tuple(out)
 
 
 def mat_det(f: Fq, a) -> int:

@@ -109,6 +109,8 @@ PINNED_DIGESTS = {
         "37279cf1c3913317bc5e3e343db6d9165cd12bf0cfb6ffdcccacc85ed5ed7c27",
     ("chartable", "Wreath(4,C2)"):
         "df868d9651b7908b34a2b33fdd76647d811307733886d83f0afe1f316ccbeb21",
+    ("verify", "bruhat"):
+        "5ce2729863e727efd25cb8decab6f5488eafe597f800c5b00373c40c7c907b97",
 }
 
 

@@ -1,3 +1,7 @@
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -45,6 +49,75 @@ def test_matrix_helpers():
     assert mat_mul(f, a, mat_inv(f, a)) == mat_identity(f, 2)
     assert mat_det(f, a) == 1
     assert mat_trace(f, a) == 2
+
+
+def oracle_mul(f, a, b):
+    """The matrix product by the textbook triple loop over the field
+    tables."""
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            total = 0
+            for t in range(len(b)):
+                total = f.add_table[total][f.mul_table[a[i][t]][b[t][j]]]
+            row.append(total)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3),
+                                 (3, 2)])
+def test_mat_mul_matches_triple_loop(p, d, monkeypatch):
+    f = build_field(p, d)
+    rng = random.Random(100 * p + d)
+    # a 3x3 product reads the row tables of F_q^3, which the group-order
+    # cap admits only when GL(3,q) is within it
+    monkeypatch.setenv("PSHLAB_MAX_GROUP_ORDER",
+                       str(max(gl_order(3, f.q), 100000)))
+
+    def random_matrix(rows, cols):
+        return tuple(tuple(rng.randrange(f.q) for _ in range(cols))
+                     for _ in range(rows))
+    for x in range(f.q):
+        for y in range(f.q):
+            assert mat_mul(f, ((x,),), ((y,),)) == oracle_mul(
+                f, ((x,),), ((y,),))
+    for n, k, m in [(2, 2, 2), (3, 3, 3), (2, 3, 1)]:
+        for _ in range(60):
+            a, b = random_matrix(n, k), random_matrix(k, m)
+            assert mat_mul(f, a, b) == oracle_mul(f, a, b), (a, b)
+
+
+def test_mat_mul_on_gl_2_4_generators():
+    G = gl_group(2, 4)
+    f = G.field
+    gens = G.small_generators(range(G.order))
+    for g in gens:
+        x = G.elements[g]
+        for y in G.elements:
+            assert mat_mul(f, x, y) == oracle_mul(f, x, y)
+            assert mat_mul(f, y, x) == oracle_mul(f, y, x)
+
+
+def test_row_tables_respect_group_order_cap():
+    # |GL(2,3)| = 48 is within the lowered cap, |GL(3,3)| = 11232 is not;
+    # the refused request allocates no table
+    code = ("from pshlab.glfq import build_field, mat_identity, mat_mul\n"
+            "f = build_field(3)\n"
+            "two = mat_identity(f, 2)\n"
+            "assert mat_mul(f, two, two) == two\n"
+            "three = mat_identity(f, 3)\n"
+            "try:\n"
+            "    mat_mul(f, three, three)\n"
+            "except ResourceWarning as exc:\n"
+            "    raise SystemExit(0 if 'GL(3,3)' in str(exc)\n"
+            "                     and sorted(f._rows) == [2] else 1)\n"
+            "raise SystemExit(1)\n")
+    env = dict(os.environ, PSHLAB_MAX_GROUP_ORDER="1000")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_gl_order():

@@ -157,7 +157,21 @@ def test_orthogonality_check_survives_optimize():
             "try:\n"
             "    _verify_orthogonality(G, chars[:-1])\n"
             "except AssertionError:\n"
-            "    raise SystemExit(0)\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit(1)\n"
+            # one value of a non-trivial character, off the identity
+            "k = next(i for i, c in enumerate(chars)\n"
+            "         if any(v != 1 for v in c.values.values()))\n"
+            "values = dict(chars[k].values)\n"
+            "values[1] = values[1] + 1\n"
+            "wrong = chars[:k] + [G.class_function(values)] + chars[k + 1:]\n"
+            "try:\n"
+            "    _verify_orthogonality(G, wrong)\n"
+            "except AssertionError as exc:\n"
+            # the row check, which runs before the column check
+            "    raise SystemExit(0 if 'orthogonality failure in GL(2,2)'\n"
+            "                     in str(exc) else 1)\n"
             "raise SystemExit(1)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True)
