@@ -178,7 +178,9 @@ def _suite_psh(args):
 
 def _suite_mezzadri(args):
     from .invariants import verify_induction_invariance, verify_mezzadri
+    from .specht import check_sym_order
     n = args.n or 6
+    check_sym_order(n)
     reports = [verify_mezzadri(k) for k in range(1, n + 1)]
     reports += [verify_induction_invariance(k)
                 for k in range(2, min(n, 5) + 1)]
@@ -205,9 +207,11 @@ def _suite_gauss(args):
 def _suite_branching(args):
     from .combinat import (all_tableaux, combinatorial_lemma_check,
                            dominates, partitions)
-    from .specht import (submodule_theorem_check, tabloid_adjacency_check,
-                         verify_branching)
+    from .specht import (check_sym_order, submodule_theorem_check,
+                         tabloid_adjacency_check, verify_branching)
     n = args.n or 5
+    # the induction branch of verify_branching reaches Sym(n + 1)
+    check_sym_order(n + 1)
     reports = []
     for m in range(1, n + 1):
         for mu in partitions(m):

@@ -1,13 +1,15 @@
 """Partitions, Young diagrams, tableaux and tabloids.
 
 Partitions are plain tuples of weakly decreasing positive ints.  Diagram
-nodes are 1-based pairs (i, j).  Tabloids are stored canonically with each
-row sorted ascending, so orbit equality is structural equality.
+nodes are 1-based pairs (i, j).  A tabloid is keyed by the row of each
+entry, so orbit equality is structural equality and a permutation moves
+a tabloid by indexing its key once per entry.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 
 __all__ = ["parse_partition", "format_partition", "partitions", "conjugate",
@@ -181,13 +183,12 @@ class Tableau:
     def row_of(self) -> dict:
         return {x: i + 1 for i, r in enumerate(self.rows) for x in r}
 
-    def apply(self, images) -> "Tableau":
-        """Relabel every entry i by images[i-1] (a permutation of 1..n)."""
-        return Tableau(tuple(tuple(images[x - 1] for x in r)
-                             for r in self.rows))
-
     def tabloid(self) -> "Tabloid":
-        return Tabloid(self.rows)
+        key = [0] * self.n
+        for i, r in enumerate(self.rows):
+            for x in r:
+                key[x - 1] = i
+        return Tabloid(key)
 
     def __eq__(self, other):
         return isinstance(other, Tableau) and self.rows == other.rows
@@ -200,34 +201,42 @@ class Tableau:
 
 
 class Tabloid:
-    """Row-equivalence class of a tableau, stored with rows sorted."""
+    """Row-equivalence class of a tableau, keyed by the row of each entry:
+    key[x - 1] is the 0-based row that holds x.  Two fillings with the
+    same row contents give the same key, and moving a tabloid by a
+    permutation indexes the key once per entry without sorting."""
 
-    __slots__ = ("shape", "rows")
+    __slots__ = ("shape", "key")
 
-    def __init__(self, rows):
-        rows = tuple(tuple(sorted(r)) for r in rows)
-        object.__setattr__(self, "shape", tuple(len(r) for r in rows))
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, key):
+        key = tuple(key)
+        shape = tuple(map(key.count, range(max(key, default=-1) + 1)))
+        if any(a < b for a, b in zip(shape, shape[1:])):
+            raise ValueError(f"row sizes {shape} are not a partition")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "key", key)
 
     def __setattr__(self, *a):
         raise AttributeError("Tabloid is immutable")
 
     @property
-    def n(self) -> int:
-        return sum(self.shape)
+    def rows(self) -> tuple:
+        """The rows as ascending tuples of entries."""
+        return tuple(tuple(x for x, r in enumerate(self.key, 1) if r == i)
+                     for i in range(len(self.shape)))
 
     def apply(self, images) -> "Tabloid":
-        return Tabloid(tuple(tuple(images[x - 1] for x in r)
-                             for r in self.rows))
-
-    def row_of(self) -> dict:
-        return {x: i + 1 for i, r in enumerate(self.rows) for x in r}
+        """The tabloid with every entry x moved to images[x-1]."""
+        key = [0] * len(self.key)
+        for x, r in zip(images, self.key):
+            key[x - 1] = r
+        return Tabloid(key)
 
     def __eq__(self, other):
-        return isinstance(other, Tabloid) and self.rows == other.rows
+        return isinstance(other, Tabloid) and self.key == other.key
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self.key)
 
     def __repr__(self):
         return f"Tabloid({[list(r) for r in self.rows]})"
@@ -236,28 +245,34 @@ class Tabloid:
 def all_tabloids(shape) -> list[Tabloid]:
     """Every tabloid of the given shape, in a fixed deterministic order."""
     n = sum(shape)
+    key = [0] * n
     out = []
 
-    def rec(remaining, rows):
-        if not remaining and len(rows) == len(shape):
-            out.append(Tabloid(rows))
+    def rec(remaining, i):
+        if i == len(shape):
+            out.append(Tabloid(key))
             return
-        i = len(rows)
-        for combo in itertools.combinations(sorted(remaining), shape[i]):
-            rec(remaining - set(combo), rows + [combo])
-    rec(set(range(1, n + 1)), [])
+        for combo in itertools.combinations(remaining, shape[i]):
+            for x in combo:
+                key[x - 1] = i
+            rec([x for x in remaining if x not in combo], i + 1)
+    rec(list(range(1, n + 1)), 0)
     return out
 
 
 def all_tableaux(shape) -> list[Tableau]:
-    n = sum(shape)
+    """Every filling of the shape, one per permutation of 1..n.  Only the
+    row-reading filling goes through the checks of Tableau(); the others
+    are its rows' slices of a permutation, valid by construction."""
+    cuts = [slice(a, b) for a, b in
+            itertools.pairwise(itertools.accumulate(shape, initial=0))]
+    first = Tableau(range(c.start + 1, c.stop + 1) for c in cuts)
     out = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        rows, k = [], 0
-        for p in shape:
-            rows.append(perm[k:k + p])
-            k += p
-        out.append(Tableau(rows))
+    for perm in itertools.permutations(range(1, first.n + 1)):
+        t = object.__new__(Tableau)
+        object.__setattr__(t, "shape", first.shape)
+        object.__setattr__(t, "rows", tuple(map(perm.__getitem__, cuts)))
+        out.append(t)
     return out
 
 
@@ -298,15 +313,15 @@ def combinatorial_lemma_check(t1: Tableau, t2: Tableau) -> bool:
     return True
 
 
-def tabloid_m_counts(t: Tabloid) -> dict:
-    """m[(i, r)] = how many of 1..i sit in rows 1..r of the tabloid."""
-    row = t.row_of()
-    n = t.n
-    counts = {}
-    for i in range(1, n + 1):
-        for r in range(1, len(t.shape) + 1):
-            counts[(i, r)] = sum(1 for x in range(1, i + 1) if row[x] <= r)
-    return counts
+def tabloid_m_counts(t: Tabloid) -> tuple:
+    """The m-count vector: for i = 1..n and then r = 1..k (k rows), how
+    many of 1..i sit in rows 1..r of the tabloid."""
+    per_row = [0] * len(t.shape)
+    out = []
+    for r in t.key:
+        per_row[r] += 1
+        out.extend(itertools.accumulate(per_row))
+    return tuple(out)
 
 
 def tabloid_leq(t1: Tabloid, t2: Tabloid) -> bool:
@@ -314,9 +329,7 @@ def tabloid_leq(t1: Tabloid, t2: Tabloid) -> bool:
     t2."""
     if t1.shape != t2.shape:
         raise ValueError("tabloid dominance needs equal shapes")
-    m1 = tabloid_m_counts(t1)
-    m2 = tabloid_m_counts(t2)
-    return all(m1[k] <= m2[k] for k in m1)
+    return all(map(operator.le, tabloid_m_counts(t1), tabloid_m_counts(t2)))
 
 
 def tabloid_lt(t1: Tabloid, t2: Tabloid) -> bool:

@@ -1,92 +1,119 @@
 """Permutation modules on tabloids, polytabloids, and their exact
 linear algebra: standard bases, matrix actions, characters and branching.
 
-Vectors in the tabloid module M^mu are finitely supported dicts
-Tabloid -> Fraction/int; the tabloid basis is orthonormal for the
-invariant bilinear form, so inner products are plain dot products of
-coordinates.
+Inside the module, vectors in the tabloid module M^mu are finitely
+supported dicts from tabloid keys (``Tabloid.key``, the row of each
+entry) to ints; ``polytabloid`` hands its vector out keyed by ``Tabloid``.
+The tabloid basis is orthonormal for the invariant bilinear form, so
+inner products are plain dot products of coordinates.  A permutation pi
+moves a key k to ``(k[inverse[0]], k[inverse[1]], ...)``, inverse being
+pi^-1 on 0-based points.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
 from .chars import ClassFunction
-from .combinat import (Tableau, addable_nodes, add_node, all_tabloids,
-                       partitions, remove_node, removable_nodes,
-                       standard_tableaux)
+from .combinat import (Tableau, Tabloid, addable_nodes, add_node,
+                       all_tableaux, all_tabloids, partitions, remove_node,
+                       removable_nodes, standard_tableaux, tabloid_m_counts)
 from .cyclo import integer
 from .groups import check_group_order
-from .linalg import det_exact, rank_exact, solve_columns
+from .linalg import det_exact
 from .symgroup import (Perm, centralizer_order, class_representative,
                        class_size, sign_of)
 
-__all__ = ["polytabloid", "apply_kappa", "standard_basis", "specht_dim",
-           "specht_action", "specht_character", "permutation_character",
-           "sym_class_sizes", "sym_character_table", "induce_young",
-           "restrict_character", "verify_branching",
-           "submodule_theorem_check", "kappa_multiple_check",
-           "tabloid_adjacency_check", "character_table_rows"]
+__all__ = ["check_sym_order", "polytabloid", "apply_kappa",
+           "standard_basis", "specht_dim", "specht_action",
+           "specht_character", "permutation_character", "sym_class_sizes",
+           "sym_character_table", "induce_young", "restrict_character",
+           "verify_branching", "submodule_theorem_check",
+           "kappa_multiple_check", "tabloid_adjacency_check",
+           "character_table_rows"]
 
 
-def _column_stabilizer(t: Tableau):
-    """Yield (images, sign) over the column stabilizer of t."""
-    n = t.n
-    per_col = [[dict(zip(col, arrangement))
-                for arrangement in itertools.permutations(col)]
+def check_sym_order(n: int) -> None:
+    """Check the group-order cap on n!; every Specht and tabloid entry
+    point calls it before it enumerates anything of Sym(n)."""
+    check_group_order(_group_id(n), math.factorial(n))
+
+
+def _mover(inverse):
+    """The map moving a tabloid key by the permutation whose inverse, on
+    0-based points, is given: key[inverse[y]] lands at y."""
+    if len(inverse) > 1:
+        return operator.itemgetter(*inverse)
+    return tuple  # Sym(0) and Sym(1) move nothing
+
+
+def _column_stabilizer(t: Tableau) -> list:
+    """The column stabilizer of t as (move, sign) pairs (see _mover),
+    built from the arrangements of each column, each signed once."""
+    per_col = [[(col, arr, sign_of(tuple(col.index(a) + 1 for a in arr)))
+                for arr in itertools.permutations(col)]
                for col in t.columns()]
+    out = []
     for combo in itertools.product(*per_col):
-        images = list(range(1, n + 1))
-        for mapping in combo:
-            for src, dst in mapping.items():
-                images[src - 1] = dst
-        images = tuple(images)
-        yield images, sign_of(images)
+        inverse = list(range(t.n))
+        sign = 1
+        for col, arr, s in combo:
+            sign *= s
+            for c, a in zip(col, arr):  # the element sends c to a
+                inverse[a - 1] = c - 1
+        out.append((_mover(inverse), sign))
+    return out
 
 
-def polytabloid(t: Tableau) -> dict:
-    """e_t as a map Tabloid -> +-1."""
-    return apply_kappa(t, {t.tabloid(): 1})
-
-
-def apply_kappa(t: Tableau, vec: dict) -> dict:
-    """Apply the signed column-stabilizer sum of t to a tabloid vector."""
+def apply_kappa(stabilizer: list, vec: dict) -> dict:
+    """Apply the signed column sum of a tableau, given as its
+    (move, sign) pairs, to a vector of tabloid keys."""
     out: dict = {}
-    for images, sign in _column_stabilizer(t):
-        for tab, c in vec.items():
-            moved = tab.apply(images)
+    for key, c in vec.items():
+        for move, sign in stabilizer:
+            moved = move(key)
             out[moved] = out.get(moved, 0) + sign * c
     return {k: v for k, v in out.items() if v}
 
 
-def apply_perm(sigma: Perm, vec: dict) -> dict:
-    out: dict = {}
-    for tab, c in vec.items():
-        moved = tab.apply(sigma.images)
-        out[moved] = out.get(moved, 0) + c
-    return {k: v for k, v in out.items() if v}
+def polytabloid(t: Tableau) -> dict:
+    """e_t as a map Tabloid -> +-1."""
+    head = t.tabloid().key
+    return {Tabloid(k): c for k, c in
+            apply_kappa(_column_stabilizer(t), {head: 1}).items()}
 
 
 @lru_cache(maxsize=None)
 def standard_basis(mu: tuple):
-    """(tabloids, index, standard tableaux, rows) where rows[i] are the
-    coordinates of the i-th standard polytabloid in the tabloid basis.
-    The rank must equal the number of standard tableaux."""
+    """(tabloids, index, standard tableaux, rows) where index maps each
+    tabloid key to its column and rows[i] are the coordinates of the i-th
+    standard polytabloid in the tabloid basis.
+
+    The standard tableaux come in ascending order of the sum of their
+    tabloids' m-counts, a linear extension of dominance.  The coordinates
+    at the standard tabloids then form a unitriangular matrix: row i has
+    1 at its own tabloid and 0 at every later one, which is checked and
+    proves the rows independent."""
+    check_sym_order(sum(mu))
     tabloids = all_tabloids(mu)
-    index = {tab: k for k, tab in enumerate(tabloids)}
-    std = standard_tableaux(mu)
+    index = {tab.key: k for k, tab in enumerate(tabloids)}
+    std = sorted(standard_tableaux(mu),
+                 key=lambda t: sum(tabloid_m_counts(t.tabloid())))
+    heads = [index[t.tabloid().key] for t in std]
     rows = []
-    for t in std:
+    for i, t in enumerate(std):
         coords = [0] * len(tabloids)
         for tab, c in polytabloid(t).items():
-            coords[index[tab]] = c
+            coords[index[tab.key]] = c
+        if coords[heads[i]] != 1 or any(coords[h] for h in heads[i + 1:]):
+            raise AssertionError(
+                f"standard polytabloids of {mu} are not unitriangular on "
+                f"the standard tabloids at {t}")
         rows.append(coords)
-    if rank_exact(rows) != len(std):
-        raise AssertionError(
-            f"standard polytabloids of {mu} are linearly dependent")
     return tabloids, index, std, rows
 
 
@@ -96,22 +123,40 @@ def specht_dim(mu: tuple) -> int:
 
 def specht_action(sigma: Perm, mu: tuple):
     """Matrix of sigma on the standard polytabloid basis: column j holds
-    the coordinates of sigma . e_{t_j}."""
-    tabloids, index, std, rows = standard_basis(mu)
-    d = len(std)
-    # solve basis^T x = sigma(e_t) for each standard t
-    a = [[rows[j][i] for j in range(d)] for i in range(len(tabloids))]
-    targets = []
-    for t in std:
-        coords = [0] * len(tabloids)
-        for tab, c in apply_perm(sigma, polytabloid(t)).items():
-            coords[index[tab]] = c
-        targets.append(coords)
-    sols = solve_columns(a, targets)
-    if any(s is None for s in sols):
-        raise AssertionError(
-            f"action of {sigma} does not preserve the span for {mu}")
-    return [[sols[j][i] for j in range(d)] for i in range(d)]
+    the coordinates of sigma . e_{t_j}.
+
+    The coordinates x of a vector v of S^mu solve v = sum_i x_i e_{t_i}
+    at the standard tabloids, a unitriangular system, by integer
+    back-substitution; the sum is then rebuilt on every tabloid and
+    compared with v, which checks that v lies in the span."""
+    _, index, std, rows = standard_basis(mu)
+    heads = [t.tabloid().key for t in std]
+    keys = list(index)
+    basis = [dict(zip(itertools.compress(keys, row), filter(None, row)))
+             for row in rows]
+    # below[i]: (k, coordinate of e_{t_i} at the k-th standard tabloid)
+    # for the nonzero ones with k < i
+    below = [[(k, e[h]) for k, h in enumerate(heads[:i]) if h in e]
+             for i, e in enumerate(basis)]
+    move = _mover([y - 1 for y in sigma.inv().images])
+    columns = []
+    for e in basis:
+        image = {move(key): c for key, c in e.items()}
+        x = [image.get(h, 0) for h in heads]
+        for i in reversed(range(len(x))):
+            if x[i]:
+                for k, c in below[i]:
+                    x[k] -= x[i] * c
+        span: dict = {}
+        for xi, e_i in zip(x, basis):
+            if xi:
+                for key, c in e_i.items():
+                    span[key] = span.get(key, 0) + xi * c
+        if {k: v for k, v in span.items() if v} != image:
+            raise AssertionError(
+                f"action of {sigma} does not preserve the span for {mu}")
+        columns.append(x)
+    return [list(row) for row in zip(*columns)]
 
 
 def sym_class_sizes(n: int) -> dict:
@@ -139,6 +184,7 @@ def specht_character(mu: tuple) -> ClassFunction:
 def permutation_character(mu: tuple) -> ClassFunction:
     """Character of the tabloid permutation module: fixed-tabloid counts."""
     n = sum(mu)
+    check_sym_order(n)
     tabloids = all_tabloids(mu)
     values = {}
     for lam in partitions(n):
@@ -223,18 +269,20 @@ def gram_matrix(mu: tuple):
 def kappa_multiple_check(mu: tuple) -> bool:
     """For every tableau t of shape mu and every tabloid basis vector u,
     the signed column sum of t applied to u is a scalar multiple of e_t."""
-    tabloids, index, std, _ = standard_basis(mu)
-    from .combinat import all_tableaux
+    check_sym_order(sum(mu))
+    keys = [tab.key for tab in all_tabloids(mu)]
     for t in all_tableaux(mu):
-        e = polytabloid(t)
-        for u in tabloids:
-            image = apply_kappa(t, {u: 1})
+        stabilizer = _column_stabilizer(t)
+        e = apply_kappa(stabilizer, {t.tabloid().key: 1})
+        k0, e0 = next(iter(e.items()))
+        for u in keys:
+            image = apply_kappa(stabilizer, {u: 1})
             if not image:
                 continue
-            if set(image) != set(e):
-                return False
-            ratios = {Fraction(image[k], e[k]) for k in e}
-            if len(ratios) != 1:
+            # image = c e_t iff image * e_t[k0] = image[k0] * e_t
+            if image.keys() != e.keys() or (
+                    {k: v * e0 for k, v in image.items()}
+                    != {k: image[k0] * c for k, c in e.items()}):
                 return False
     return True
 
@@ -243,24 +291,28 @@ def tabloid_adjacency_check(mu: tuple) -> bool:
     """For every tableau t of shape mu in which x-1 sits in a strictly
     lower row than x, no tabloid of shape mu lies strictly between the
     tabloid of t and the tabloid of t with x-1 and x swapped, in the
-    m-count dominance order."""
-    from .combinat import all_tableaux, tabloid_lt
+    m-count dominance order.  Each tabloid's m-count vector is computed
+    once."""
     n = sum(mu)
-    tabloids = all_tabloids(mu)
+    check_sym_order(n)
+    counts = {tab.key: tabloid_m_counts(tab) for tab in all_tabloids(mu)}
+
+    def below(a, b):
+        return a != b and all(map(operator.le, a, b))
+
     for t in all_tableaux(mu):
-        row = t.row_of()
-        for x in range(2, n + 1):
-            if row[x - 1] <= row[x]:
+        key = t.tabloid().key
+        lower = counts[key]
+        for x in range(1, n):
+            # 0-based points x-1 and x are the entries x and x+1
+            if key[x - 1] <= key[x]:
                 continue
-            swap = list(range(1, n + 1))
-            swap[x - 2], swap[x - 1] = x, x - 1
-            lower = t.tabloid()
-            upper = t.tabloid().apply(swap)
-            if not tabloid_lt(lower, upper):
+            upper = counts[key[:x - 1] + (key[x], key[x - 1]) + key[x + 1:]]
+            if not below(lower, upper):
                 return False
-            for mid in tabloids:
-                if tabloid_lt(lower, mid) and tabloid_lt(mid, upper):
-                    return False
+            if any(below(lower, mid) and below(mid, upper)
+                   for mid in counts.values()):
+                return False
     return True
 
 
@@ -285,6 +337,6 @@ def sym_character_table(n: int):
 def character_table_rows(n: int):
     """(row labels, column labels, integer matrix).  Checks the
     group-order cap on n! before any Specht work."""
-    check_group_order(f"Sym({n})", math.factorial(n))
+    check_sym_order(n)
     parts = partitions(n)
     return parts, parts, sym_character_table(n)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -55,6 +56,21 @@ def test_group_order_cap(group, cap):
     rc, _, err = run_cli("chartable", group, env=env)
     assert rc == 3, err
     assert "exceeds the group-order bound" in err
+
+
+@pytest.mark.parametrize("args", [("verify", "branching", "--n", "9"),
+                                  ("verify", "mezzadri", "--n", "9"),
+                                  ("compute", "w-x", "--lambda", "(5,4)")])
+def test_sym_order_cap_comes_before_any_work(args):
+    # 9! is above the default cap; each command must stop on it at once
+    env = {k: v for k, v in os.environ.items()
+           if k != "PSHLAB_MAX_GROUP_ORDER"}
+    start = time.monotonic()
+    rc, _, err = run_cli(*args, env=env)
+    elapsed = time.monotonic() - start
+    assert rc == 3, err
+    assert "exceeds the group-order bound" in err
+    assert elapsed < 2.0, elapsed
 
 
 # result digests that a change to how values are computed must keep; the

@@ -1,8 +1,18 @@
 import itertools
+import json
 import math
-from fractions import Fraction
+import os
+import pathlib
+import subprocess
+import sys
+from functools import lru_cache
 
-from pshlab.combinat import Tableau, conjugate, partitions, standard_tableaux
+import pytest
+
+import pshlab
+from pshlab import specht
+from pshlab.combinat import (Tableau, Tabloid, all_tableaux, conjugate,
+                             partitions, standard_tableaux)
 from pshlab.groups import FiniteGroupTable
 from pshlab.linalg import rank_exact
 from pshlab.specht import (induce_young, kappa_multiple_check,
@@ -146,3 +156,149 @@ def test_induce_young_matches_table_induction():
                         ctype = G.elements[members[0]].cycle_type()
                         assert by_formula.values[ctype] \
                             == by_table.values[label], (lam, mu, ctype)
+
+
+@lru_cache(maxsize=None)
+def rim_hook_character(lam, rho):
+    """Murnaghan-Nakayama: chi^lam at cycle type rho, removing a rim hook
+    of length rho[0] and recursing on the rest of rho.  On beta-numbers
+    (lam_i + k - i for k parts) a rim hook of length r moves one bead b
+    down to a free b - r, with sign -1 per bead jumped."""
+    if not rho:
+        return 1
+    r, k = rho[0], len(lam)
+    beta = [p + k - 1 - i for i, p in enumerate(lam)]
+    total = 0
+    for b in beta:
+        if b - r < 0 or b - r in beta:
+            continue
+        jumped = sum(1 for c in beta if b - r < c < b)
+        moved = sorted([c for c in beta if c != b] + [b - r], reverse=True)
+        mu = tuple(c - (k - 1 - i) for i, c in enumerate(moved))
+        total += (-1) ** jumped * rim_hook_character(
+            tuple(p for p in mu if p), rho[1:])
+    return total
+
+
+def test_specht_characters_match_murnaghan_nakayama():
+    assert rim_hook_character((2, 1), (3,)) == -1
+    assert rim_hook_character((3, 1, 1), (5,)) == 1
+    for n in range(1, 8):
+        for mu in partitions(n):
+            chi = specht_character(mu)
+            for rho in partitions(n):
+                assert chi.values[rho] == rim_hook_character(mu, rho), \
+                    (mu, rho)
+
+
+def sorted_rows(rows):
+    return tuple(tuple(sorted(r)) for r in rows)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 1), (3, 1, 1)])
+def test_tabloid_apply_matches_sorted_rows(shape):
+    # reference: relabel every row, then sort it
+    fillings = {sorted_rows(t.rows) for t in all_tableaux(shape)}
+    for rows in fillings:
+        tab = Tableau(rows).tabloid()
+        assert tab.rows == rows and tab.shape == shape
+        for images in itertools.permutations(range(1, 6)):
+            moved = sorted_rows([[images[x - 1] for x in r] for r in rows])
+            assert tab.apply(images).rows == moved
+            assert tab.apply(images) == Tableau(moved).tabloid()
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 1), (3, 1, 1)])
+def test_tabloids_of_permuted_rows_are_equal(shape):
+    by_rows = {}
+    for t in all_tableaux(shape):
+        by_rows.setdefault(sorted_rows(t.rows), []).append(t.tabloid())
+    assert len(by_rows) == math.factorial(5) // math.prod(
+        math.factorial(p) for p in shape)
+    heads = set()
+    for tabs in by_rows.values():
+        assert all(tab == tabs[0] for tab in tabs)
+        assert len({hash(tab) for tab in tabs}) == 1
+        heads.add(tabs[0])
+    assert len(heads) == len(by_rows)
+    with pytest.raises(ValueError):
+        Tabloid((1, 1, 0))
+
+
+def planted_defect_outcomes():
+    """Plant one defect at a time in the Specht kernel and report what
+    the kernel does: "raised" if it raised AssertionError, else what the
+    check returned.  Runs in and out of pytest (see the -O test)."""
+    out = {}
+    real_polytabloid = specht.polytabloid
+    top = Tableau(((1, 2), (3,))).tabloid()
+
+    def lifted_polytabloid(t):
+        # one more unit on the dominance-top standard tabloid of (2,1)
+        e = dict(real_polytabloid(t))
+        e[top] = e.get(top, 0) + 1
+        return e
+
+    real_basis = specht.standard_basis
+
+    def skewed_basis(mu):
+        # e_{[[1,3],[2]]} loses its -{23|1}; {23|1} is not a standard
+        # tabloid, so only the span check can see it
+        tabloids, index, std, rows = real_basis(mu)
+        rows = [list(r) for r in rows]
+        rows[0][index[Tableau(((2, 3), (1,))).tabloid().key]] = 0
+        return tabloids, index, std, rows
+
+    real_stabilizer = specht._column_stabilizer
+
+    def flipped_stabilizer(t):
+        pairs = real_stabilizer(t)
+        move, sign = pairs[-1]
+        return pairs[:-1] + [(move, -sign)]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specht, "polytabloid", lifted_polytabloid)
+        specht.standard_basis.cache_clear()
+        try:
+            specht.standard_basis((2, 1))
+            out["unitriangular"] = "passed"
+        except AssertionError:
+            out["unitriangular"] = "raised"
+        finally:
+            specht.standard_basis.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specht, "standard_basis", skewed_basis)
+        try:
+            specht.specht_action(Perm((2, 1, 3)), (2, 1))
+            out["span"] = "passed"
+        except AssertionError:
+            out["span"] = "raised"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specht, "_column_stabilizer", flipped_stabilizer)
+        out["kappa_multiple"] = specht.kappa_multiple_check((2, 1))
+    return out
+
+
+PLANTED = {"unitriangular": "raised", "span": "raised",
+           "kappa_multiple": False}
+
+
+def test_planted_defects_fail():
+    assert planted_defect_outcomes() == PLANTED
+    # the same calls pass on the real kernel
+    assert specht.standard_basis((2, 1))[2]
+    assert specht.specht_action(Perm((2, 1, 3)), (2, 1))
+    assert specht.kappa_multiple_check((2, 1))
+
+
+def test_planted_defects_fail_under_optimize():
+    here = pathlib.Path(__file__).resolve().parent
+    src = pathlib.Path(pshlab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(here), str(src), os.environ.get("PYTHONPATH", "")]))
+    code = ("import json, sys, test_specht; print(json.dumps("
+            "[sys.flags.optimize, test_specht.planted_defect_outcomes()]))")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [1, PLANTED]
