@@ -1,12 +1,19 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_N), and the one
 definition of how an exact scalar behaves.
 
-A Cyclo is stored as a polynomial in zeta_N reduced modulo the N-th
-cyclotomic polynomial, with Fraction coefficients.  This canonical form
-makes equality over a common conductor a structural comparison; values at
-different conductors are compared after lifting to the lcm.  A rational
-value is (r, 0, ..., 0) at every conductor, so it compares and hashes
-like the int or Fraction r.
+A Cyclo at conductor n is stored as a tuple num of phi(n) integer
+numerators and one integer denominator den > 0 with gcd(den, num) = 1:
+its value is sum_k (num[k] / den) * zeta_n^k, a polynomial in zeta_n
+reduced modulo the n-th cyclotomic polynomial Phi_n.  Phi_n is monic with
+integer coefficients, so reduction, lifting to a multiple conductor,
+Galois conjugation and + - * all stay in ints, and only the denominator
+is shared.  This form is canonical, so equality over a common conductor
+compares (num, den) structurally; values at different conductors are
+compared after lifting to the lcm.  The inverse is the product of the
+other Galois conjugates over the rational norm.  A rational value is
+(r, 0, ..., 0) at every conductor, so it compares and hashes like the int
+or Fraction r.  The Fraction coefficients (coeffs) are derived on demand
+for display, JSON and subfield detection.
 
 An exact scalar is an int, a Fraction or a Cyclo.  scalar() gives its
 normal form: an int when the value is an integer, a Fraction when it is
@@ -60,52 +67,95 @@ def euler_phi(n: int) -> int:
     return len(cyclotomic_poly(n)) - 1
 
 
-def _reduce_mod_phi(n, dense):
-    """Reduce Fraction coefficients (ascending powers of zeta_n) mod Phi_n."""
+@lru_cache(maxsize=None)
+def _phi_tail(n: int):
+    """phi(n) and the nonzero lower terms (j, c) of Phi_n = x^phi + ..."""
     phi = cyclotomic_poly(n)
     deg = len(phi) - 1
+    return deg, tuple((j, c) for j, c in enumerate(phi[:deg]) if c)
+
+
+def _reduce(n, dense):
+    """Reduce int coefficients (ascending powers of zeta_n) mod Phi_n;
+    the list dense is reused."""
+    deg, tail = _phi_tail(n)
     # first fold zeta^n = 1
     if len(dense) > n:
-        folded = [Fraction(0)] * n
-        for k, c in enumerate(dense):
-            folded[k % n] += c
+        folded = dense[:n]
+        for k in range(n, len(dense)):
+            folded[k % n] += dense[k]
         dense = folded
-    dense = list(dense) + [Fraction(0)] * max(0, deg - len(dense))
     for i in range(len(dense) - 1, deg - 1, -1):
         c = dense[i]
         if c:
-            for j in range(deg + 1):
-                dense[i - deg + j] -= c * phi[j]
-    return tuple(dense[:deg])
+            base = i - deg
+            for j, p in tail:
+                dense[base + j] -= c * p
+    if len(dense) < deg:
+        dense += [0] * (deg - len(dense))
+    else:
+        del dense[deg:]
+    return dense
+
+
+def _make(n, num, den=1):
+    """The Cyclo (sum_k num[k] zeta_n^k) / den, from numerators already
+    reduced mod Phi_n and den > 0."""
+    x = _new(Cyclo)
+    _fill(x, n, num, den)
+    return x
+
+
+def _fill(x, n, num, den):
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    _set_n(x, n)
+    _set_num(x, tuple(num))
+    _set_den(x, den)
 
 
 class Cyclo:
     """An element of Q(zeta_n) in canonical reduced form."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, coeffs):
+        """The value sum_k coeffs[k] zeta_n^k; coefficients are ints or
+        anything Fraction accepts."""
         if n < 1:
             raise ValueError("conductor must be >= 1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs",
-                           _reduce_mod_phi(n, [Fraction(c) for c in coeffs]))
+        coeffs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        _fill(self, n, _reduce(n, num), den)
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclo values are immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def rational(q) -> "Cyclo":
-        return Cyclo(1, [Fraction(q)])
+        if type(q) is not int:
+            q = Fraction(q)
+        return _make(1, (q.numerator,), q.denominator)
 
     @staticmethod
     def from_terms(n: int, terms: dict) -> "Cyclo":
         """Build sum_{k} terms[k] * zeta_n^k."""
-        dense = [Fraction(0)] * n
+        dense = [0] * n
         for k, c in terms.items():
-            dense[k % n] += Fraction(c)
+            dense[k % n] += c if isinstance(c, int) else Fraction(c)
+        if all(type(c) is int for c in dense):
+            return _make(n, _reduce(n, dense))
         return Cyclo(n, dense)
 
     # -- conductor handling -------------------------------------------
@@ -117,10 +167,10 @@ class Cyclo:
         if m == self.n:
             return self
         step = m // self.n
-        dense = [Fraction(0)] * m
-        for k, c in enumerate(self.coeffs):
-            dense[(k * step) % m] += c
-        return Cyclo(m, dense)
+        dense = [0] * m
+        for k, c in enumerate(self.num):
+            dense[k * step] = c
+        return _make(m, _reduce(m, dense), self.den)
 
     def try_conductor(self, d: int) -> "Cyclo | None":
         """Rewrite at conductor d | n if the value lies in Q(zeta_d)."""
@@ -153,34 +203,51 @@ class Cyclo:
     def _pair(self, other):
         if not isinstance(other, Cyclo):
             other = Cyclo.rational(other)
+        if self.n == other.n:
+            return self, other
         m = math.lcm(self.n, other.n)
         return self.lift(m), other.lift(m)
 
     def __add__(self, other):
+        if type(other) is int:
+            num = list(self.num)
+            num[0] += other * self.den
+            return _make(self.n, num, self.den)
         a, b = self._pair(other)
-        return Cyclo(a.n, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        da, db = a.den, b.den
+        if da == db:
+            return _make(a.n, [x + y for x, y in zip(a.num, b.num)], da)
+        return _make(a.n, [x * db + y * da for x, y in zip(a.num, b.num)],
+                     da * db)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         a, b = self._pair(other)
-        return Cyclo(a.n, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        da, db = a.den, b.den
+        if da == db:
+            return _make(a.n, [x - y for x, y in zip(a.num, b.num)], da)
+        return _make(a.n, [x * db - y * da for x, y in zip(a.num, b.num)],
+                     da * db)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Cyclo(self.n, [-c for c in self.coeffs])
+        return _make(self.n, [-c for c in self.num], self.den)
 
     def __mul__(self, other):
+        if type(other) is int:
+            return _make(self.n, [c * other for c in self.num], self.den)
         a, b = self._pair(other)
-        out = [Fraction(0)] * (2 * len(a.coeffs))
-        for i, x in enumerate(a.coeffs):
+        an = a.num
+        bn = [(j, y) for j, y in enumerate(b.num) if y]
+        out = [0] * (2 * len(an) - 1)
+        for i, x in enumerate(an):
             if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        out[i + j] += x * y
-        return Cyclo(a.n, out)
+                for j, y in bn:
+                    out[i + j] += x * y
+        return _make(a.n, _reduce(a.n, out), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -205,30 +272,38 @@ class Cyclo:
         return acc
 
     def inv(self) -> "Cyclo":
+        """1/x = prod_{j != 1} sigma_j(x) / N(x), with the norm
+        N(x) = x prod_{j != 1} sigma_j(x) over j in (Z/n)^x."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        from .linalg import solve_exact
-        deg = len(self.coeffs)
-        cols = []
-        for j in range(deg):
-            col = (self * Cyclo.from_terms(self.n, {j: 1})).coeffs
-            cols.append(col)
-        a = [[cols[j][i] for j in range(deg)] for i in range(deg)]
-        b = [Fraction(1)] + [Fraction(0)] * (deg - 1)
-        x = solve_exact(a, b)
-        if x is None:
-            raise AssertionError(
-                f"{self!r} has no inverse in Q(zeta_{self.n})")
-        return Cyclo(self.n, x)
+        n = self.n
+        if self.is_rational():
+            top, bottom = [self.den] + [0] * (len(self.num) - 1), self.num[0]
+        else:
+            rest = None
+            for j in range(2, n):
+                if math.gcd(j, n) == 1:
+                    s = self.galois(j)
+                    rest = s if rest is None else rest * s
+            norm = self * rest
+            if not norm.is_rational():
+                raise AssertionError(
+                    f"{self!r} has no inverse in Q(zeta_{n})")
+            r = norm.num[0]
+            top, bottom = [c * norm.den for c in rest.num], rest.den * r
+        if bottom < 0:
+            top, bottom = [-c for c in top], -bottom
+        return _make(n, top, bottom)
 
     def galois(self, j: int) -> "Cyclo":
         """Apply zeta_n -> zeta_n^j (requires gcd(j, n) = 1)."""
-        if math.gcd(j, self.n) != 1:
+        n = self.n
+        if math.gcd(j, n) != 1:
             raise ValueError("not a Galois automorphism")
-        dense = [Fraction(0)] * self.n
-        for k, c in enumerate(self.coeffs):
-            dense[(k * j) % self.n] += c
-        return Cyclo(self.n, dense)
+        dense = [0] * n
+        for k, c in enumerate(self.num):
+            dense[(k * j) % n] = c
+        return _make(n, _reduce(n, dense), self.den)
 
     def conj(self) -> "Cyclo":
         """Complex conjugation zeta_n -> zeta_n^{-1}."""
@@ -239,15 +314,15 @@ class Cyclo:
     # -- predicates / conversion ---------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.coeffs[0]
 
     def to_complex(self) -> tuple[float, float]:
         """Decimal approximation (re, im), |error| < 1e-12 at desk scale."""
@@ -261,16 +336,21 @@ class Cyclo:
         return (re, im)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+        if isinstance(other, int):
+            return (self.den == 1 and self.num[0] == other
+                    and self.is_rational())
+        if isinstance(other, Fraction):
+            return (self.den == other.denominator
+                    and self.num[0] == other.numerator
+                    and self.is_rational())
         if not isinstance(other, Cyclo):
             return NotImplemented
         a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.coeffs[0])
+            return hash(Fraction(self.num[0], self.den))
         r = self.reduced()
         return hash((r.n, r.coeffs))
 
@@ -296,6 +376,12 @@ class Cyclo:
         return Cyclo(obj["conductor"],
                      [Fraction(int(num), int(den))
                       for num, den in obj["coeffs"]])
+
+
+_new = object.__new__
+_set_n = Cyclo.n.__set__
+_set_num = Cyclo.num.__set__
+_set_den = Cyclo.den.__set__
 
 
 def _divisors(n):
@@ -327,7 +413,7 @@ def scalar(v):
     if isinstance(v, Cyclo):
         if not v.is_rational():
             return v
-        v = v.coeffs[0]
+        return v.num[0] if v.den == 1 else Fraction(v.num[0], v.den)
     return v.numerator if v.denominator == 1 else v
 
 

@@ -339,19 +339,31 @@ def apply_triple(t: HeckeTriple, vec: dict) -> dict:
     double-coset operator: a psi-weighted sum over K / (K meet g^-1 H g),
     which collapses to the single term above when the triple is valid and
     recovers the classical Hecke operator for (B, w, B)."""
+    return _apply(t, _operator(t), vec)
+
+
+def _operator(t: HeckeTriple):
+    """What apply_triple needs of the triple alone: g^-1, and the pairs
+    (x, psi(x)^-1) over the least representatives x of the left cosets of
+    K meet g^-1 H g inside K, ascending."""
     amb = t.amb
-    ginv = amb.inv(t.g)
-    # least representatives of the left cosets of the meet inside K
     least = amb.least_double_coset_reps((amb.identity_idx,),
                                         _meet(t.source, t.g, t.target))
     coset_reps = sorted({least[x] for x in t.source.indices})
+    return amb.inv(t.g), [(x, inverse(t.source.chi[x])) for x in coset_reps]
+
+
+def _apply(t: HeckeTriple, op, vec: dict) -> dict:
+    """apply_triple(t, vec) with op = _operator(t)."""
+    amb = t.amb
+    ginv, pairs = op
     out: dict = {}
     for rep, c in vec.items():
-        for x in coset_reps:
+        for x, psi_inv in pairs:
             y = amb.mul(amb.mul(rep, x), ginv)
             rep2, twist = _reduce(t.target, y)
             prev = out.get(rep2, 0)
-            out[rep2] = prev + c * inverse(t.source.chi[x]) * twist
+            out[rep2] = prev + c * psi_inv * twist
     return {k: v for k, v in out.items() if v != 0}
 
 
@@ -616,16 +628,19 @@ def verify_apply_faithful(G: FiniteGroupTable, sample=None) -> dict:
     triples = _sampled_triples(G, sample)
     cases = 0
     failures = []
-    for t1 in triples:
-        for t2 in triples:
+    # each operator is built once per triple, not once per basis vector
+    ops = [_operator(t) for t in triples]
+    for t1, op1 in zip(triples, ops):
+        for t2, op2 in zip(triples, ops):
             if t2.target != t1.source:
                 continue
             prod = hecke_product(t1, t2)
             (t3, c3), = prod.terms.items()
+            op3 = _operator(t3)
             for rep in module_basis(t2.source):
                 vec = {rep: 1}
-                composed = apply_triple(t1, apply_triple(t2, vec))
-                direct = apply_triple(t3, vec)
+                composed = _apply(t1, op1, _apply(t2, op2, vec))
+                direct = _apply(t3, op3, vec)
                 scaled = {k: c3 * v for k, v in direct.items()}
                 cases += 1
                 if composed != scaled:

@@ -213,8 +213,9 @@ def test_criterion_7_lemmas_exhaustive():
     for n in range(1, 6):
         for lam in partitions(n):
             for mu in partitions(n):
+                mu_tableaux = all_tableaux(mu)
                 for t1 in all_tableaux(lam):
-                    for t2 in all_tableaux(mu):
+                    for t2 in mu_tableaux:
                         if combinatorial_lemma_check(t1, t2):
                             assert dominates(lam, mu)
     for n in range(1, 6):

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -166,3 +167,190 @@ def test_division():
     assert (z / z) == 1
     with pytest.raises(ZeroDivisionError):
         Cyclo.rational(0).inv()
+
+
+# -- property tests against the Fraction arithmetic of the earlier design --
+#
+# The oracle below is the Fraction reducer Cyclo used before it stored
+# integer numerators over one denominator, with +, *, lift, galois, repr
+# and the solve_exact inverse written on top of it.  It shares no
+# arithmetic with the module under test.
+
+CONDUCTORS = (1, 4, 5, 12, 24, 120)
+
+
+def oracle_reduce(n, dense):
+    """Reduce Fraction coefficients (ascending powers of zeta_n) mod Phi_n."""
+    phi = cyclotomic_poly(n)
+    deg = len(phi) - 1
+    # first fold zeta^n = 1
+    if len(dense) > n:
+        folded = [Fraction(0)] * n
+        for k, c in enumerate(dense):
+            folded[k % n] += c
+        dense = folded
+    dense = list(dense) + [Fraction(0)] * max(0, deg - len(dense))
+    for i in range(len(dense) - 1, deg - 1, -1):
+        c = dense[i]
+        if c:
+            for j in range(deg + 1):
+                dense[i - deg + j] -= c * phi[j]
+    return tuple(dense[:deg])
+
+
+def oracle(n, coeffs):
+    return oracle_reduce(n, [Fraction(c) for c in coeffs])
+
+
+def oracle_lift(n, coeffs, m):
+    dense = [Fraction(0)] * m
+    for k, c in enumerate(coeffs):
+        dense[(k * (m // n)) % m] += c
+    return oracle_reduce(m, dense)
+
+
+def oracle_galois(n, coeffs, j):
+    dense = [Fraction(0)] * n
+    for k, c in enumerate(coeffs):
+        dense[(k * j) % n] += c
+    return oracle_reduce(n, dense)
+
+
+def oracle_mul(n, a, b):
+    out = [Fraction(0)] * (2 * len(a))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return oracle_reduce(n, out)
+
+
+def oracle_repr(n, coeffs):
+    if not any(coeffs[1:]):
+        return f"Cyclo({coeffs[0]})"
+    terms = [f"{c}*z{n}^{k}" for k, c in enumerate(coeffs) if c]
+    return "Cyclo(" + " + ".join(terms) + ")"
+
+
+def oracle_inverse(n, coeffs):
+    """The inverse by one exact solve of x * y = 1, as Cyclo.inv did."""
+    from pshlab.linalg import solve_exact
+    deg = len(coeffs)
+    units = [[Fraction(int(k == j)) for k in range(deg)]
+             for j in range(deg)]
+    cols = [oracle_mul(n, coeffs, u) for u in units]
+    a = [[cols[j][i] for j in range(deg)] for i in range(deg)]
+    return tuple(solve_exact(a, [Fraction(1)] + [Fraction(0)] * (deg - 1)))
+
+
+small = st.one_of(st.integers(-3, 3),
+                  st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
+
+
+@st.composite
+def elements(draw, conductors=CONDUCTORS):
+    """(n, raw coefficients); lists longer than phi(n), and for small n
+    longer than n, exercise the reduction and the zeta^n = 1 fold."""
+    n = draw(st.sampled_from(conductors))
+    size = draw(st.integers(0, min(n + 2, 40)))
+    return n, draw(st.lists(small, min_size=size, max_size=size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements())
+def test_construction_and_repr_match_oracle(el):
+    n, raw = el
+    x = Cyclo(n, raw)
+    expected = oracle(n, raw)
+    assert x.n == n and x.coeffs == expected
+    assert repr(x) == oracle_repr(n, expected)
+    assert Cyclo.from_terms(n, dict(enumerate(raw))).coeffs == expected
+    assert all(type(c) is int for c in x.num) and x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements(), elements())
+def test_ring_operations_match_oracle(ea, eb):
+    (na, ra), (nb, rb) = ea, eb
+    x, y = Cyclo(na, ra), Cyclo(nb, rb)
+    m = math.lcm(na, nb)
+    a = oracle_lift(na, oracle(na, ra), m)
+    b = oracle_lift(nb, oracle(nb, rb), m)
+    for got, want in ((x + y, [p + q for p, q in zip(a, b)]),
+                      (x - y, [p - q for p, q in zip(a, b)]),
+                      (x * y, oracle_mul(m, a, b))):
+        assert got.n == m and got.coeffs == tuple(want)
+        assert repr(got) == oracle_repr(m, tuple(want))
+    assert (-x).coeffs == tuple(-c for c in oracle(na, ra))
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements(), st.data())
+def test_galois_and_lift_match_oracle(el, data):
+    n, raw = el
+    x = Cyclo(n, raw)
+    a = oracle(n, raw)
+    j = data.draw(st.sampled_from(
+        [j for j in range(1, n + 1) if math.gcd(j, n) == 1]))
+    assert x.galois(j).coeffs == oracle_galois(n, a, j)
+    assert x.conj().coeffs == oracle_galois(n, a, n - 1)
+    m = data.draw(st.sampled_from([m for m in CONDUCTORS if m % n == 0]))
+    assert x.lift(m).n == m and x.lift(m).coeffs == oracle_lift(n, a, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(elements())
+def test_inverse_matches_the_solve_exact_inverse(el):
+    n, raw = el
+    x = Cyclo(n, raw)
+    if x.is_zero():
+        return
+    y = x.inv()
+    assert x * y == 1
+    assert y.n == n and y.coeffs == oracle_inverse(n, oracle(n, raw))
+
+
+@st.composite
+def equal_pairs(draw):
+    """One value written at two conductors, both multiples of the
+    conductor it was drawn at."""
+    d, raw = draw(elements())
+    over = [m for m in CONDUCTORS if m % d == 0]
+    v = Cyclo(d, raw)
+    return v.lift(draw(st.sampled_from(over))), \
+        v.lift(draw(st.sampled_from(over)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(equal_pairs(), elements())
+def test_equal_values_hash_and_serialise_equal(pair, other):
+    a, b = pair
+    c = Cyclo(*other)
+    assert a == b
+    for u, v in ((a, b), (a, c), (b, c)):
+        if u == v:
+            assert hash(u) == hash(v)
+            assert u.to_json() == v.to_json()
+    if a.is_rational():
+        assert hash(a) == hash(a.rational_value())
+
+
+def test_inverse_rejects_a_wrong_conjugate(monkeypatch):
+    # a galois that returns x itself makes the "norm" x^phi(n), which is
+    # not rational for 2 + zeta_5
+    monkeypatch.setattr(Cyclo, "galois", lambda self, j: self)
+    with pytest.raises(AssertionError, match="has no inverse"):
+        (2 + zeta(5)).inv()
+
+
+def test_inverse_check_survives_optimize():
+    code = ("from pshlab.cyclo import Cyclo, zeta\n"
+            "Cyclo.galois = lambda self, j: self\n"
+            "try:\n"
+            "    (2 + zeta(5)).inv()\n"
+            "except AssertionError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
