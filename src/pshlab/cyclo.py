@@ -13,7 +13,9 @@ compared after lifting to the lcm.  The inverse is the product of the
 other Galois conjugates over the rational norm.  A rational value is
 (r, 0, ..., 0) at every conductor, so it compares and hashes like the int
 or Fraction r.  The Fraction coefficients (coeffs) are derived on demand
-for display, JSON and subfield detection.
+for display and JSON.  hash and to_json write a value at its minimal
+conductor, found one prime at a time by integer traces to subfields
+(reduced).
 
 An exact scalar is an int, a Fraction or a Cyclo.  scalar() gives its
 normal form: an int when the value is an integer, a Fraction when it is
@@ -60,11 +62,6 @@ def _polydiv_exact(num, den):
     if any(num[:dd]):
         raise AssertionError("inexact polynomial division")
     return out
-
-
-@lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    return len(cyclotomic_poly(n)) - 1
 
 
 @lru_cache(maxsize=None)
@@ -172,31 +169,37 @@ class Cyclo:
             dense[k * step] = c
         return _make(m, _reduce(m, dense), self.den)
 
-    def try_conductor(self, d: int) -> "Cyclo | None":
-        """Rewrite at conductor d | n if the value lies in Q(zeta_d)."""
-        if self.n % d:
-            raise ValueError(f"{d} does not divide {self.n}")
-        if d == self.n:
-            return self
-        from .linalg import solve_exact
-        basis = [Cyclo.from_terms(d, {k: 1}).lift(self.n).coeffs
-                 for k in range(euler_phi(d))]
-        cols = len(basis)
-        rows = euler_phi(self.n)
-        a = [[basis[j][i] for j in range(cols)] for i in range(rows)]
-        b = list(self.coeffs)
-        x = solve_exact(a, b)
-        if x is None:
-            return None
-        return Cyclo(d, x)
-
     def reduced(self) -> "Cyclo":
-        """Canonical minimal-conductor form."""
-        for d in sorted(_divisors(self.n)):
-            r = self.try_conductor(d)
-            if r is not None:
-                return r
-        return self
+        """Canonical minimal-conductor form.
+
+        One prime p | n at a time, the value moves from Q(zeta_m) down to
+        Q(zeta_{m/p}) while its trace over that extension, divided by the
+        degree, lifts back to the value.  Q(zeta_a) and Q(zeta_b) meet in
+        Q(zeta_gcd(a, b)), so the conductors holding the value are closed
+        under gcd and this greedy descent ends at the least of them."""
+        x = self
+        for p in _prime_divisors(self.n):
+            while x.n % p == 0:
+                y = x._trace_down(p)
+                if y.lift(x.n) != x:
+                    break
+                x = y
+        return x
+
+    def _trace_down(self, p: int) -> "Cyclo":
+        """The trace from Q(zeta_n) to Q(zeta_{n/p}) over its degree, for
+        a prime p | n."""
+        m = self.n // p
+        if m % p == 0:
+            # zeta_n^k has trace 0 unless p | k, when it is zeta_m^(k/p)
+            return _make(m, self.num[::p], self.den)
+        # zeta_n^k = zeta_p^a zeta_m^(k/p mod m), with p | a iff p | k
+        inv = pow(p, -1, m)
+        dense = [0] * m
+        for k, c in enumerate(self.num):
+            if c:
+                dense[k * inv % m] += c * (p - 1) if k % p == 0 else -c
+        return _make(m, _reduce(m, dense), self.den * (p - 1))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -325,8 +328,7 @@ class Cyclo:
         return self.coeffs[0]
 
     def to_complex(self) -> tuple[float, float]:
-        """Decimal approximation (re, im), |error| < 1e-12 at desk scale."""
-        # 50 guard bits of extra precision via integer-scaled trig
+        """Float approximation (re, im), |error| < 1e-12 at desk scale."""
         re = im = 0.0
         for k, c in enumerate(self.coeffs):
             if c:
@@ -384,14 +386,9 @@ _set_num = Cyclo.num.__set__
 _set_den = Cyclo.den.__set__
 
 
-def _divisors(n):
-    out = []
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return out
+@lru_cache(maxsize=None)
+def _prime_divisors(n):
+    return tuple(p for p in range(2, n + 1) if n % p == 0 and is_prime(p))
 
 
 def is_prime(n: int) -> bool:

@@ -98,9 +98,6 @@ class SubgroupChar:
                 if self.chi[z] != self.chi[x] * self.chi[y]:
                     raise TripleError("character is not a homomorphism")
 
-    def value(self, idx: int):
-        return self.chi[idx]
-
     def _key(self):
         """Sort key for serialization; not a hash, because the text of a
         value depends on its conductor."""
@@ -261,9 +258,6 @@ class HeckeElement:
     def __add__(self, other):
         return HeckeElement(list(self.terms.items())
                             + list(other.terms.items()))
-
-    def scale(self, c) -> "HeckeElement":
-        return HeckeElement([(t, c * v) for t, v in self.terms.items()])
 
     def is_zero(self) -> bool:
         return not self.terms

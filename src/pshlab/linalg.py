@@ -2,8 +2,13 @@
 
 Everything works on lists of lists of Fractions (or ints).  One exact
 Gauss-Jordan elimination over Fraction serves rank, determinant and
-solving alike; it replaces the former fraction-free (Bareiss) route for
-rank and determinant.  No tolerances exist anywhere.
+solving alike.  No tolerances exist anywhere.
+
+det_exact is the one the package calls: specht checks the Gram matrix of
+a Specht module by its determinant.  rank_exact, solve_exact and
+solve_columns are called only by the tests, where rank_exact and
+solve_exact serve as oracles, and by the benchmark's layer trace, which
+counts calls to solve_exact and solve_columns by name.
 """
 
 from __future__ import annotations

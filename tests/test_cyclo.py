@@ -1,4 +1,5 @@
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,8 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pshlab.cyclo import (Cyclo, conj, cyclotomic_poly, euler_phi, integer,
-                          inverse, scalar, scalar_json, zeta)
+from pshlab.cyclo import (Cyclo, conj, cyclotomic_poly, integer, inverse,
+                          scalar, scalar_json, zeta)
+
+
+def euler_phi(n):
+    return len(cyclotomic_poly(n)) - 1
 
 
 def test_zeta_powers():
@@ -32,7 +37,7 @@ def test_cyclotomic_poly():
     assert cyclotomic_poly(2) == (1, 1)
     assert cyclotomic_poly(4) == (1, 0, 1)
     assert cyclotomic_poly(6) == (1, -1, 1)
-    assert euler_phi(12) == 4
+    assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
 
 
 def test_conductor_reduction():
@@ -173,8 +178,8 @@ def test_division():
 #
 # The oracle below is the Fraction reducer Cyclo used before it stored
 # integer numerators over one denominator, with +, *, lift, galois, repr
-# and the solve_exact inverse written on top of it.  It shares no
-# arithmetic with the module under test.
+# and the solve_exact inverse and minimal-conductor reduction written on
+# top of it.  It shares no arithmetic with the module under test.
 
 CONDUCTORS = (1, 4, 5, 12, 24, 120)
 
@@ -240,6 +245,20 @@ def oracle_inverse(n, coeffs):
     cols = [oracle_mul(n, coeffs, u) for u in units]
     a = [[cols[j][i] for j in range(deg)] for i in range(deg)]
     return tuple(solve_exact(a, [Fraction(1)] + [Fraction(0)] * (deg - 1)))
+
+
+def oracle_reduced(n, coeffs):
+    """(d, coefficients at d) for the least conductor d | n holding the
+    value, by one exact solve per divisor of n, as Cyclo.reduced did."""
+    from pshlab.linalg import solve_exact
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        deg = euler_phi(d)
+        basis = [oracle_lift(d, [Fraction(int(i == k)) for i in range(deg)],
+                             n) for k in range(deg)]
+        a = [[basis[j][i] for j in range(deg)] for i in range(len(coeffs))]
+        x = solve_exact(a, list(coeffs))
+        if x is not None:
+            return d, tuple(x)
 
 
 small = st.one_of(st.integers(-3, 3),
@@ -333,6 +352,43 @@ def test_equal_values_hash_and_serialise_equal(pair, other):
             assert u.to_json() == v.to_json()
     if a.is_rational():
         assert hash(a) == hash(a.rational_value())
+
+
+def subfield_values():
+    """A value drawn from every subfield Q(zeta_d), d | n, and lifted to
+    n, for the conductors n below."""
+    rng = random.Random(13)
+    for n in (*range(1, 61), 84, 120, 168):
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            den = rng.choice((1, 2, 3, 6))
+            raw = [Fraction(rng.choice((0, 0, 1, -1, 2, -3)), den)
+                   for _ in range(euler_phi(d))]
+            yield Cyclo(d, raw).lift(n)
+
+
+def test_reduced_matches_the_solve_exact_reducer():
+    chains = [zeta(3).lift(12),                     # 12 -> 6 -> 3
+              (zeta(5) + Fraction(1, 2)).lift(60),  # 60 -> 30 -> 15 -> 5
+              Cyclo(60, [Fraction(-7, 4)])]         # down to 1
+    for x in [*chains, *subfield_values()]:
+        d, coeffs = oracle_reduced(x.n, x.coeffs)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        r = x.reduced()
+        assert (r.n, r.num, r.den) == (
+            d, tuple(c.numerator * (den // c.denominator) for c in coeffs),
+            den), x
+    assert [x.reduced().n for x in chains] == [3, 5, 1]
+
+
+def test_a_zeta_7_value_at_conductor_84_serialises_at_7():
+    # a cuspidal character value of GL(3,2), stored where the Dixon table
+    # computes it
+    b7 = zeta(7) + zeta(7, 2) + zeta(7, 4)
+    x = b7.lift(84)
+    assert x.n == 84 and "z84" in repr(x)
+    assert x.reduced().n == 7
+    assert x.to_json() == b7.to_json() and x.to_json()["conductor"] == 7
+    assert hash(x) == hash(b7)
 
 
 def test_inverse_rejects_a_wrong_conjugate(monkeypatch):

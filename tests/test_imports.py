@@ -12,6 +12,9 @@ top-level function or class counts as used if its name appears there as
 a bare name, as an attribute, or as one part of a dotted string such as
 "hyperhecke.verify_hopflike".  ``__all__`` entries and import lines are
 not uses.
+
+The layering scan keeps cyclo at the bottom of the package: cyclo.py
+imports no pshlab module, not even inside a function.
 """
 
 import ast
@@ -131,3 +134,35 @@ def test_no_top_level_definition_goes_unreferenced():
                for folder in ("src", "tests", "perfbench")
                for path in sorted((REPO / folder).rglob("*.py"))]
     assert unreferenced_definitions(package, scanned) == []
+
+
+def package_imports(source):
+    """(line, module) for every import of a pshlab module, at any depth;
+    relative imports count as pshlab imports."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module.split(".")[0] == "pshlab":
+                out.append((node.lineno, "." * node.level + module))
+        elif isinstance(node, ast.Import):
+            out += [(node.lineno, alias.name) for alias in node.names
+                    if alias.name.split(".")[0] == "pshlab"]
+    return sorted(out)
+
+
+def test_scanner_flags_a_package_import():
+    source = ("import math\n"
+              "import pshlab.groups\n"
+              "from fractions import Fraction\n"
+              "def f():\n"
+              "    from .linalg import solve_exact\n"
+              "    from . import chars\n"
+              "    from pshlab.cli import main\n")
+    assert package_imports(source) == [(2, "pshlab.groups"), (5, ".linalg"),
+                                       (6, "."), (7, "pshlab.cli")]
+
+
+def test_cyclo_imports_no_pshlab_module():
+    source = (PACKAGE / "cyclo.py").read_text(encoding="utf-8")
+    assert package_imports(source) == []
