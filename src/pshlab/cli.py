@@ -232,9 +232,10 @@ def _suite_branching(args):
         for lam in partitions(m):
             for mu in partitions(m):
                 for t1 in all_tableaux(lam):
+                    column_of = t1.column_of()
                     for t2 in all_tableaux(mu):
                         cases += 1
-                        if (combinatorial_lemma_check(t1, t2)
+                        if (combinatorial_lemma_check(column_of, t2)
                                 and not dominates(lam, mu)):
                             ok = False
     reports.append({"check": "column-distinctness-forces-dominance",
@@ -467,8 +468,11 @@ def cmd_hecke(args) -> int:
 # -- entry point --------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    # one --json for every parser; with no default, a subparser that does
+    # not see it keeps what the top-level parser read
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
+                        default=argparse.SUPPRESS,
                         help="machine-readable output")
     parser = argparse.ArgumentParser(
         prog="pshlab",

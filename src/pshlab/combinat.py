@@ -2,8 +2,9 @@
 
 Partitions are plain tuples of weakly decreasing positive ints.  Diagram
 nodes are 1-based pairs (i, j).  A tabloid is keyed by the row of each
-entry, so orbit equality is structural equality and a permutation moves
-a tabloid by indexing its key once per entry.
+entry, so orbit equality is structural equality.  ``_mover`` is the one
+way a permutation moves a tabloid key: it indexes the key once per entry,
+with no sorting.
 """
 
 from __future__ import annotations
@@ -200,6 +201,14 @@ class Tableau:
         return f"Tableau({[list(r) for r in self.rows]})"
 
 
+def _mover(inverse):
+    """The map moving a tabloid key by the permutation whose inverse, on
+    0-based points, is given: key[inverse[y]] lands at y."""
+    if len(inverse) > 1:
+        return operator.itemgetter(*inverse)
+    return tuple  # Sym(0) and Sym(1) move nothing
+
+
 class Tabloid:
     """Row-equivalence class of a tableau, keyed by the row of each entry:
     key[x - 1] is the 0-based row that holds x.  Two fillings with the
@@ -226,11 +235,10 @@ class Tabloid:
                      for i in range(len(self.shape)))
 
     def apply(self, images) -> "Tabloid":
-        """The tabloid with every entry x moved to images[x-1]."""
-        key = [0] * len(self.key)
-        for x, r in zip(images, self.key):
-            key[x - 1] = r
-        return Tabloid(key)
+        """The tabloid with every entry x moved to images[x-1].  No pshlab
+        code calls it; perfbench's traced run counts it by name."""
+        inverse = sorted(range(len(images)), key=images.__getitem__)
+        return Tabloid(_mover(inverse)(self.key))
 
     def __eq__(self, other):
         return isinstance(other, Tabloid) and self.key == other.key
@@ -302,13 +310,11 @@ def standard_tableaux(shape) -> list[Tableau]:
     return out
 
 
-def combinatorial_lemma_check(t1: Tableau, t2: Tableau) -> bool:
+def combinatorial_lemma_check(column_of: dict, t2: Tableau) -> bool:
     """Whether every row of t2 has its entries in pairwise distinct
-    columns of t1."""
-    col1 = t1.column_of()
+    columns of t1, given column_of = t1.column_of(), built once per t1."""
     for row in t2.rows:
-        cols = [col1[x] for x in row]
-        if len(set(cols)) != len(cols):
+        if len({column_of[x] for x in row}) != len(row):
             return False
     return True
 

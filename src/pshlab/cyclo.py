@@ -387,8 +387,20 @@ _set_den = Cyclo.den.__set__
 
 
 @lru_cache(maxsize=None)
-def _prime_divisors(n):
-    return tuple(p for p in range(2, n + 1) if n % p == 0 and is_prime(p))
+def _prime_divisors(n: int) -> tuple:
+    """The distinct primes dividing n, ascending, by trial division; ()
+    for n < 2."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
 
 
 def is_prime(n: int) -> bool:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclo import Cyclo, conj, is_prime, scalar
+from .cyclo import Cyclo, _prime_divisors, conj, is_prime, scalar
 from .groups import FiniteGroupTable
 
 __all__ = ["dixon_character_table"]
@@ -32,17 +32,7 @@ def _choose_prime(e: int, minimum: int) -> int:
 
 
 def _primitive_root(l: int) -> int:
-    fac = []
-    n = l - 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            fac.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        fac.append(n)
+    fac = _prime_divisors(l - 1)
     for g in range(2, l):
         if all(pow(g, (l - 1) // p, l) != 1 for p in fac):
             return g

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .chars import ClassFunction, elementwise, numerical_invariant
-from .cyclo import Cyclo, integer, is_prime, zeta
+from .cyclo import Cyclo, _prime_divisors, integer, is_prime, zeta
 from .groups import FiniteGroupTable, check_group_order
 from .symgroup import kmatrix_solutions, w_of_kmatrix
 
@@ -321,16 +321,14 @@ def gl_group(n: int, q: int) -> FiniteGroupTable:
 
 
 def _prime_power(q: int):
-    for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
-            d = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                d += 1
-            if p ** d == q:
-                return p, d
-    raise ValueError(f"{q} is not a prime power")
+    primes = _prime_divisors(q)
+    if len(primes) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    p, = primes
+    d = 1
+    while p ** d < q:
+        d += 1
+    return p, d
 
 
 def _is_block_upper(a, k) -> bool:

@@ -1,13 +1,13 @@
 """Permutation modules on tabloids, polytabloids, and their exact
 linear algebra: standard bases, matrix actions, characters and branching.
 
-Inside the module, vectors in the tabloid module M^mu are finitely
-supported dicts from tabloid keys (``Tabloid.key``, the row of each
-entry) to ints; ``polytabloid`` hands its vector out keyed by ``Tabloid``.
-The tabloid basis is orthonormal for the invariant bilinear form, so
-inner products are plain dot products of coordinates.  A permutation pi
-moves a key k to ``(k[inverse[0]], k[inverse[1]], ...)``, inverse being
-pi^-1 on 0-based points.
+Vectors in the tabloid module M^mu are finitely supported dicts from
+tabloid keys (``Tabloid.key``, the row of each entry) to ints, and a
+Specht module is held only in that sparse form: its standard
+polytabloids, built once per shape by ``standard_basis``.  The tabloid
+basis is orthonormal for the invariant bilinear form, so inner products
+are sparse dot products.  A permutation moves a key through
+``combinat._mover`` and nothing else.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .chars import ClassFunction
-from .combinat import (Tableau, Tabloid, addable_nodes, add_node,
+from .combinat import (Tableau, _mover, addable_nodes, add_node,
                        all_tableaux, all_tabloids, partitions, remove_node,
                        removable_nodes, standard_tableaux, tabloid_m_counts)
 from .cyclo import integer
@@ -28,7 +28,7 @@ from .linalg import det_exact
 from .symgroup import (Perm, centralizer_order, class_representative,
                        class_size, sign_of)
 
-__all__ = ["check_sym_order", "polytabloid", "apply_kappa",
+__all__ = ["check_sym_order", "apply_kappa",
            "standard_basis", "specht_dim", "specht_action",
            "specht_character", "permutation_character", "sym_class_sizes",
            "sym_character_table", "induce_young", "restrict_character",
@@ -43,17 +43,10 @@ def check_sym_order(n: int) -> None:
     check_group_order(_group_id(n), math.factorial(n))
 
 
-def _mover(inverse):
-    """The map moving a tabloid key by the permutation whose inverse, on
-    0-based points, is given: key[inverse[y]] lands at y."""
-    if len(inverse) > 1:
-        return operator.itemgetter(*inverse)
-    return tuple  # Sym(0) and Sym(1) move nothing
-
-
 def _column_stabilizer(t: Tableau) -> list:
-    """The column stabilizer of t as (move, sign) pairs (see _mover),
-    built from the arrangements of each column, each signed once."""
+    """The column stabilizer of t as (move, sign) pairs (see
+    combinat._mover), built from the arrangements of each column, each
+    signed once."""
     per_col = [[(col, arr, sign_of(tuple(col.index(a) + 1 for a in arr)))
                 for arr in itertools.permutations(col)]
                for col in t.columns()]
@@ -80,41 +73,33 @@ def apply_kappa(stabilizer: list, vec: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def polytabloid(t: Tableau) -> dict:
-    """e_t as a map Tabloid -> +-1."""
-    head = t.tabloid().key
-    return {Tabloid(k): c for k, c in
-            apply_kappa(_column_stabilizer(t), {head: 1}).items()}
-
-
 @lru_cache(maxsize=None)
 def standard_basis(mu: tuple):
-    """(tabloids, index, standard tableaux, rows) where index maps each
-    tabloid key to its column and rows[i] are the coordinates of the i-th
-    standard polytabloid in the tabloid basis.
+    """(std, heads, basis, below) for S^mu: the standard tableaux t_i,
+    the key heads[i] of t_i's tabloid, the polytabloid basis[i] = e_{t_i}
+    as a dict from tabloid key to int, and below[i], the pairs
+    (k, basis[i][heads[k]]) for the k < i where that is nonzero.
 
     The standard tableaux come in ascending order of the sum of their
     tabloids' m-counts, a linear extension of dominance.  The coordinates
-    at the standard tabloids then form a unitriangular matrix: row i has
-    1 at its own tabloid and 0 at every later one, which is checked and
-    proves the rows independent."""
+    at the heads then form a unitriangular matrix: e_{t_i} has 1 at its
+    own head and no later head in its support, which is checked and
+    proves the polytabloids independent."""
     check_sym_order(sum(mu))
-    tabloids = all_tabloids(mu)
-    index = {tab.key: k for k, tab in enumerate(tabloids)}
     std = sorted(standard_tableaux(mu),
                  key=lambda t: sum(tabloid_m_counts(t.tabloid())))
-    heads = [index[t.tabloid().key] for t in std]
-    rows = []
-    for i, t in enumerate(std):
-        coords = [0] * len(tabloids)
-        for tab, c in polytabloid(t).items():
-            coords[index[tab.key]] = c
-        if coords[heads[i]] != 1 or any(coords[h] for h in heads[i + 1:]):
+    heads = [t.tabloid().key for t in std]
+    basis = [apply_kappa(_column_stabilizer(t), {h: 1})
+             for t, h in zip(std, heads)]
+    below = []
+    for i, e in enumerate(basis):
+        hits = [(k, e[h]) for k, h in enumerate(heads) if h in e]
+        if hits[-1:] != [(i, 1)]:
             raise AssertionError(
                 f"standard polytabloids of {mu} are not unitriangular on "
-                f"the standard tabloids at {t}")
-        rows.append(coords)
-    return tabloids, index, std, rows
+                f"the standard tabloids at {std[i]}")
+        below.append(hits[:-1])
+    return std, heads, basis, below
 
 
 def specht_dim(mu: tuple) -> int:
@@ -129,15 +114,7 @@ def specht_action(sigma: Perm, mu: tuple):
     at the standard tabloids, a unitriangular system, by integer
     back-substitution; the sum is then rebuilt on every tabloid and
     compared with v, which checks that v lies in the span."""
-    _, index, std, rows = standard_basis(mu)
-    heads = [t.tabloid().key for t in std]
-    keys = list(index)
-    basis = [dict(zip(itertools.compress(keys, row), filter(None, row)))
-             for row in rows]
-    # below[i]: (k, coordinate of e_{t_i} at the k-th standard tabloid)
-    # for the nonzero ones with k < i
-    below = [[(k, e[h]) for k, h in enumerate(heads[:i]) if h in e]
-             for i, e in enumerate(basis)]
+    _, heads, basis, below = standard_basis(mu)
     move = _mover([y - 1 for y in sigma.inv().images])
     columns = []
     for e in basis:
@@ -185,12 +162,12 @@ def permutation_character(mu: tuple) -> ClassFunction:
     """Character of the tabloid permutation module: fixed-tabloid counts."""
     n = sum(mu)
     check_sym_order(n)
-    tabloids = all_tabloids(mu)
+    keys = [tab.key for tab in all_tabloids(mu)]
     values = {}
     for lam in partitions(n):
-        rep = class_representative(n, lam)
-        values[lam] = sum(1 for tab in tabloids
-                          if tab.apply(rep.images) == tab)
+        # moves by the representative's inverse, which fixes the same keys
+        move = _mover([y - 1 for y in class_representative(n, lam).images])
+        values[lam] = sum(1 for k in keys if move(k) == k)
     return ClassFunction(_group_id(n), values, sym_class_sizes(n),
                          (1,) * n)
 
@@ -260,10 +237,9 @@ def verify_branching(mu: tuple) -> dict:
 
 
 def gram_matrix(mu: tuple):
-    _, _, std, rows = standard_basis(mu)
-    d = len(std)
-    return [[sum(rows[i][k] * rows[j][k] for k in range(len(rows[0])))
-             for j in range(d)] for i in range(d)]
+    _, _, basis, _ = standard_basis(mu)
+    return [[sum(c * f.get(k, 0) for k, c in e.items()) for f in basis]
+            for e in basis]
 
 
 def kappa_multiple_check(mu: tuple) -> bool:
@@ -296,6 +272,9 @@ def tabloid_adjacency_check(mu: tuple) -> bool:
     n = sum(mu)
     check_sym_order(n)
     counts = {tab.key: tabloid_m_counts(tab) for tab in all_tabloids(mu)}
+    # swaps[x - 1] moves a key by the transposition of x and x+1
+    swaps = [_mover([*range(x - 1), x, x - 1, *range(x + 1, n)])
+             for x in range(1, n)]
 
     def below(a, b):
         return a != b and all(map(operator.le, a, b))
@@ -307,7 +286,7 @@ def tabloid_adjacency_check(mu: tuple) -> bool:
             # 0-based points x-1 and x are the entries x and x+1
             if key[x - 1] <= key[x]:
                 continue
-            upper = counts[key[:x - 1] + (key[x], key[x - 1]) + key[x + 1:]]
+            upper = counts[swaps[x - 1](key)]
             if not below(lower, upper):
                 return False
             if any(below(lower, mid) and below(mid, upper)

@@ -156,6 +156,14 @@ def test_chartable_trivial_group():
     assert blob["manifest"]["command"] == "chartable"
 
 
+def test_json_before_the_subcommand():
+    rc, out, err = run_cli("--json", "chartable", "Sym(3)")
+    assert rc == 0, err
+    blob = json.loads(out)
+    assert blob["manifest"]["result_digest"] \
+        == run_json("chartable", "Sym(3)")["manifest"]["result_digest"]
+
+
 def test_digest_deterministic():
     a = run_json("chartable", "Sym(3)")
     b = run_json("chartable", "Sym(3)")

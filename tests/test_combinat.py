@@ -86,8 +86,9 @@ def test_column_distinct_rows_force_dominance():
         for lam in partitions(n):
             for mu in partitions(n):
                 for t1 in all_tableaux(lam):
+                    column_of = t1.column_of()
                     for t2 in all_tableaux(mu):
-                        if combinatorial_lemma_check(t1, t2):
+                        if combinatorial_lemma_check(column_of, t2):
                             assert dominates(lam, mu)
                             break
 

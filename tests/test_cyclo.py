@@ -8,12 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pshlab.cyclo import (Cyclo, conj, cyclotomic_poly, integer, inverse,
-                          scalar, scalar_json, zeta)
+from pshlab.cyclo import (Cyclo, _prime_divisors, conj, cyclotomic_poly,
+                          integer, inverse, is_prime, scalar, scalar_json,
+                          zeta)
 
 
 def euler_phi(n):
     return len(cyclotomic_poly(n)) - 1
+
+
+def test_prime_divisors_match_a_scan_of_primes():
+    for n in range(-2, 400):
+        assert _prime_divisors(n) == tuple(
+            p for p in range(2, n + 1) if n % p == 0 and is_prime(p)), n
 
 
 def test_zeta_powers():

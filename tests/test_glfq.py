@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from pshlab.chars import elementwise, numerical_invariant
-from pshlab.cyclo import Cyclo, zeta
-from pshlab.glfq import (build_field, gauss_sum, gl_group, gl_order,
-                         hasse_davenport_check, kondo_measure, mat_det,
-                         mat_identity, mat_inv, mat_mul, mat_trace,
+from pshlab.cyclo import Cyclo, is_prime, zeta
+from pshlab.glfq import (_prime_power, build_field, gauss_sum, gl_group,
+                         gl_order, hasse_davenport_check, kondo_measure,
+                         mat_det, mat_identity, mat_inv, mat_mul, mat_trace,
                          permutation_matrix, psi_measure, unit_character,
                          verify_bruhat_bijection, verify_kondo_induction,
                          verify_kondo_multiplicative, weil_character,
@@ -25,6 +25,17 @@ def test_prime_field():
         assert f.mul(x, f.inv(x)) == 1
         assert f.trace(x) == x
         assert f.norm(x) == x
+
+
+def test_prime_power_splits_exactly_the_prime_powers():
+    for q in range(-2, 300):
+        powers = [(p, d) for p in range(2, q + 1) if is_prime(p)
+                  for d in range(1, 9) if p ** d == q]
+        if powers:
+            assert _prime_power(q) == powers[0], q
+        else:
+            with pytest.raises(ValueError, match=f"^{q} is not a prime"):
+                _prime_power(q)
 
 
 def test_extension_field():

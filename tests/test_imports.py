@@ -13,6 +13,11 @@ a bare name, as an attribute, or as one part of a dotted string such as
 "hyperhecke.verify_hopflike".  ``__all__`` entries and import lines are
 not uses.
 
+The method scan reads the same files: a non-dunder method or property of
+a pshlab class counts as used if its name appears there as an attribute
+(``.name``) or as a later part of a dotted string such as
+"combinat.Tabloid.apply".  A bare name is not a use.
+
 The layering scan keeps cyclo at the bottom of the package: cyclo.py
 imports no pshlab module, not even inside a function.
 """
@@ -134,6 +139,67 @@ def test_no_top_level_definition_goes_unreferenced():
                for folder in ("src", "tests", "perfbench")
                for path in sorted((REPO / folder).rglob("*.py"))]
     assert unreferenced_definitions(package, scanned) == []
+
+
+def class_members(tree):
+    """"Class.member" for every non-dunder method or property of every
+    class in the module."""
+    return [f"{node.name}.{item.name}" for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (item.name.startswith("__")
+                     and item.name.endswith("__"))]
+
+
+def attribute_references(tree):
+    """Attribute names and the later parts of dotted strings."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED.fullmatch(node.value)):
+            out.update(node.value.split(".")[1:])
+    return out
+
+
+def unreferenced_methods(package_sources, scanned_sources):
+    used = set()
+    for source in scanned_sources:
+        used |= attribute_references(ast.parse(source))
+    return sorted(member for source in package_sources
+                  for member in class_members(ast.parse(source))
+                  if member.split(".")[1] not in used)
+
+
+def test_scanner_flags_an_unreferenced_method():
+    package = ("class A:\n"
+               "    def __init__(self): self.x = self.helper()\n"
+               "    def helper(self): pass\n"
+               "    def called(self): pass\n"
+               "    @property\n"
+               "    def shown(self): pass\n"
+               "    def traced(self): pass\n"
+               "    def dead(self): pass\n"
+               "    @property\n"
+               "    def hidden(self): pass\n"
+               "    @classmethod\n"
+               "    def made(cls): pass\n")
+    caller = ("import m\n"
+              "COUNTED = ('m.A.traced', 'made')\n"
+              "def hidden(a):\n"
+              "    return a.called(), a.shown, dead\n")
+    assert unreferenced_methods([package], [package, caller]) == [
+        "A.dead", "A.hidden", "A.made"]
+
+
+def test_no_method_goes_unreferenced():
+    package = [path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))]
+    scanned = [path.read_text(encoding="utf-8")
+               for folder in ("src", "tests", "perfbench")
+               for path in sorted((REPO / folder).rglob("*.py"))]
+    assert unreferenced_methods(package, scanned) == []
 
 
 def package_imports(source):

@@ -11,14 +11,14 @@ import pytest
 
 import pshlab
 from pshlab import specht
-from pshlab.combinat import (Tableau, Tabloid, all_tableaux, conjugate,
-                             partitions, standard_tableaux)
+from pshlab.combinat import (Tableau, Tabloid, _mover, all_tableaux,
+                             conjugate, partitions, standard_tableaux)
 from pshlab.groups import FiniteGroupTable
 from pshlab.linalg import rank_exact
 from pshlab.specht import (induce_young, kappa_multiple_check,
-                           permutation_character, polytabloid,
-                           restrict_character, sign_character, specht_action,
-                           specht_character, specht_dim, standard_basis,
+                           permutation_character, restrict_character,
+                           sign_character, specht_action, specht_character,
+                           specht_dim, standard_basis,
                            submodule_theorem_check, sym_character_table,
                            tabloid_adjacency_check, verify_branching)
 from pshlab.symgroup import Perm
@@ -35,8 +35,10 @@ def test_dims_small():
 def test_dim_equals_rank_of_polytabloid_span():
     for n in range(1, 6):
         for mu in partitions(n):
-            _, _, std, rows = standard_basis(mu)
-            assert rank_exact([list(r) for r in rows]) == len(std)
+            std, _, basis, _ = standard_basis(mu)
+            keys = sorted({k for e in basis for k in e})
+            rows = [[e.get(k, 0) for k in keys] for e in basis]
+            assert rank_exact(rows) == len(std)
             assert len(std) == len(standard_tableaux(mu))
 
 
@@ -48,10 +50,13 @@ def test_sum_of_squares():
 
 def test_polytabloid_example():
     t = Tableau(((1, 2), (3,)))
-    e = polytabloid(t)
-    # signed column sum over swapping 1 and 3
-    assert sum(abs(v) for v in e.values()) == 2
-    assert set(e.values()) == {1, -1}
+    std, heads, basis, below = standard_basis((2, 1))
+    i = std.index(t)
+    # signed column sum over swapping 1 and 3: {12|3} - {23|1}
+    assert heads[i] == (0, 0, 1)
+    assert basis[i] == {(0, 0, 1): 1, (1, 0, 0): -1}
+    # neither polytabloid meets the other's head
+    assert below == [[], []]
 
 
 def test_action_is_representation():
@@ -197,14 +202,16 @@ def sorted_rows(rows):
 
 @pytest.mark.parametrize("shape", [(2, 2, 1), (3, 1, 1)])
 def test_tabloid_apply_matches_sorted_rows(shape):
-    # reference: relabel every row, then sort it
+    # reference: relabel every row, then sort it; the mover takes the
+    # inverse images on 0-based points
     fillings = {sorted_rows(t.rows) for t in all_tableaux(shape)}
     for rows in fillings:
         tab = Tableau(rows).tabloid()
         assert tab.rows == rows and tab.shape == shape
         for images in itertools.permutations(range(1, 6)):
             moved = sorted_rows([[images[x - 1] for x in r] for r in rows])
-            assert tab.apply(images).rows == moved
+            inverse = [images.index(y) for y in range(1, 6)]
+            assert _mover(inverse)(tab.key) == Tableau(moved).tabloid().key
             assert tab.apply(images) == Tableau(moved).tabloid()
 
 
@@ -230,12 +237,12 @@ def planted_defect_outcomes():
     the kernel does: "raised" if it raised AssertionError, else what the
     check returned.  Runs in and out of pytest (see the -O test)."""
     out = {}
-    real_polytabloid = specht.polytabloid
-    top = Tableau(((1, 2), (3,))).tabloid()
+    real_kappa = specht.apply_kappa
+    top = Tableau(((1, 2), (3,))).tabloid().key
 
-    def lifted_polytabloid(t):
+    def lifted_kappa(stabilizer, vec):
         # one more unit on the dominance-top standard tabloid of (2,1)
-        e = dict(real_polytabloid(t))
+        e = real_kappa(stabilizer, vec)
         e[top] = e.get(top, 0) + 1
         return e
 
@@ -244,10 +251,10 @@ def planted_defect_outcomes():
     def skewed_basis(mu):
         # e_{[[1,3],[2]]} loses its -{23|1}; {23|1} is not a standard
         # tabloid, so only the span check can see it
-        tabloids, index, std, rows = real_basis(mu)
-        rows = [list(r) for r in rows]
-        rows[0][index[Tableau(((2, 3), (1,))).tabloid().key]] = 0
-        return tabloids, index, std, rows
+        std, heads, basis, below = real_basis(mu)
+        basis = [dict(e) for e in basis]
+        del basis[0][Tableau(((2, 3), (1,))).tabloid().key]
+        return std, heads, basis, below
 
     real_stabilizer = specht._column_stabilizer
 
@@ -257,7 +264,7 @@ def planted_defect_outcomes():
         return pairs[:-1] + [(move, -sign)]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(specht, "polytabloid", lifted_polytabloid)
+        mp.setattr(specht, "apply_kappa", lifted_kappa)
         specht.standard_basis.cache_clear()
         try:
             specht.standard_basis((2, 1))
@@ -286,7 +293,7 @@ PLANTED = {"unitriangular": "raised", "span": "raised",
 def test_planted_defects_fail():
     assert planted_defect_outcomes() == PLANTED
     # the same calls pass on the real kernel
-    assert specht.standard_basis((2, 1))[2]
+    assert specht.standard_basis((2, 1))[0]
     assert specht.specht_action(Perm((2, 1, 3)), (2, 1))
     assert specht.kappa_multiple_check((2, 1))
 
