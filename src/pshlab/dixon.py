@@ -101,17 +101,16 @@ def _restrict(a, basis, l):
 
 def _class_matrices(G: FiniteGroupTable):
     """The class-sum matrices B_i: (B_i)[k][j] counts the x in class i
-    with x^-1 z in class j, z the representative of class k."""
-    classes = G.classes()
-    r = len(classes)
-    reps = G.class_reps()
+    with x^-1 z in class j, z the representative of class k; x^-1 z is
+    the right action of z at x^-1."""
+    r = len(G.classes())
+    label = [G.class_of(x) for x in range(G.order)]
+    inv = G.inverses()
     mats = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for k in range(r):
-        z = reps[k]
-        for x in range(G.order):
-            i = G.class_of(x)
-            j = G.class_of(G.mul(G.inv(x), z))
-            mats[i][k][j] += 1
+    for k, z in enumerate(G.class_reps()):
+        by_z = G.right(z)
+        for x, i in enumerate(label):
+            mats[i][k][label[by_z[inv[x]]]] += 1
     return mats
 
 

@@ -270,6 +270,25 @@ def gl_order(n: int, q: int) -> int:
     return out
 
 
+def _gl_elements(f: Fq, n: int) -> list:
+    """The invertible n x n matrices over f in lexicographic order of
+    their entries, built row by row: each row is a nonzero row code, in
+    code order, outside the span of the rows above it."""
+    vecs, _, add, scale = f._row_tables(n)
+
+    def extend(rows, span):
+        for r in range(1, len(vecs)):
+            if r in span:
+                continue
+            if len(rows) == n - 1:
+                yield rows + (r,)
+            else:
+                yield from extend(rows + (r,), {add[u][scale[c][r]]
+                                                for u in span
+                                                for c in range(f.q)})
+    return [tuple(vecs[r] for r in rows) for rows in extend((), {0})]
+
+
 @lru_cache(maxsize=None)
 def gl_group(n: int, q: int) -> FiniteGroupTable:
     """GL_n(F_q) by full enumeration, with the standard subgroups
@@ -279,11 +298,7 @@ def gl_group(n: int, q: int) -> FiniteGroupTable:
     p, d = _prime_power(q)
     f = build_field(p, d)
     check_group_order(f"GL({n},{q})", gl_order(n, q))
-    elements = []
-    for entries in itertools.product(range(q), repeat=n * n):
-        a = tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
-        if mat_det(f, a):
-            elements.append(a)
+    elements = _gl_elements(f, n)
     if len(elements) != gl_order(n, q):
         raise AssertionError(f"{len(elements)} invertible matrices, "
                              f"not |GL({n},{q})| = {gl_order(n, q)}")

@@ -5,6 +5,21 @@ callbacks, and lazily computes conjugacy classes, subgroup closures,
 double cosets, least double-coset representatives and induced
 characters.  Class labels are integer class indices; the identity's class
 is always label 0.
+
+The orbit algorithms run on permutation arrays: lists sending each
+element index to an element index.  They are all read from one Schreier
+tree, built the first time one is needed by a breadth-first walk from the
+identity under right multiplication by the group's greedy generators
+(each index, in ascending order, that the earlier generators do not
+reach).  The walk calls the multiplication callback once per element and
+generator, keeps each generator's right action R_s: x -> x s, and records
+each element's tree step y = parent(y) s.  One pass down the tree then
+gives the left action L_g of any element (g y = (g parent(y)) s) and the
+inverses (y^-1 = s^-1 parent(y)^-1); the right action of g composes the
+R_s along g's tree path.  Closures, greedy generators, conjugacy classes
+and double cosets are orbits of these arrays, scanned in ascending order
+of least member.  `mul` keeps a pair cache for scattered products; no
+orbit algorithm fills it, and `powers` stays on it.
 """
 
 from __future__ import annotations
@@ -46,6 +61,8 @@ class FiniteGroupTable:
         self.subgroups: dict = {}
         self._char_table = None
         self._least_reps: dict = {}
+        self._tree = None
+        self._inverses = None
 
     @property
     def order(self) -> int:
@@ -78,55 +95,148 @@ class FiniteGroupTable:
             chain.append(self.mul(chain[-1], g))
         return chain
 
-    # -- subgroups ------------------------------------------------------
+    # -- the Schreier tree and permutation arrays -----------------------
 
-    def _orbit(self, start: int, moves) -> set:
-        """The orbit of start under the moves (maps index -> index), found
-        by a breadth-first walk."""
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for move in moves:
-                    y = move(x)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return seen
+    def _span(self, candidates, image):
+        """Greedy generators and a breadth-first tree of the subgroup they
+        generate.  Each candidate, in order, that the generators so far do
+        not reach joins them; image(s) is the map x -> x s.  Every
+        generator moves every member exactly once.  Returns the
+        generators, the members in the order reached, and each member's
+        tree step (parent, generator position), None at the identity."""
+        members = [self.identity_idx]
+        steps = {self.identity_idx: None}
+        gens, moves = [], []
 
-    def _orbit_partition(self, moves):
-        """The orbits of the moves on all element indices, by an ascending
-        scan: a list of (least member, orbit) in order of least member,
-        and the list sending each index to the position of its orbit."""
+        def reach(x, k):
+            y = moves[k](x)
+            if y not in steps:
+                steps[y] = (x, k)
+                members.append(y)
+
+        done = 1  # members[:done] are moved by every generator so far
+        for c in candidates:
+            if c in steps:
+                continue
+            gens.append(c)
+            moves.append(image(c))
+            for x in members[:done]:
+                reach(x, len(moves) - 1)
+            while done < len(members):
+                x = members[done]
+                done += 1
+                for k in range(len(moves)):
+                    reach(x, k)
+        return gens, members, steps
+
+    def _schreier_tree(self):
+        """(rights, steps, walk), built once: the right action rights[k]
+        of each greedy generator s_k of the group, filled by one
+        multiplication callback per element and generator; the tree step
+        steps[y] = (parent(y), k) with y = parent(y) s_k; and the walk,
+        (y, parent(y), k) for every y but the identity, parents first."""
+        if self._tree is None:
+            n, els, index, fn = (self.order, self.elements, self.index,
+                                 self._mul_fn)
+            rights = []
+
+            def image(s):
+                r = [0] * n
+                rights.append(r)
+
+                def move(x):
+                    r[x] = y = index[fn(els[x], els[s])]
+                    return y
+                return move
+
+            _, members, steps = self._span(range(n), image)
+            self._tree = (rights, steps,
+                          [(y, *steps[y]) for y in members[1:]])
+        return self._tree
+
+    def _path(self, g: int) -> list:
+        """The right actions of the steps of g's tree path: g = s_1 ... s_r
+        gives [R_s1, ..., R_sr]."""
+        rights, steps, _ = self._schreier_tree()
+        path = []
+        while steps[g] is not None:
+            g, k = steps[g]
+            path.append(rights[k])
+        return path[::-1]
+
+    def _right_move(self, g: int):
+        """x -> x g, following g's tree path."""
+        path = self._path(g)
+
+        def move(x):
+            for r in path:
+                x = r[x]
+            return x
+        return move
+
+    def right(self, g: int) -> list[int]:
+        """The right action x -> x g as a list, composed along g's tree
+        path."""
+        out = list(range(self.order))
+        for r in self._path(g):
+            out = [r[x] for x in out]
+        return out
+
+    def left(self, g: int) -> list[int]:
+        """The left action x -> g x as a list, one pass down the tree:
+        g y = (g parent(y)) s."""
+        rights, _, walk = self._schreier_tree()
+        out = [0] * self.order
+        out[self.identity_idx] = g
+        for y, x, k in walk:
+            out[y] = rights[k][out[x]]
+        return out
+
+    def inverses(self) -> list[int]:
+        """x -> x^-1 as a list, one pass down the tree:
+        y^-1 = s^-1 parent(y)^-1."""
+        if self._inverses is None:
+            rights, _, walk = self._schreier_tree()
+            by_inverse = [self.left(r.index(self.identity_idx))
+                          for r in rights]
+            out = [self.identity_idx] * self.order
+            for y, x, k in walk:
+                out[y] = by_inverse[k][out[x]]
+            self._inverses = out
+        return self._inverses
+
+    def _orbits(self, moves):
+        """The orbits of the index lists in moves on all element indices,
+        by an ascending scan: a list of (least member, members) in order
+        of least member, and the list sending each index to the position
+        of its orbit."""
         label = [-1] * self.order
         orbits = []
         for start in range(self.order):
             if label[start] < 0:
-                orbit = self._orbit(start, moves)
+                k = label[start] = len(orbits)
+                orbit = [start]
                 for x in orbit:
-                    label[x] = len(orbits)
+                    for move in moves:
+                        y = move[x]
+                        if label[y] < 0:
+                            label[y] = k
+                            orbit.append(y)
                 orbits.append((start, orbit))
         return orbits, label
 
+    # -- subgroups ------------------------------------------------------
+
     def closure(self, gens) -> frozenset:
-        return frozenset(self._orbit(
-            self.identity_idx, [lambda x, g=g: self.mul(x, g) for g in gens]))
+        return frozenset(self._span(gens, self._right_move)[1])
 
     def small_generators(self, indices) -> list[int]:
-        """A short generator list for the subgroup given by its indices."""
+        """The greedy generators of the subgroup given by its indices:
+        each index, in ascending order, that the earlier ones do not
+        generate."""
         indices = sorted(indices)
-        target = len(indices)
-        gens: list[int] = []
-        current = frozenset({self.identity_idx})
-        for i in indices:
-            if i not in current:
-                gens.append(i)
-                current = self.closure(gens)
-                if len(current) == target:
-                    break
-        if len(current) != target:
+        gens, members, _ = self._span(indices, self._right_move)
+        if len(members) != len(indices):
             raise ValueError("index set is not closed under multiplication")
         return gens
 
@@ -145,9 +255,11 @@ class FiniteGroupTable:
     # -- conjugacy ------------------------------------------------------
 
     def _compute_classes(self):
-        gens = self.small_generators(range(self.order))
-        orbits, class_of = self._orbit_partition(
-            [lambda x, g=g: self.conj(x, g) for g in gens])
+        # conjugation x -> s^-1 x s by each generator s: L_{s^-1}, then R_s
+        rights = self._schreier_tree()[0]
+        orbits, class_of = self._orbits(
+            [[r[y] for y in self.left(r.index(self.identity_idx))]
+             for r in rights])
         classes = [sorted(orbit) for _, orbit in orbits]
         # swap the identity's class into label 0
         ident = class_of[self.identity_idx]
@@ -239,12 +351,11 @@ class FiniteGroupTable:
         """Partition of the group into H g K double cosets; returns a list
         of (representative, frozenset of members) with the representative
         the least element index in the coset."""
-        hgens = self.small_generators(left_indices)
-        kgens = self.small_generators(right_indices)
-        moves = ([lambda x, h=h: self.mul(h, x) for h in hgens]
-                 + [lambda x, k=k: self.mul(x, k) for k in kgens])
+        moves = ([self.left(h) for h in self.small_generators(left_indices)]
+                 + [self.right(k)
+                    for k in self.small_generators(right_indices)])
         return [(rep, frozenset(orbit))
-                for rep, orbit in self._orbit_partition(moves)[0]]
+                for rep, orbit in self._orbits(moves)[0]]
 
     def least_double_coset_reps(self, left_indices, right_indices):
         """A list mapping every element index to the least element index

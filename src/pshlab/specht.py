@@ -43,12 +43,21 @@ def check_sym_order(n: int) -> None:
     check_group_order(_group_id(n), math.factorial(n))
 
 
+@lru_cache(maxsize=None)
+def _arrangement_signs(length: int) -> tuple:
+    """The sign of each arrangement of a column of this length, in
+    itertools.permutations order: it depends only on the positions
+    permuted."""
+    return tuple(sign_of(tuple(p + 1 for p in perm))
+                 for perm in itertools.permutations(range(length)))
+
+
 def _column_stabilizer(t: Tableau) -> list:
     """The column stabilizer of t as (move, sign) pairs (see
-    combinat._mover), built from the arrangements of each column, each
-    signed once."""
-    per_col = [[(col, arr, sign_of(tuple(col.index(a) + 1 for a in arr)))
-                for arr in itertools.permutations(col)]
+    combinat._mover), built from the arrangements of each column, signed
+    from one table per column length."""
+    per_col = [[(col, arr, sign) for arr, sign in zip(
+                    itertools.permutations(col), _arrangement_signs(len(col)))]
                for col in t.columns()]
     out = []
     for combo in itertools.product(*per_col):

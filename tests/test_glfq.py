@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 from pshlab.chars import elementwise, numerical_invariant
 from pshlab.cyclo import Cyclo, is_prime, zeta
-from pshlab.glfq import (_prime_power, build_field, gauss_sum, gl_group,
+from pshlab.glfq import (_gl_elements, _prime_power, build_field, gauss_sum, gl_group,
                          gl_order, hasse_davenport_check, kondo_measure,
                          mat_det, mat_identity, mat_inv, mat_mul, mat_trace,
                          permutation_matrix, psi_measure, unit_character,
@@ -129,6 +130,23 @@ def test_row_tables_respect_group_order_cap():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_gl_elements_match_the_determinant_filter():
+    # every GL(n,q) with q^(n^2) <= 3^9 over a field pshlab builds
+    for q in range(2, 65):
+        try:
+            f = build_field(*_prime_power(q))
+        except ValueError:  # not a prime power
+            continue
+        for n in (1, 2, 3):
+            if q ** (n * n) > 3 ** 9:
+                continue
+            by_det = [a for a in (
+                tuple(entries[i * n:(i + 1) * n] for i in range(n))
+                for entries in itertools.product(range(q), repeat=n * n))
+                if mat_det(f, a)]
+            assert _gl_elements(f, n) == by_det, (n, q)
 
 
 def test_gl_order():

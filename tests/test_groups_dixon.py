@@ -8,7 +8,7 @@ from pshlab.combinat import partitions
 from pshlab.cyclo import Cyclo, zeta
 from pshlab.dixon import _power, _power_map
 from pshlab.glfq import (_nonsplit_torus, _torus_dlog, gl_group,
-                         weil_theta_exponents)
+                         verify_bruhat_bijection, weil_theta_exponents)
 from pshlab.groups import FiniteGroupTable
 from pshlab.hyperhecke import subgroup_characters
 from pshlab.specht import specht_character
@@ -273,3 +273,156 @@ def test_class_function_check_survives_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# -- the Schreier-tree kernel, against the callbacks --------------------------
+
+def product(G, x, y):
+    """x y straight from the multiplication callback, with no cache."""
+    return G.index[G._mul_fn(G.elements[x], G.elements[y])]
+
+
+def kernel_mismatches(G):
+    """Every element whose inverse, left action or right action array
+    disagrees with the callbacks."""
+    bad = []
+    inv = G.inverses()
+    for g in range(G.order):
+        if inv[g] != G.index[G._inv_fn(G.elements[g])]:
+            bad.append(("inverse", g))
+        if G.left(g) != [product(G, g, x) for x in range(G.order)]:
+            bad.append(("left", g))
+        if G.right(g) != [product(G, x, g) for x in range(G.order)]:
+            bad.append(("right", g))
+    return bad
+
+
+def callback_orbit(start, moves):
+    """The orbit of start under the callables in moves, by a
+    breadth-first walk."""
+    orbit, frontier = {start}, [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for move in moves:
+                y = move(x)
+                if y not in orbit:
+                    orbit.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(orbit)
+
+
+def callback_orbits(G, moves):
+    """(least member, orbit) for every orbit of the callables in moves,
+    scanning start points in ascending order: the oracle the arrays must
+    match."""
+    orbits, seen = [], set()
+    for start in range(G.order):
+        if start not in seen:
+            orbit = callback_orbit(start, moves)
+            seen |= orbit
+            orbits.append((start, orbit))
+    return orbits
+
+
+def callback_closure(G, gens):
+    return callback_orbit(G.identity_idx,
+                          [lambda x, g=g: product(G, x, g) for g in gens])
+
+
+def callback_generators(G, indices):
+    """Greedy generators by callback closures."""
+    gens, current = [], frozenset({G.identity_idx})
+    for i in sorted(indices):
+        if i not in current:
+            gens.append(i)
+            current = callback_closure(G, gens)
+    assert current == frozenset(indices)
+    return gens
+
+
+def orbit_mismatches(G):
+    """closure, classes and double_cosets against callback orbits, over
+    every pair of registered subgroups and the whole group."""
+    subgroups = dict(G.subgroups, G=frozenset(range(G.order)))
+    gens = {name: callback_generators(G, H) for name, H in subgroups.items()}
+    bad = []
+    for name, H in subgroups.items():
+        if G.small_generators(H) != gens[name]:
+            bad.append(("generators", name))
+    classes = sorted(sorted(orbit) for _, orbit in callback_orbits(
+        G, [lambda x, g=g: product(G, product(G, g, x),
+                                    G.index[G._inv_fn(G.elements[g])])
+            for g in gens["G"]]))
+    if sorted(G.classes()) != classes or G.classes()[0] != [G.identity_idx]:
+        bad.append(("classes",))
+    for a, b in itertools.product(subgroups, repeat=2):
+        if G.closure(gens[a] + gens[b]) != callback_closure(
+                G, gens[a] + gens[b]):
+            bad.append(("closure", a, b))
+        moves = ([lambda x, h=h: product(G, h, x) for h in gens[a]]
+                 + [lambda x, k=k: product(G, x, k) for k in gens[b]])
+        if G.double_cosets(subgroups[a], subgroups[b]) != callback_orbits(
+                G, moves):
+            bad.append(("double cosets", a, b))
+    return bad
+
+
+def fresh_table(G):
+    """A new table of G's elements and callbacks, with G's subgroups."""
+    H = FiniteGroupTable(G.name, G.elements, G._mul_fn, G._inv_fn,
+                         G.elements[G.identity_idx])
+    H.subgroups = dict(G.subgroups)
+    return H
+
+
+def test_kernel_arrays_match_the_callbacks():
+    for G in (sym_table(4), gl_group(2, 3), gl_group(3, 2),
+              wreath_group(gl_group(1, 3), 2)):
+        assert kernel_mismatches(G) == [], G.name
+
+
+def test_orbit_algorithms_match_callback_orbits():
+    for G in (gl_group(2, 3), gl_group(3, 2)):
+        assert orbit_mismatches(G) == [], G.name
+
+
+def test_bruhat_check_leaves_the_product_cache_empty():
+    G = gl_group(3, 3)
+    G._mul_cache.clear()
+    assert verify_bruhat_bijection(1, 0, 3, 3)["pass"]
+    assert G._mul_cache == {}
+
+
+def test_a_swapped_generator_entry_fails_the_kernel_checks():
+    G = fresh_table(gl_group(2, 3))
+    right = G._schreier_tree()[0][0]  # the first generator's array
+    right[0], right[1] = right[1], right[0]
+    assert kernel_mismatches(G)
+    try:
+        found = orbit_mismatches(G)
+    except ValueError:  # a registered subgroup no longer closes
+        found = True
+    assert found
+
+
+def gl_class_number(n, q):
+    """The coefficient of t^n in prod_{k >= 1} (1 - t^k) / (1 - q t^k)."""
+    series = [1] + [0] * n
+    for k in range(1, n + 1):
+        geometric = [q ** (j // k) if j % k == 0 else 0
+                     for j in range(n + 1)]
+        series = [sum(series[i] * geometric[j - i] for i in range(j + 1))
+                  for j in range(n + 1)]
+        series = [series[j] - (series[j - k] if j >= k else 0)
+                  for j in range(n + 1)]
+    return series[n]
+
+
+def test_gl_class_numbers_match_the_generating_function():
+    cases = [(1, q) for q in (2, 3, 4, 5)] + [(2, q) for q in (2, 3, 4, 5)]
+    cases += [(3, 2), (3, 3)]
+    for n, q in cases:
+        assert len(gl_group(n, q).classes()) == gl_class_number(n, q), (n, q)
+    assert gl_class_number(3, 2) == 6 and gl_class_number(3, 3) == 24

@@ -21,7 +21,7 @@ from pshlab.specht import (induce_young, kappa_multiple_check,
                            specht_dim, standard_basis,
                            submodule_theorem_check, sym_character_table,
                            tabloid_adjacency_check, verify_branching)
-from pshlab.symgroup import Perm
+from pshlab.symgroup import Perm, sign_of
 
 
 def test_dims_small():
@@ -309,3 +309,41 @@ def test_planted_defects_fail_under_optimize():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [1, PLANTED]
+
+
+@lru_cache(maxsize=None)
+def position_sign(positions):
+    return sign_of(positions)
+
+
+def signed_by_sign_of(t):
+    """The column stabilizer with every column arrangement signed by
+    sign_of of the positions it permutes, as (images of the identity key,
+    sign) pairs."""
+    per_col = []
+    for col in t.columns():
+        rank = {c: i + 1 for i, c in enumerate(col)}
+        per_col.append([
+            (tuple(zip(col, arr)),
+             position_sign(tuple(map(rank.__getitem__, arr))))
+            for arr in itertools.permutations(col)])
+    out = []
+    for combo in itertools.product(*per_col):
+        inverse = list(range(t.n))
+        sign = 1
+        for pairs, s in combo:
+            sign *= s
+            for c, a in pairs:  # the arrangement sends c to a
+                inverse[a - 1] = c - 1
+        out.append((tuple(inverse), sign))
+    return out
+
+
+def test_column_stabilizer_signs_match_sign_of():
+    for n in range(7):
+        key = tuple(range(n))
+        for mu in partitions(n):
+            for t in all_tableaux(mu):
+                assert [(move(key), sign) for move, sign
+                        in specht._column_stabilizer(t)] \
+                    == signed_by_sign_of(t), t
