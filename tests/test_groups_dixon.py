@@ -4,6 +4,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from pshlab.combinat import partitions
 from pshlab.cyclo import Cyclo, zeta
 from pshlab.dixon import _power, _power_map
@@ -137,6 +139,13 @@ def test_subgroup_registry():
     assert sorted(G.subgroups["rot"]) == H
     assert G.is_subgroup(H)
     assert not G.is_subgroup(H[:2])  # a three-cycle pair is not closed
+
+
+def test_small_generators_rejects_a_set_that_is_not_a_subgroup():
+    # {0, 2, 5} in Z/6: 2 alone generates three elements, but not 5
+    G = cyclic_table(6)
+    with pytest.raises(ValueError):
+        G.small_generators([0, 2, 5])
 
 
 def test_class_functions_consistent():
@@ -351,11 +360,14 @@ def orbit_mismatches(G):
     for name, H in subgroups.items():
         if G.small_generators(H) != gens[name]:
             bad.append(("generators", name))
-    classes = sorted(sorted(orbit) for _, orbit in callback_orbits(
+    # classes in ascending order of least member, the identity's first
+    classes = [sorted(orbit) for _, orbit in callback_orbits(
         G, [lambda x, g=g: product(G, product(G, g, x),
                                     G.index[G._inv_fn(G.elements[g])])
-            for g in gens["G"]]))
-    if sorted(G.classes()) != classes or G.classes()[0] != [G.identity_idx]:
+            for g in gens["G"]])]
+    ident = next(i for i, c in enumerate(classes) if G.identity_idx in c)
+    classes[0], classes[ident] = classes[ident], classes[0]
+    if G.classes() != classes:
         bad.append(("classes",))
     for a, b in itertools.product(subgroups, repeat=2):
         if G.closure(gens[a] + gens[b]) != callback_closure(
