@@ -105,7 +105,7 @@ def _class_matrices(G: FiniteGroupTable):
     the right action of z at x^-1."""
     r = len(G.classes())
     label = [G.class_of(x) for x in range(G.order)]
-    inv = G.inverses()
+    inv = [G.inv(x) for x in range(G.order)]
     mats = [[[0] * r for _ in range(r)] for _ in range(r)]
     for k, z in enumerate(G.class_reps()):
         by_z = G.right(z)

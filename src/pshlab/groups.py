@@ -14,12 +14,12 @@ identity under right multiplication by the group's greedy generators
 reach).  The walk calls the multiplication callback once per element and
 generator, keeps each generator's right action R_s: x -> x s, and records
 each element's tree step y = parent(y) s.  One pass down the tree then
-gives the left action L_g of any element (g y = (g parent(y)) s) and the
-inverses (y^-1 = s^-1 parent(y)^-1); the right action of g composes the
-R_s along g's tree path.  Closures, greedy generators, conjugacy classes
-and double cosets are orbits of these arrays, scanned in ascending order
-of least member.  `mul` keeps a pair cache for scattered products; no
-orbit algorithm fills it, and `powers` stays on it.
+gives the left action L_g of any element (g y = (g parent(y)) s); the
+right action of g composes the R_s along g's tree path.  Closures, greedy
+generators, conjugacy classes and double cosets are orbits of these
+arrays, scanned in ascending order of least member.  `mul` and `inv` keep
+caches of their callbacks for scattered products and inverses; no orbit
+algorithm fills the product cache, and `powers` stays on it.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ class FiniteGroupTable:
         self._char_table = None
         self._least_reps: dict = {}
         self._tree = None
-        self._inverses = None
 
     @property
     def order(self) -> int:
@@ -130,11 +129,11 @@ class FiniteGroupTable:
         return gens, members, steps
 
     def _schreier_tree(self):
-        """(rights, steps, walk), built once: the right action rights[k]
+        """(rights, members, steps), built once: the right action rights[k]
         of each greedy generator s_k of the group, filled by one
-        multiplication callback per element and generator; the tree step
-        steps[y] = (parent(y), k) with y = parent(y) s_k; and the walk,
-        (y, parent(y), k) for every y but the identity, parents first."""
+        multiplication callback per element and generator; the members in
+        breadth-first order, parents first; and the tree step
+        steps[y] = (parent(y), k) with y = parent(y) s_k."""
         if self._tree is None:
             n, els, index, fn = (self.order, self.elements, self.index,
                                  self._mul_fn)
@@ -150,23 +149,18 @@ class FiniteGroupTable:
                 return move
 
             _, members, steps = self._span(range(n), image)
-            self._tree = (rights, steps,
-                          [(y, *steps[y]) for y in members[1:]])
+            self._tree = (rights, members, steps)
         return self._tree
 
-    def _path(self, g: int) -> list:
-        """The right actions of the steps of g's tree path: g = s_1 ... s_r
-        gives [R_s1, ..., R_sr]."""
-        rights, steps, _ = self._schreier_tree()
+    def _right_move(self, g: int):
+        """x -> x g, composing the generators' right actions along g's
+        tree path."""
+        rights, _, steps = self._schreier_tree()
         path = []
         while steps[g] is not None:
             g, k = steps[g]
             path.append(rights[k])
-        return path[::-1]
-
-    def _right_move(self, g: int):
-        """x -> x g, following g's tree path."""
-        path = self._path(g)
+        path.reverse()
 
         def move(x):
             for r in path:
@@ -175,35 +169,19 @@ class FiniteGroupTable:
         return move
 
     def right(self, g: int) -> list[int]:
-        """The right action x -> x g as a list, composed along g's tree
-        path."""
-        out = list(range(self.order))
-        for r in self._path(g):
-            out = [r[x] for x in out]
-        return out
+        """The right action x -> x g as a list."""
+        return list(map(self._right_move(g), range(self.order)))
 
     def left(self, g: int) -> list[int]:
         """The left action x -> g x as a list, one pass down the tree:
         g y = (g parent(y)) s."""
-        rights, _, walk = self._schreier_tree()
+        rights, members, steps = self._schreier_tree()
         out = [0] * self.order
         out[self.identity_idx] = g
-        for y, x, k in walk:
+        for y in members[1:]:
+            x, k = steps[y]
             out[y] = rights[k][out[x]]
         return out
-
-    def inverses(self) -> list[int]:
-        """x -> x^-1 as a list, one pass down the tree:
-        y^-1 = s^-1 parent(y)^-1."""
-        if self._inverses is None:
-            rights, _, walk = self._schreier_tree()
-            by_inverse = [self.left(r.index(self.identity_idx))
-                          for r in rights]
-            out = [self.identity_idx] * self.order
-            for y, x, k in walk:
-                out[y] = by_inverse[k][out[x]]
-            self._inverses = out
-        return self._inverses
 
     def _orbits(self, moves):
         """The orbits of the index lists in moves on all element indices,
