@@ -393,25 +393,7 @@ def cmd_compute(args) -> int:
     params = {"kind": kind, "lambda": args.lam, "n": args.n, "q": args.q,
               "group": args.group, "subgroup": args.subgroup,
               "char": args.char}
-    if kind == "f-lambda":
-        from .invariants import f_lambda
-        poly = f_lambda(_lambda_arg(args, kind))
-        result = {"kind": kind, "coefficients": poly.to_json(),
-                  "pretty": poly.pretty()}
-        if args.approx:
-            result["approx"] = poly.approx()
-        lines = [poly.pretty()]
-    elif kind == "w-x":
-        from .invariants import w_x_sym
-        from .specht import specht_character
-        lam = _lambda_arg(args, kind)
-        poly = w_x_sym(specht_character(lam))
-        result = {"kind": kind, "coefficients": poly.to_json(),
-                  "pretty": poly.pretty()}
-        if args.approx:
-            result["approx"] = poly.approx()
-        lines = [poly.pretty()]
-    elif kind == "kondo":
+    if kind == "kondo":
         if not args.group:
             print("kondo needs --group GL(n,q)", file=sys.stderr)
             return EXIT_USAGE
@@ -420,9 +402,18 @@ def cmd_compute(args) -> int:
         if args.approx:
             result["approx"] = list(value.to_complex())
         lines = [str(scalar(value))]
-    else:  # wreath-w, the last of the kinds argparse admits
-        from .invariants import specht_wreath_invariant
-        poly = specht_wreath_invariant(_lambda_arg(args, kind), args.q or 3)
+    else:
+        if kind == "f-lambda":
+            from .invariants import f_lambda
+            poly = f_lambda(_lambda_arg(args, kind))
+        elif kind == "w-x":
+            from .invariants import w_x_sym
+            from .specht import specht_character
+            poly = w_x_sym(specht_character(_lambda_arg(args, kind)))
+        else:  # wreath-w, the last of the kinds argparse admits
+            from .invariants import specht_wreath_invariant
+            poly = specht_wreath_invariant(_lambda_arg(args, kind),
+                                           args.q or 3)
         result = {"kind": kind, "coefficients": poly.to_json(),
                   "pretty": poly.pretty()}
         if args.approx:

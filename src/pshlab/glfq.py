@@ -292,7 +292,11 @@ def _gl_elements(f: Fq, n: int) -> list:
 @lru_cache(maxsize=None)
 def gl_group(n: int, q: int) -> FiniteGroupTable:
     """GL_n(F_q) by full enumeration, with the standard subgroups
-    registered: U(k,n-k), P(k,n-k), L(k,n-k), Sigma, Z, D, B."""
+    registered as closures of their generators: U(k,n-k), P(k,n-k),
+    L(k,n-k), Z, D, B and Sigma, built from the transvections I + c E_ij
+    (c in the additive basis p^t of F_q), the diagonal matrices with one
+    entry the field generator g, the scalar g I and the adjacent
+    transposition matrices."""
     if n < 1:
         raise ValueError(f"GL({n},{q}) needs n >= 1")
     p, d = _prime_power(q)
@@ -308,30 +312,34 @@ def gl_group(n: int, q: int) -> FiniteGroupTable:
                          mat_identity(f, n))
     G.field = f
     G.n = n
+
+    def matrix(entries):
+        """The index of the identity matrix with the given (i, j) -> value
+        entries written over it."""
+        return G.index[tuple(tuple(entries.get((i, j), int(i == j))
+                                   for j in range(n)) for i in range(n))]
+
+    def transvections(pairs):
+        # I + c E_ij for c in the additive basis p^t of F_q
+        return [matrix({ij: p ** t}) for ij in pairs for t in range(d)]
+
+    diagonal = [matrix({(i, i): f.generator}) for i in range(n)]
     for k in range(1, n):
-        G.register_subgroup(f"U({k},{n - k})", [
-            G.index[a] for a in elements
-            if _is_block_unipotent(a, k)])
-        G.register_subgroup(f"P({k},{n - k})", [
-            G.index[a] for a in elements
-            if _is_block_upper(a, k)])
-        G.register_subgroup(f"L({k},{n - k})", [
-            G.index[a] for a in elements
-            if _is_block_diagonal(a, k)])
-    G.register_subgroup("Z", [
-        G.index[a] for a in elements
-        if all(a[i][j] == (a[0][0] if i == j else 0)
-               for i in range(n) for j in range(n))])
-    G.register_subgroup("D", [
-        G.index[a] for a in elements
-        if all(a[i][j] == 0 for i in range(n) for j in range(n) if i != j)])
-    G.register_subgroup("B", [
-        G.index[a] for a in elements
-        if all(a[i][j] == 0 for i in range(n) for j in range(n) if i > j)])
-    G.register_subgroup("Sigma", [
-        G.index[a] for a in elements
-        if all(sum(1 for x in row if x) == 1 for row in a)
-        and all(x in (0, 1) for row in a for x in row)])
+        top, bottom = range(k), range(k, n)
+        levi = diagonal + transvections(
+            [(i, j) for b in (top, bottom) for i in b for j in b if i != j])
+        radical = transvections([(i, j) for i in top for j in bottom])
+        G.subgroups[f"U({k},{n - k})"] = G.closure(radical)
+        G.subgroups[f"P({k},{n - k})"] = G.closure(levi + radical)
+        G.subgroups[f"L({k},{n - k})"] = G.closure(levi)
+    G.subgroups["Z"] = G.closure(
+        [matrix({(i, i): f.generator for i in range(n)})])
+    G.subgroups["D"] = G.closure(diagonal)
+    G.subgroups["B"] = G.closure(diagonal + transvections(
+        [(i, j) for i in range(n) for j in range(i + 1, n)]))
+    G.subgroups["Sigma"] = G.closure(
+        [matrix({(i, i): 0, (i + 1, i + 1): 0, (i, i + 1): 1, (i + 1, i): 1})
+         for i in range(n - 1)])
     return G
 
 
@@ -344,25 +352,6 @@ def _prime_power(q: int):
     while p ** d < q:
         d += 1
     return p, d
-
-
-def _is_block_upper(a, k) -> bool:
-    n = len(a)
-    return all(a[i][j] == 0 for i in range(k, n) for j in range(k))
-
-
-def _is_block_diagonal(a, k) -> bool:
-    n = len(a)
-    return (_is_block_upper(a, k)
-            and all(a[i][j] == 0 for i in range(k) for j in range(k, n)))
-
-
-def _is_block_unipotent(a, k) -> bool:
-    n = len(a)
-    return (_is_block_upper(a, k)
-            and all(a[i][j] == (1 if i == j else 0)
-                    for i in range(n) for j in range(n)
-                    if not (i < k <= j)))
 
 
 # -- measure and Gauss sums ----------------------------------------------

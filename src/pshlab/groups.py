@@ -218,12 +218,6 @@ class FiniteGroupTable:
             raise ValueError("index set is not closed under multiplication")
         return gens
 
-    def register_subgroup(self, name: str, indices):
-        indices = frozenset(indices)
-        gens = self.small_generators(indices)
-        self.subgroups[name] = indices
-        return indices, gens
-
     def is_subgroup(self, indices) -> bool:
         indices = set(indices)
         return (self.identity_idx in indices

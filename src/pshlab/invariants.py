@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 
 from .chars import elementwise, numerical_invariant
-from .combinat import addable_nodes, conjugate, partitions
+from .combinat import add_node, addable_nodes, conjugate, partitions
 from .cyclo import Cyclo, scalar, zeta
 from .symgroup import Perm, cycles_of
 
@@ -221,7 +221,7 @@ def verify_mezzadri(n: int) -> dict:
         total = 0
         rhs = Poly()
         for (i, j) in addable_nodes(mu):
-            lam = _add(mu, (i, j))
+            lam = add_node(mu, (i, j))
             total += specht_dim(lam) * (i - j)
             rhs = rhs + f_lambda(lam).scale(specht_dim(lam))
         lhs = (X * f_lambda(mu)).scale((n + 1) * specht_dim(mu))
@@ -230,11 +230,6 @@ def verify_mezzadri(n: int) -> dict:
         ok = ok and total == 0 and lhs == rhs
     return {"check": "mezzadri", "n": n, "per_partition": checks,
             "node_sums": node_sums, "pass": ok}
-
-
-def _add(mu, node):
-    from .combinat import add_node
-    return add_node(mu, node)
 
 
 def verify_psh_multiplicativity(k: int, n: int) -> dict:

@@ -1,21 +1,22 @@
 """Graded self-adjoint Hopf structures on representation rings, with
-three concrete instances: symmetric groups, wreath products, and small
+three concrete towers: symmetric groups, wreath products, and small
 general linear groups over finite fields.
 
 Everything is computed at the level of exact characters; a basis label is
-an irreducible character, a PshElement is an integer combination of
-(degree, label) pairs, and products/coproducts are induction/restriction
-decomposed by Schur inner products.
+an irreducible character, and a PshElement is an integer combination of
+(degree, label) pairs.  One PshStructure serves every tower: the product
+is induction decomposed into irreducibles by the inner product, and the
+coproduct is restriction, given on pairs of classes of the two factors,
+decomposed the same way.  A tower supplies only its irreducibles, its
+induction and its restriction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .cyclo import conj, integer, scalar
-from .symgroup import centralizer_order
 
 __all__ = ["PshElement", "PshStructure", "psh_inner", "verify_self_adjoint",
            "verify_hopf", "verify_positivity", "verify_cocommutativity",
@@ -74,24 +75,35 @@ def psh_inner(x: PshElement, y: PshElement) -> int:
 
 
 class PshStructure:
-    """basis_fn(n) -> ordered labels; product_fn(da, la, db, lb) ->
-    PshElement in degree da+db; coproduct_fn(d, l) -> dict mapping
-    ((da, la), (db, lb)) -> coefficient, covering all splits da+db = d."""
+    """A tower of groups G_n, n = 1..maxdeg, given by three functions.
 
-    def __init__(self, name: str, maxdeg: int, basis_fn, product_fn,
-                 coproduct_fn):
+    irreducibles(n) maps each basis label of degree n to its irreducible
+    character, a ClassFunction; induce(a, chi, b, psi) is the character
+    of G_(a+b) induced from chi x psi on the block subgroup G_a x G_b (and
+    inflated over its radical, if the tower has one); restrict(n, chi, a)
+    maps each pair (x, y) of class labels of G_a and G_(n-a) to the value
+    R(x, y) of chi restricted to G_a x G_b (averaged over the radical).
+
+    The product decomposes the induced character against irreducibles(a+b)
+    by ClassFunction.inner; the coproduct decomposes the restriction,
+    (1/|G_a||G_b|) sum of |x||y| R(x, y) conj alpha(x) conj beta(y) over
+    the class pairs.  Neither is derived from the other, so
+    verify_self_adjoint compares two independent routes."""
+
+    def __init__(self, name: str, maxdeg: int, irreducibles, induce,
+                 restrict):
         self.name = name
         self.maxdeg = maxdeg
-        self._basis_fn = basis_fn
-        self._product_fn = product_fn
-        self._coproduct_fn = coproduct_fn
+        self.irreducibles = lru_cache(maxsize=None)(irreducibles)
+        self.induce = induce
+        self.restrict = restrict
         self._prod_cache: dict = {}
         self._cop_cache: dict = {}
 
     def basis(self, n: int):
         if n == 0:
             return [UNIT]
-        return self._basis_fn(n)
+        return list(self.irreducibles(n))
 
     def product(self, da, la, db, lb) -> PshElement:
         if da == 0:
@@ -99,17 +111,38 @@ class PshStructure:
         if db == 0:
             return PshElement.basis(da, la)
         key = (da, la, db, lb)
-        if key not in self._prod_cache:
-            self._prod_cache[key] = self._product_fn(da, la, db, lb)
-        return self._prod_cache[key]
+        out = self._prod_cache.get(key)
+        if out is None:
+            induced = self.induce(da, self.irreducibles(da)[la],
+                                  db, self.irreducibles(db)[lb])
+            n = da + db
+            out = self._prod_cache[key] = PshElement(
+                {(n, l): integer(induced.inner(irr))
+                 for l, irr in self.irreducibles(n).items()})
+        return out
 
     def coproduct(self, d, l) -> dict:
         if d == 0:
             return {((0, UNIT), (0, UNIT)): 1}
         key = (d, l)
-        if key not in self._cop_cache:
-            self._cop_cache[key] = self._coproduct_fn(d, l)
-        return self._cop_cache[key]
+        out = self._cop_cache.get(key)
+        if out is None:
+            out = {((0, UNIT), (d, l)): 1, ((d, l), (0, UNIT)): 1}
+            chi = self.irreducibles(d)[l]
+            for a in range(1, d):
+                table = self.restrict(d, chi, a)
+                for la, alpha in self.irreducibles(a).items():
+                    for lb, beta in self.irreducibles(d - a).items():
+                        total = sum(alpha.sizes[x] * beta.sizes[y] * v
+                                    * conj(alpha.values[x])
+                                    * conj(beta.values[y])
+                                    for (x, y), v in table.items())
+                        c = integer(total * Fraction(
+                            1, alpha.order * beta.order))
+                        if c:
+                            out[((a, la), (d - a, lb))] = c
+            self._cop_cache[key] = out
+        return out
 
     def product_elem(self, x: PshElement, y: PshElement) -> PshElement:
         out = PshElement()
@@ -124,7 +157,6 @@ class PshStructure:
             for pair, v in self.coproduct(d, l).items():
                 out[pair] = out.get(pair, 0) + c * v
         return {k: v for k, v in out.items() if v}
-
 
 # -- generic verifiers -----------------------------------------------------
 
@@ -318,134 +350,71 @@ def decompose(R: PshStructure, maxdeg: int | None = None) -> dict:
             "unresolved": unresolved}
 
 
-# -- symmetric instance ------------------------------------------------------
+# -- the three towers --------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def symmetric_instance(maxdeg: int = 6) -> PshStructure:
+    """PSH structure on the symmetric groups: Specht characters, Young
+    induction, and restriction chi(t1 u t2) on cycle-type pairs."""
     from .combinat import partitions
     from .specht import induce_young, specht_character
 
-    def basis_fn(n):
-        return list(partitions(n))
+    def irreducibles(n):
+        return {lam: specht_character(lam) for lam in partitions(n)}
 
-    def product_fn(k, lam, nk, mu):
-        n = k + nk
-        induced = induce_young(specht_character(lam), specht_character(mu))
-        out = {}
-        for nu in partitions(n):
-            c = integer(induced.inner(specht_character(nu)))
-            if c:
-                out[(n, nu)] = c
-        return PshElement(out)
+    def induce(a, chi, b, psi):
+        return induce_young(chi, psi)
 
-    def coproduct_fn(n, lam):
-        chi = specht_character(lam)
-        out = {((0, UNIT), (n, lam)): 1, ((n, lam), (0, UNIT)): 1}
-        for a in range(1, n):
-            b = n - a
-            for mu in partitions(a):
-                for nu in partitions(b):
-                    total = 0
-                    for t1 in partitions(a):
-                        for t2 in partitions(b):
-                            merged = tuple(sorted(t1 + t2, reverse=True))
-                            total += (Fraction(
-                                factorial(a) * factorial(b),
-                                centralizer_order(t1)
-                                * centralizer_order(t2))
-                                * chi.values[merged]
-                                * specht_character(mu).values[t1]
-                                * specht_character(nu).values[t2])
-                    c = integer(Fraction(total, factorial(a) * factorial(b)))
-                    if c:
-                        out[((a, mu), (b, nu))] = c
-        return out
+    def restrict(n, chi, a):
+        return {(t1, t2): chi.values[tuple(sorted(t1 + t2, reverse=True))]
+                for t1 in partitions(a) for t2 in partitions(n - a)}
 
-    return PshStructure("symmetric", maxdeg, basis_fn, product_fn,
-                        coproduct_fn)
+    return PshStructure("symmetric", maxdeg, irreducibles, induce, restrict)
 
 
-# -- instances backed by FiniteGroupTables -----------------------------------
-
-class _TableInstance:
-    """Shared machinery for instances whose degree-n piece is the
-    character ring of an explicit group with a block embedding of
-    group(a) x group(b) into group(a+b).
+def _table_tower(group_fn, embed):
+    """(irreducibles, induce, restrict) for a tower of FiniteGroupTables
+    group_fn(n) with a block embedding embed(x, y) of group(a) x group(b)
+    into group(a+b).
 
     The parabolic subgroup P is the embedded group(a) x group(b) times the
     radical registered as "U(a,b)"; towers that register none (wreath
-    products) have the trivial radical.  The product induces the inflated
-    tensor character from P, and a coproduct component averages over the
-    radical coset, which for a trivial radical is plain restriction."""
+    products) have the trivial radical.  Induction is from P of the
+    inflated tensor character.  Restriction averages chi over the radical
+    coset of the embedded pair; the Levi subgroup normalises the radical,
+    so that average is a class function of it and is read at one
+    representative pair per class pair."""
 
-    def __init__(self, name, maxdeg, group_fn, embed):
-        self.name = name
-        self.maxdeg = maxdeg
-        self.group_fn = group_fn
-        self.embed = embed
+    def radical(G, a, b):
+        return sorted(G.subgroups.get(f"U({a},{b})", [G.identity_idx]))
 
-    def basis(self, n):
-        return list(range(len(self.group_fn(n).character_table())))
+    def irreducibles(n):
+        return dict(enumerate(group_fn(n).character_table()))
 
-    def _parabolic(self, a, b):
-        """The radical of group(a+b) over the blocks (sorted indices), and
-        (xa, xb, index of embed(xa, xb)) for every pair of block
-        elements."""
-        G = self.group_fn(a + b)
-        Ga, Gb = self.group_fn(a), self.group_fn(b)
-        radical = sorted(G.subgroups.get(f"U({a},{b})", [G.identity_idx]))
-        pairs = [(xa, xb, G.index[self.embed(Ga.elements[xa],
-                                             Gb.elements[xb])])
-                 for xa in range(Ga.order) for xb in range(Gb.order)]
-        return radical, pairs
+    def induce(a, chi, b, psi):
+        G, Ga, Gb = group_fn(a + b), group_fn(a), group_fn(b)
+        U = radical(G, a, b)
+        values = {}
+        for xa in range(Ga.order):
+            for xb in range(Gb.order):
+                v = chi.values[Ga.class_of(xa)] * psi.values[Gb.class_of(xb)]
+                i = G.index[embed(Ga.elements[xa], Gb.elements[xb])]
+                for u in U:
+                    values[G.mul(i, u)] = v
+        return G.induced_character(values.keys(), values)
 
-    def product(self, a, la, b, lb):
-        G = self.group_fn(a + b)
-        Ga, Gb = self.group_fn(a), self.group_fn(b)
-        chi1 = Ga.character_table()[la]
-        chi2 = Gb.character_table()[lb]
-        radical, pairs = self._parabolic(a, b)
-        chi = {}
-        for xa, xb, i in pairs:
-            v = chi1.values[Ga.class_of(xa)] * chi2.values[Gb.class_of(xb)]
-            for u in radical:
-                chi[G.mul(i, u)] = v
-        induced = G.induced_character(chi.keys(), chi)
+    def restrict(n, chi, a):
+        G, Ga, Gb = group_fn(n), group_fn(a), group_fn(n - a)
+        U = radical(G, a, n - a)
         out = {}
-        for k, irr in enumerate(G.character_table()):
-            c = integer(induced.inner(irr))
-            if c:
-                out[(a + b, k)] = c
-        return PshElement(out)
-
-    def coproduct(self, n, l):
-        G = self.group_fn(n)
-        chi = G.character_table()[l]
-        out = {((0, UNIT), (n, l)): 1, ((n, l), (0, UNIT)): 1}
-        for a in range(1, n):
-            b = n - a
-            Ga, Gb = self.group_fn(a), self.group_fn(b)
-            radical, pairs = self._parabolic(a, b)
-            table = {}
-            for xa, xb, x in pairs:
-                total = sum(chi.values[G.class_of(G.mul(x, u))]
-                            for u in radical)
-                table[(xa, xb)] = scalar(total * Fraction(1, len(radical)))
-            for i, irr_a in enumerate(Ga.character_table()):
-                for j, irr_b in enumerate(Gb.character_table()):
-                    total = 0
-                    for (xa, xb), v in table.items():
-                        total = (total + v
-                                 * conj(irr_a.values[Ga.class_of(xa)])
-                                 * conj(irr_b.values[Gb.class_of(xb)]))
-                    c = integer(total * Fraction(1, Ga.order * Gb.order))
-                    if c:
-                        out[((a, i), (b, j))] = c
+        for x, xa in enumerate(Ga.class_reps()):
+            for y, xb in enumerate(Gb.class_reps()):
+                i = G.index[embed(Ga.elements[xa], Gb.elements[xb])]
+                total = sum(chi.values[G.class_of(G.mul(i, u))] for u in U)
+                out[(x, y)] = scalar(total * Fraction(1, len(U)))
         return out
 
-    def structure(self) -> PshStructure:
-        return PshStructure(self.name, self.maxdeg, self.basis,
-                            self.product, self.coproduct)
+    return irreducibles, induce, restrict
 
 
 @lru_cache(maxsize=None)
@@ -464,8 +433,8 @@ def wreath_instance(h_name: str = "C2", maxdeg: int = 3) -> PshStructure:
         sig = tuple(sig1) + tuple(s + len(sig1) for s in sig2)
         return (sig, tuple(al1) + tuple(al2))
 
-    inst = _TableInstance(f"wreath({h_name})", maxdeg, group_fn, embed)
-    return inst.structure()
+    return PshStructure(f"wreath({h_name})", maxdeg,
+                        *_table_tower(group_fn, embed))
 
 
 def _base_group(name: str):
@@ -490,8 +459,8 @@ def gl_instance(q: int, maxdeg: int = 2) -> PshStructure:
     def group_fn(n):
         return gl_group(n, q)
 
-    inst = _TableInstance(f"GL(q={q})", maxdeg, group_fn, block_diagonal)
-    return inst.structure()
+    return PshStructure(f"GL(q={q})", maxdeg,
+                        *_table_tower(group_fn, block_diagonal))
 
 
 def verify_fibred_grading(q: int = 3) -> dict:

@@ -4,6 +4,7 @@ Every check here uses exact arithmetic; numeric values are frozen
 literals computed independently of the code under test.
 """
 
+import functools
 import itertools
 import json
 import subprocess
@@ -121,18 +122,34 @@ def test_criterion_6_parabolic_double_cosets():
                     assert report["pass"], report
 
 
+@functools.lru_cache(maxsize=None)
+def _adjacent_moves(m):
+    """For each i < m, the moves of Sym(m), listed as the image tuples of
+    itertools.permutations, by the transposition (i, i+1): on the left it
+    swaps the values i and i+1 of an image tuple, on the right the
+    positions i and i+1.  Returns m!, the left moves and the right moves,
+    each a dict i -> list sending a tuple's position in the listing to its
+    image's."""
+    perms = list(itertools.permutations(range(1, m + 1)))
+    index = {p: k for k, p in enumerate(perms)}
+    left, right = {}, {}
+    for i in range(1, m):
+        swap = {i: i + 1, i + 1: i}
+        left[i] = [index[tuple(swap.get(v, v) for v in p)] for p in perms]
+        right[i] = [index[p[:i - 1] + (p[i], p[i - 1]) + p[i + 1:]]
+                    for p in perms]
+    return len(perms), left, right
+
+
 def _young_coset_count(m, a, alpha):
     """Independent double-coset count by orbit search over all of Sym(m),
     using adjacent-transposition generators of the two Young subgroups."""
-    perms = [Perm(p) for p in itertools.permutations(range(1, m + 1))]
-    index = {p.images: i for i, p in enumerate(perms)}
-    lgens = [Perm.from_cycles(m, [(i, i + 1)]) for i in range(1, m)
-             if i + 1 <= a or i > a]
-    rgens = [Perm.from_cycles(m, [(i, i + 1)]) for i in range(1, m)
-             if i + 1 <= alpha or i > alpha]
-    seen = [False] * len(perms)
+    order, left, right = _adjacent_moves(m)
+    moves = ([left[i] for i in range(1, m) if i + 1 <= a or i > a]
+             + [right[i] for i in range(1, m) if i + 1 <= alpha or i > alpha])
+    seen = [False] * order
     count = 0
-    for start in range(len(perms)):
+    for start in range(order):
         if seen[start]:
             continue
         count += 1
@@ -140,14 +157,8 @@ def _young_coset_count(m, a, alpha):
         seen[start] = True
         while stack:
             x = stack.pop()
-            px = perms[x]
-            for g in lgens:
-                y = index[(g * px).images]
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-            for g in rgens:
-                y = index[(px * g).images]
+            for move in moves:
+                y = move[x]
                 if not seen[y]:
                     seen[y] = True
                     stack.append(y)

@@ -165,6 +165,47 @@ def test_registered_parabolics():
     assert len(G.subgroups["Sigma"]) == 2
 
 
+def subgroup_predicates(n):
+    """Each registered subgroup of GL(n, q) as a predicate on matrices:
+    the oracle for the generator closures gl_group builds."""
+    def zero_below(a, k):  # the block upper triangular shape over k
+        return all(a[i][j] == 0 for i in range(k, n) for j in range(k))
+
+    def zero_off(a, k):  # block diagonal over k
+        return zero_below(a, k) and all(
+            a[i][j] == 0 for i in range(k) for j in range(k, n))
+
+    def unipotent(a, k):  # identity outside the top right block
+        return all(a[i][j] == int(i == j) for i in range(n) for j in range(n)
+                   if not (i < k <= j))
+
+    out = {}
+    for k in range(1, n):
+        out[f"U({k},{n - k})"] = lambda a, k=k: unipotent(a, k)
+        out[f"P({k},{n - k})"] = lambda a, k=k: zero_below(a, k)
+        out[f"L({k},{n - k})"] = lambda a, k=k: zero_off(a, k)
+    out["Z"] = lambda a: all(a[i][j] == (a[0][0] if i == j else 0)
+                             for i in range(n) for j in range(n))
+    out["D"] = lambda a: all(a[i][j] == 0 for i in range(n)
+                             for j in range(n) if i != j)
+    out["B"] = lambda a: all(a[i][j] == 0 for i in range(n)
+                             for j in range(i))
+    out["Sigma"] = lambda a: (all(sum(1 for x in row if x) == 1 for row in a)
+                              and all(x in (0, 1) for row in a for x in row))
+    return out
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (1, 5), (2, 2), (2, 3), (2, 4),
+                                 (2, 5), (3, 2), (3, 3)])
+def test_registered_subgroups_match_their_predicates(n, q):
+    G = gl_group(n, q)
+    predicates = subgroup_predicates(n)
+    assert list(G.subgroups) == list(predicates)
+    for name, member in predicates.items():
+        expected = frozenset(i for i, a in enumerate(G.elements) if member(a))
+        assert G.subgroups[name] == expected, (n, q, name)
+
+
 def test_psi_measure_values():
     f3 = build_field(3)
     zero = ((0, 0), (0, 0))
