@@ -441,13 +441,9 @@ def _torus_dlog(G: FiniteGroupTable, torus):
     order = len(torus)
     members = set(torus)
     for g in torus:
-        dlog = {}
-        x = G.identity_idx
-        for k in range(order):
-            dlog[x] = k
-            x = G.mul(x, g)
-        if len(dlog) == order and set(dlog) == members:
-            return dlog
+        chain = G.powers(g)
+        if len(chain) == order and set(chain) == members:
+            return {x: (k + 1) % order for k, x in enumerate(chain)}
     raise AssertionError("torus is not cyclic")
 
 

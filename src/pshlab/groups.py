@@ -2,7 +2,7 @@
 
 FiniteGroupTable wraps an element list plus multiplication and inverse
 callbacks, and lazily computes conjugacy classes, subgroup closures,
-double cosets, least double-coset representatives and induced
+double cosets, double-coset factorization tables and induced
 characters.  Class labels are integer class indices; the identity's class
 is always label 0.
 
@@ -15,11 +15,13 @@ reach).  The walk calls the multiplication callback once per element and
 generator, keeps each generator's right action R_s: x -> x s, and records
 each element's tree step y = parent(y) s.  One pass down the tree then
 gives the left action L_g of any element (g y = (g parent(y)) s); the
-right action of g composes the R_s along g's tree path.  Closures, greedy
-generators, conjugacy classes and double cosets are orbits of these
-arrays, scanned in ascending order of least member.  `mul` and `inv` keep
-caches of their callbacks for scattered products and inverses; no orbit
-algorithm fills the product cache, and `powers` stays on it.
+right action of g composes the R_s along g's tree path, and a product
+x y moves y along x's path by the generators' L_s (x y = parent(x) (s y)),
+so the multiplication callback runs only while the tree is built.
+Closures, greedy generators, conjugacy classes and double cosets are
+orbits of these arrays, scanned in ascending order of least member; the
+double-coset walk also factors each member as h rep k.  `inv` keeps a
+cache of its callback.
 """
 
 from __future__ import annotations
@@ -54,26 +56,31 @@ class FiniteGroupTable:
         self._mul_fn = mul
         self._inv_fn = inv
         self.identity_idx = self.index[identity]
-        self._mul_cache: dict = {}
         self._inv_cache: dict = {}
         self._classes = None
         self._class_of = None
         self.subgroups: dict = {}
         self._char_table = None
-        self._least_reps: dict = {}
+        self._coset_tables: dict = {}
         self._tree = None
+        self._lefts = None
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def mul(self, i: int, j: int) -> int:
-        key = (i, j)
-        out = self._mul_cache.get(key)
-        if out is None:
-            out = self.index[self._mul_fn(self.elements[i], self.elements[j])]
-            self._mul_cache[key] = out
-        return out
+        """i j, by the left actions L_s of the generators on i's tree
+        path: i j = parent(i) (s j) for i = parent(i) s."""
+        steps = self._schreier_tree()[2]
+        if self._lefts is None:
+            self._lefts = [self.left(r[self.identity_idx])
+                           for r in self._tree[0]]
+        lefts = self._lefts
+        while steps[i] is not None:
+            i, k = steps[i]
+            j = lefts[k][j]
+        return j
 
     def inv(self, i: int) -> int:
         out = self._inv_cache.get(i)
@@ -89,9 +96,10 @@ class FiniteGroupTable:
     def powers(self, g: int) -> list[int]:
         """[g, g^2, ..., 1]: the powers of g up to the identity, so the
         list's length is the order of g."""
+        move = self._right_move(g)
         chain = [g]
         while chain[-1] != self.identity_idx:
-            chain.append(self.mul(chain[-1], g))
+            chain.append(move(chain[-1]))
         return chain
 
     # -- the Schreier tree and permutation arrays -----------------------
@@ -185,23 +193,24 @@ class FiniteGroupTable:
 
     def _orbits(self, moves):
         """The orbits of the index lists in moves on all element indices,
-        by an ascending scan: a list of (least member, members) in order
-        of least member, and the list sending each index to the position
-        of its orbit."""
-        label = [-1] * self.order
+        by an ascending scan: a list of (least member, members in the order
+        reached) in order of least member, and the list parent with
+        y = move[parent[y]] for one of the moves, except at a least member
+        y, where parent[y] = y."""
+        parent = [-1] * self.order
         orbits = []
         for start in range(self.order):
-            if label[start] < 0:
-                k = label[start] = len(orbits)
+            if parent[start] < 0:
+                parent[start] = start
                 orbit = [start]
                 for x in orbit:
                     for move in moves:
                         y = move[x]
-                        if label[y] < 0:
-                            label[y] = k
+                        if parent[y] < 0:
+                            parent[y] = x
                             orbit.append(y)
                 orbits.append((start, orbit))
-        return orbits, label
+        return orbits, parent
 
     # -- subgroups ------------------------------------------------------
 
@@ -219,27 +228,24 @@ class FiniteGroupTable:
         return gens
 
     def is_subgroup(self, indices) -> bool:
-        indices = set(indices)
-        return (self.identity_idx in indices
-                and all(self.mul(a, b) in indices
-                        for a in indices for b in indices))
+        return self.closure(indices) == frozenset(indices)
 
     # -- conjugacy ------------------------------------------------------
 
     def _compute_classes(self):
         # conjugation x -> s^-1 x s by each generator s: L_{s^-1}, then R_s
         rights = self._schreier_tree()[0]
-        orbits, class_of = self._orbits(
+        orbits = self._orbits(
             [[r[y] for y in self.left(r.index(self.identity_idx))]
-             for r in rights])
+             for r in rights])[0]
         classes = [sorted(orbit) for _, orbit in orbits]
-        # swap the identity's class into label 0
-        ident = class_of[self.identity_idx]
-        if ident != 0:
-            classes[0], classes[ident] = classes[ident], classes[0]
-            for label in (0, ident):
-                for x in classes[label]:
-                    class_of[x] = label
+        # swap the identity's class, {1}, into label 0
+        ident = [least for least, _ in orbits].index(self.identity_idx)
+        classes[0], classes[ident] = classes[ident], classes[0]
+        class_of = [0] * self.order
+        for label, members in enumerate(classes):
+            for x in members:
+                class_of[x] = label
         self._classes = classes
         self._class_of = class_of
 
@@ -319,29 +325,43 @@ class FiniteGroupTable:
         """Restriction as a map subgroup-element-index -> value."""
         return {x: chi.values[self.class_of(x)] for x in sorted(sub_indices)}
 
+    def _coset_moves(self, left_indices, right_indices):
+        """The left actions of the greedy generators of left, and the
+        right actions of those of right."""
+        return ([self.left(h) for h in self.small_generators(left_indices)],
+                [self.right(k) for k in self.small_generators(right_indices)])
+
     def double_cosets(self, left_indices, right_indices):
         """Partition of the group into H g K double cosets; returns a list
         of (representative, frozenset of members) with the representative
         the least element index in the coset."""
-        moves = ([self.left(h) for h in self.small_generators(left_indices)]
-                 + [self.right(k)
-                    for k in self.small_generators(right_indices)])
+        lefts, rights = self._coset_moves(left_indices, right_indices)
         return [(rep, frozenset(orbit))
-                for rep, orbit in self._orbits(moves)[0]]
+                for rep, orbit in self._orbits(lefts + rights)[0]]
 
-    def least_double_coset_reps(self, left_indices, right_indices):
-        """A list mapping every element index to the least element index
-        of its left-g-right double coset.  Built once per pair of index
-        collections from the double_cosets walk and kept on the group."""
+    def double_coset_table(self, left_indices, right_indices):
+        """Lists (rep, h, k) with y = h[y] rep[y] k[y] for every element
+        index y: rep[y] is the least element of the left-y-right double
+        coset, h[y] lies in left and k[y] in right.  The double_cosets
+        walk fills them from each member's step, with no product: reached
+        from x by the left action of s, h = s h[x]; by the right action of
+        s, k = k[x] s.  Built once per pair and kept on the group."""
         key = (tuple(left_indices), tuple(right_indices))
-        table = self._least_reps.get(key)
-        if table is None:
-            table = [0] * self.order
-            for rep, members in self.double_cosets(*key):
-                for x in members:
-                    table[x] = rep
-            self._least_reps[key] = table
-        return table
+        if key not in self._coset_tables:
+            lefts, rights = self._coset_moves(*key)
+            moves = lefts + rights
+            orbits, parent = self._orbits(moves)
+            rep, h = [0] * self.order, [self.identity_idx] * self.order
+            k = h[:]
+            for least, orbit in orbits:
+                rep[least] = least
+                for y in orbit[1:]:
+                    x, rep[y] = parent[y], least
+                    m = [move[x] for move in moves].index(y)
+                    h[y], k[y] = ((moves[m][h[x]], k[x]) if m < len(lefts)
+                                  else (h[x], moves[m][k[x]]))
+            self._coset_tables[key] = (rep, h, k)
+        return self._coset_tables[key]
 
     def character_table(self):
         """Exact irreducible characters via the class-algebra method."""

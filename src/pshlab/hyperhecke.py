@@ -4,10 +4,12 @@ element with K inside g^-1 H g and psi = phi after conjugation.
 
 Triples act on induced modules by g' (x)_K v -> g' g^-1 (x)_H v, compose
 by matching the middle pair, and normalize by moving g to the least
-element of its H-g-K double coset while the scalar absorbs character
-values.  The module also provides the block product into a larger
-general linear group, the parabolic-restriction coproduct, and an
-exploratory check of their compatibility.
+element g0 of its H-g-K double coset while the scalar absorbs character
+values.  Both read the group's double-coset tables, which factor every
+element as g = h g0 k: normal forms the (H, K) table, and the twist of a
+module vector the ({1}, K) table.  The module also provides the block
+product into a larger general linear group, the parabolic-restriction
+coproduct, and an exploratory check of their compatibility.
 """
 
 from __future__ import annotations
@@ -202,30 +204,20 @@ def _meet(source: SubgroupChar, g: int, target: SubgroupChar) -> list:
     return out
 
 
-def _factor(amb: FiniteGroupTable, left, g0: int, right, g: int):
-    """(h, k) with h in left, k in right and g = h g0 k."""
-    for h in left:
-        k = amb.mul(amb.inv(amb.mul(h, g0)), g)
-        if k in right:
-            return h, k
-    raise AssertionError("double coset member without a factorization")
-
-
 def identity_triple(sc: SubgroupChar) -> HeckeTriple:
     return HeckeTriple(sc, sc.amb.identity_idx, sc, check=False)
 
 
 def normalize(coeff, t: HeckeTriple):
-    """Move g to the least element of its target-g-source double coset;
-    the coefficient picks up phi(h)^-1 psi(k)^-1 from the rewriting
+    """Move g to the least element g0 of its target-g-source double coset;
+    with g = h g0 k read from the group's double-coset table, the
+    coefficient picks up phi(h)^-1 psi(k)^-1 from the rewriting
     relations.  Idempotent, and constant on the rewrite orbit of the triple."""
-    amb = t.amb
-    g0 = amb.least_double_coset_reps(t.target.indices, t.source.indices)[t.g]
+    rep, h, k = t.amb.double_coset_table(t.target.indices, t.source.indices)
+    g0 = rep[t.g]
     if g0 == t.g:
         return coeff, t
-    # write g = h g0 k and absorb the character values
-    h, k = _factor(amb, t.target.indices, g0, t.source.chi, t.g)
-    factor = inverse(t.target.chi[h]) * inverse(t.source.chi[k])
+    factor = inverse(t.target.chi[h[t.g]]) * inverse(t.source.chi[k[t.g]])
     return coeff * factor, HeckeTriple(t.source, g0, t.target, check=False)
 
 
@@ -303,25 +295,24 @@ def element_product(e1: HeckeElement, e2: HeckeElement) -> HeckeElement:
 
 # -- induced modules ---------------------------------------------------------
 
-def _left_coset_reps(sc: SubgroupChar):
-    """Map from element index to the least element of its left coset gK."""
+def _left_cosets(sc: SubgroupChar):
+    """The double-coset table of {1} and K: the least element rep[g] of
+    each left coset gK, and k[g] in K with g = rep[g] k[g]."""
     amb = sc.amb
-    return amb.least_double_coset_reps((amb.identity_idx,), sc.indices)
+    return amb.double_coset_table((amb.identity_idx,), sc.indices)
 
 
 def module_basis(sc: SubgroupChar):
     """Canonical (least-element) representatives of the left cosets of
     the subgroup."""
-    return sorted(set(_left_coset_reps(sc)))
+    return sorted(set(_left_cosets(sc)[0]))
 
 
 def _reduce(sc: SubgroupChar, g: int):
-    """g = rep k^-1 with rep the least element of gK; returns rep and the
-    coefficient multiplier chi(k)^-1 from g (x) v = rep (x) chi(k)^-1 v."""
-    amb = sc.amb
-    rep = _left_coset_reps(sc)[g]
-    k = amb.mul(amb.inv(g), rep)
-    return rep, inverse(sc.chi[k])
+    """g = rep k with rep the least element of gK; returns rep and the
+    coefficient multiplier chi(k) from g (x) v = rep (x) chi(k) v."""
+    rep, _, k = _left_cosets(sc)
+    return rep[g], sc.chi[k[g]]
 
 
 def apply_triple(t: HeckeTriple, vec: dict) -> dict:
@@ -337,27 +328,25 @@ def apply_triple(t: HeckeTriple, vec: dict) -> dict:
 
 
 def _operator(t: HeckeTriple):
-    """What apply_triple needs of the triple alone: g^-1, and the pairs
-    (x, psi(x)^-1) over the least representatives x of the left cosets of
-    K meet g^-1 H g inside K, ascending."""
+    """What apply_triple needs of the triple alone: the pairs (the right
+    action of x g^-1 as a list, psi(x)^-1) over the least representatives
+    x of the left cosets of K meet g^-1 H g inside K, ascending."""
     amb = t.amb
-    least = amb.least_double_coset_reps((amb.identity_idx,),
-                                        _meet(t.source, t.g, t.target))
+    least = amb.double_coset_table((amb.identity_idx,),
+                                   _meet(t.source, t.g, t.target))[0]
     coset_reps = sorted({least[x] for x in t.source.indices})
-    return amb.inv(t.g), [(x, inverse(t.source.chi[x])) for x in coset_reps]
+    ginv = amb.inv(t.g)
+    return [(amb.right(amb.mul(x, ginv)), inverse(t.source.chi[x]))
+            for x in coset_reps]
 
 
 def _apply(t: HeckeTriple, op, vec: dict) -> dict:
     """apply_triple(t, vec) with op = _operator(t)."""
-    amb = t.amb
-    ginv, pairs = op
     out: dict = {}
     for rep, c in vec.items():
-        for x, psi_inv in pairs:
-            y = amb.mul(amb.mul(rep, x), ginv)
-            rep2, twist = _reduce(t.target, y)
-            prev = out.get(rep2, 0)
-            out[rep2] = prev + c * psi_inv * twist
+        for move, psi_inv in op:
+            rep2, twist = _reduce(t.target, move[rep])
+            out[rep2] = out.get(rep2, 0) + c * psi_inv * twist
     return {k: v for k, v in out.items() if v != 0}
 
 
@@ -502,6 +491,7 @@ def coproduct_well_defined(t: HeckeTriple, a: int) -> dict:
     p_indices, _, amb, project = _blocks(G, n, a)
     cases = 0
     failures = []
+    u_of = G.double_coset_table(p_indices, t.source.indices)[1]
     for z, members in G.double_cosets(p_indices, t.source.indices):
         base = _coproduct_component(t, a, z)
         for z2 in sorted(members):
@@ -512,9 +502,8 @@ def coproduct_well_defined(t: HeckeTriple, a: int) -> dict:
                 continue
             if base is None:
                 continue
-            # write z2 = u z k with u in P
-            u, _ = _factor(G, p_indices, z, t.source.chi, z2)
-            ubar_inv = amb.inv(project(u))
+            # z2 = u z k with u in P
+            ubar_inv = amb.inv(project(u_of[z2]))
 
             # the z' data is the z data conjugated by ubar, so undoing
             # that conjugation must recover the canonical component
@@ -555,7 +544,7 @@ def enumerate_triples(G: FiniteGroupTable):
     out = []
     for target in chars:
         for source in chars:
-            reps = G.least_double_coset_reps(target.indices, source.indices)
+            reps = G.double_coset_table(target.indices, source.indices)[0]
             for g in sorted(set(reps)):
                 try:
                     out.append(HeckeTriple(source, g, target))

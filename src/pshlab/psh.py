@@ -48,12 +48,6 @@ class PshElement:
             out[k] = out.get(k, 0) + v
         return PshElement(out)
 
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) - v
-        return PshElement(out)
-
     def scale(self, c: int) -> "PshElement":
         return PshElement({k: c * v for k, v in self.coeffs.items()})
 

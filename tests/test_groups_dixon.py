@@ -9,10 +9,12 @@ import pytest
 from pshlab.combinat import partitions
 from pshlab.cyclo import Cyclo, zeta
 from pshlab.dixon import _power, _power_map
+from pshlab import glfq
 from pshlab.glfq import (_nonsplit_torus, _torus_dlog, gl_group,
                          verify_bruhat_bijection, weil_theta_exponents)
 from pshlab.groups import FiniteGroupTable
-from pshlab.hyperhecke import subgroup_characters
+from pshlab.hyperhecke import (subgroup_characters, verify_apply_faithful,
+                               verify_associativity, verify_normal_form)
 from pshlab.specht import specht_character
 from pshlab.symgroup import Perm
 from pshlab.wreath import wreath_base_subgroup, wreath_group
@@ -118,18 +120,38 @@ def test_double_cosets_partition():
     assert seen == set(range(G.order))
 
 
-def test_least_double_coset_reps():
+def test_double_coset_table():
     G = sym_table(4)
     H = tuple(sorted(G.closure([G.index[Perm.from_cycles(4, [(1, 2, 3)])]])))
     K = tuple(sorted(G.closure([G.index[Perm.from_cycles(4, [(1, 2)])]])))
-    table = G.least_double_coset_reps(H, K)
+    table = G.double_coset_table(H, K)
+    rep, h, k = table
     for g in range(G.order):
-        assert table[g] == min(G.mul(G.mul(h, g), k) for h in H for k in K)
+        assert rep[g] == min(G.mul(G.mul(x, g), y) for x in H for y in K)
+        assert h[g] in H and k[g] in K
+        assert G.mul(G.mul(h[g], rep[g]), k[g]) == g
     # built once per pair; the trivial left group gives left cosets gK
-    assert G.least_double_coset_reps(H, K) is table
-    left = G.least_double_coset_reps((G.identity_idx,), K)
+    assert G.double_coset_table(H, K) is table
+    left, h, k = G.double_coset_table((G.identity_idx,), K)
     for g in range(G.order):
-        assert left[g] == min(G.mul(g, k) for k in K)
+        assert left[g] == min(G.mul(g, y) for y in K)
+        assert h[g] == G.identity_idx and G.mul(left[g], k[g]) == g
+
+
+def test_double_coset_factorizations_match_the_callback():
+    # every pair of registered subgroups, {1} and the whole group
+    for G in (fresh_table(gl_group(2, 3)), fresh_table(gl_group(3, 2))):
+        subgroups = [frozenset({G.identity_idx}), frozenset(range(G.order))]
+        subgroups += G.subgroups.values()
+        for H, K in itertools.product(subgroups, repeat=2):
+            H, K = tuple(sorted(H)), tuple(sorted(K))
+            rep, h, k = G.double_coset_table(H, K)
+            for least, members in G.double_cosets(H, K):
+                assert least == min(members)
+                for y in members:
+                    assert rep[y] == least, (G.name, H, K, y)
+                    assert h[y] in H and k[y] in K
+                    assert product(G, product(G, h[y], least), k[y]) == y
 
 
 def test_subgroup_registry():
@@ -293,12 +315,15 @@ def product(G, x, y):
 
 
 def kernel_mismatches(G):
-    """Every element whose left or right action array disagrees with the
-    multiplication callback."""
+    """Every element whose left or right action array, or whose products
+    by mul, disagree with the multiplication callback."""
     bad = []
     for g in range(G.order):
         if G.left(g) != [product(G, g, x) for x in range(G.order)]:
             bad.append(("left", g))
+        if [G.mul(g, x) for x in range(G.order)] != [
+                product(G, g, x) for x in range(G.order)]:
+            bad.append(("mul", g))
         if G.right(g) != [product(G, x, g) for x in range(G.order)]:
             bad.append(("right", g))
     return bad
@@ -398,11 +423,38 @@ def test_orbit_algorithms_match_callback_orbits():
         assert orbit_mismatches(G) == [], G.name
 
 
-def test_bruhat_check_leaves_the_product_cache_empty():
-    G = gl_group(3, 3)
-    G._mul_cache.clear()
-    assert verify_bruhat_bijection(1, 0, 3, 3)["pass"]
-    assert G._mul_cache == {}
+def test_no_callback_products_after_the_tree_is_built(monkeypatch):
+    # every call of the multiplication callback over a Bruhat check and
+    # one hecke sweep comes from some table building its Schreier tree:
+    # the fresh subgroup tables of the sweep, never the two groups
+    calls, built = [0], []
+    build = FiniteGroupTable._schreier_tree
+
+    def counted_build(self):
+        if self._tree is None:
+            built.append(self.order * len(build(self)[0]))
+        return self._tree
+
+    def counted(fn):
+        def mul(x, y):
+            calls[0] += 1
+            return fn(x, y)
+        return mul
+
+    gl33, gl23 = fresh_table(gl_group(3, 3)), fresh_table(gl_group(2, 3))
+    gl33.field = gl_group(3, 3).field
+    trees = [G._schreier_tree() for G in (gl33, gl23)]
+    for G in (gl33, gl23):
+        G._mul_fn = counted(G._mul_fn)
+    monkeypatch.setattr(FiniteGroupTable, "_schreier_tree", counted_build)
+    monkeypatch.setattr(glfq, "gl_group", lambda m, q: gl33)
+    assert glfq.verify_bruhat_bijection(1, 0, 3, 3)["pass"]
+    assert calls == [0] and built == []
+    assert verify_normal_form(gl23, sample=40)["pass"]
+    assert verify_associativity(gl23, sample=6)["pass"]
+    assert verify_apply_faithful(gl23, sample=30)["pass"]
+    assert built and calls == [sum(built)]
+    assert [G._tree for G in (gl33, gl23)] == trees
 
 
 def test_a_swapped_generator_entry_fails_the_kernel_checks():

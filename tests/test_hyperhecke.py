@@ -5,10 +5,12 @@ import pytest
 
 from pshlab.cyclo import Cyclo, inverse
 from pshlab.glfq import gl_group
+from pshlab.groups import FiniteGroupTable
 from pshlab.hyperhecke import (CharacterMismatchError, ContainmentError,
                                HeckeElement, HeckeTriple, SubgroupChar,
-                               TripleError, _coproduct_component, _reduce,
-                               apply_triple, coproduct, coproduct_well_defined,
+                               TripleError, _coproduct_component, _meet,
+                               _reduce, _sampled_triples, apply_triple,
+                               coproduct, coproduct_well_defined,
                                element_product, enumerate_subgroup_chars,
                                enumerate_triples, graded_product,
                                hecke_product, identity_triple,
@@ -219,6 +221,14 @@ def brute_normalize(coeff, t):
     raise AssertionError("double coset member without a factorization")
 
 
+def rewrite_scalars(t, g0):
+    """phi(h)^-1 psi(k)^-1 for every factorization t.g = h g0 k."""
+    amb = t.amb
+    return [inverse(t.target.chi[h]) * inverse(t.source.chi[k])
+            for h in t.target.indices for k in t.source.indices
+            if amb.mul(amb.mul(h, g0), k) == t.g]
+
+
 def brute_module_basis(sc):
     amb = sc.amb
     return sorted({min(amb.mul(g, k) for k in sc.indices)
@@ -246,11 +256,25 @@ def test_normalize_matches_brute_force_gl22_with_rewrites():
     assert cases > 0
     # raw triples whose g breaks containment or the character match
     chars = enumerate_subgroup_chars(G)
+    agreeing, mismatched = 0, 0
     for target in chars:
         for source in chars:
             for g in range(G.order):
                 raw = HeckeTriple(source, g, target, check=False)
-                assert normalize(5, raw) == brute_normalize(5, raw)
+                got, want = normalize(5, raw), brute_normalize(5, raw)
+                try:
+                    _meet(source, g, target)
+                except CharacterMismatchError:
+                    # the relations fix no scalar, so any factorization's
+                    # scalar is a right answer
+                    assert got[1] == want[1]
+                    assert any(got[0] == 5 * c
+                               for c in rewrite_scalars(raw, want[1].g))
+                    mismatched += 1
+                else:
+                    assert got == want
+                    agreeing += 1
+    assert (agreeing, mismatched) == (218, 76)
 
 
 def test_normalize_matches_brute_force_gl23():
@@ -504,6 +528,80 @@ def test_apply_triple_matches_oracle_gl22():
                 raw = HeckeTriple(source, g, target, check=False)
                 assert outcome(apply_triple, raw, vec) \
                     == outcome(brute_apply_triple, raw, vec)
+
+
+# -- negative controls: a planted table defect must fail its verifier ---------
+
+def fresh_gl(n, q):
+    """A new table of GL(n,q) with its subgroups, so that a planted
+    defect stays off the cached group."""
+    G = gl_group(n, q)
+    H = FiniteGroupTable(G.name, G.elements, G._mul_fn, G._inv_fn,
+                         G.elements[G.identity_idx])
+    H.subgroups = dict(G.subgroups)
+    return H
+
+
+def nontrivial(sc):
+    return any(v != 1 for v in sc.chi.values())
+
+
+def plant_wrong_h(G, target, source, y):
+    """Replace the h of y in the double-coset table of target and source
+    by another member of target whose character value differs, so the
+    entry no longer factors y."""
+    h = G.double_coset_table(target.indices, source.indices)[1]
+    h[y] = next(x for x in target.indices
+                if target.chi[x] != target.chi[h[y]])
+
+
+def test_wrong_factor_fails_normal_form():
+    G = fresh_gl(2, 2)
+    assert verify_normal_form(G)["pass"]
+    t = next(t for t in enumerate_triples(G) if nontrivial(t.target))
+    rep = G.double_coset_table(t.target.indices, t.source.indices)[0]
+    y = next(y for y in range(G.order) if rep[y] == t.g and y != t.g)
+    plant_wrong_h(G, t.target, t.source, y)
+    report = verify_normal_form(G)
+    assert {f["kind"] for f in report["failures"]} == {"orbit"}
+    # a wrong least member breaks idempotence
+    rep[t.g] = y
+    report = verify_normal_form(G)
+    assert "idempotence" in {f["kind"] for f in report["failures"]}
+
+
+def test_wrong_twist_fails_apply_faithful():
+    G = fresh_gl(2, 2)
+    assert verify_apply_faithful(G)["pass"]
+    sc = next(sc for sc in enumerate_subgroup_chars(G) if nontrivial(sc))
+    _, _, k = G.double_coset_table((G.identity_idx,), sc.indices)
+    y = next(y for y in range(G.order) if k[y] != G.identity_idx)
+    k[y] = next(x for x in sc.indices if sc.chi[x] != sc.chi[k[y]])
+    report = verify_apply_faithful(G)
+    assert not report["pass"]
+    assert {f["kind"] for f in report["failures"]} == {"faithfulness"}
+
+
+def test_wrong_product_scalar_fails_associativity():
+    G = fresh_gl(2, 2)
+    assert verify_associativity(G, sample=8)["pass"]
+    # one composable product t1 t2 of the checked triples whose g = g1 g2
+    # is not the least of its double coset, so normalize reads its h
+    triples = _sampled_triples(G, 8)
+    for t1 in triples:
+        for t2 in triples:
+            g = G.mul(t1.g, t2.g)
+            rep = G.double_coset_table(t1.target.indices,
+                                       t2.source.indices)[0]
+            if (t2.target == t1.source and rep[g] != g
+                    and nontrivial(t1.target)):
+                plant_wrong_h(G, t1.target, t2.source, g)
+                report = verify_associativity(G, sample=8)
+                assert not report["pass"]
+                assert {f["kind"] for f in report["failures"]} \
+                    == {"associativity"}
+                return
+    raise AssertionError("no composable product to plant a scalar in")
 
 
 def test_coproduct_check_survives_optimize():
