@@ -5,18 +5,24 @@ One power map, computed once, gives all class-level data: for each class
 representative, the classes of its powers.  The exponent e is the lcm of
 the row lengths and the inverse class is read from the same row.  The
 class-sum matrices are simultaneously diagonalized over a prime field F_l
-with l = 1 (mod e) and l > 2|G|; every eigenspace is a nullspace from the
-one F_l eliminator, _rref.  Degrees are recovered from the second
-orthogonality relation, and values are lifted to Q(zeta_e) by discrete
-Fourier inversion over the power map.  Both orthogonality relations are
-re-verified exactly in cyclotomic arithmetic before the table is
-returned.
+with l = 1 (mod e) and l > 2|G| (Dixon 1967, Schneider 1990).  Each
+eigenspace of dimension d > 1 is split by the next class matrix: its d x d
+restriction is brought to Hessenberg form, whose recurrence gives the
+characteristic polynomial (Cohen, GTM 138, 2.2); a Horner scan over every
+lambda in F_l finds the roots, and only at those roots is an eigenspace
+taken as a nullspace from the one F_l eliminator, _rref.  Degrees are
+recovered from the second orthogonality relation.  The values on a class
+of order o are lifted to Q(zeta_o) by discrete Fourier inversion over its
+own power-map row, with zeta_o = z^(e/o) for z of order e in F_l, and
+written at conductor e.  Both orthogonality relations are re-verified
+exactly in cyclotomic arithmetic before the table is returned.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .cyclo import Cyclo, _prime_divisors, conj, is_prime, scalar
 from .groups import FiniteGroupTable
@@ -40,8 +46,7 @@ def _primitive_root(l: int) -> int:
 
 
 def _mat_vec(a, v, l):
-    return [sum(a[i][j] * v[j] for j in range(len(v))) % l
-            for i in range(len(a))]
+    return [sum(map(mul, row, v)) % l for row in a]
 
 
 def _rref(rows, l, ncols):
@@ -81,6 +86,57 @@ def _nullspace(a, l):
             v[pc] = (-rows[row_idx][fc]) % l
         basis.append(v)
     return basis
+
+
+def _charpoly(a, l):
+    """The characteristic polynomial det(x I - a) over F_l, ascending
+    coefficients.  Elementary similarities bring a to upper Hessenberg
+    form h; then p_m, the polynomial of the leading m x m block, obeys
+        p_{m+1} = (x - h[m][m]) p_m
+                  - sum_{i=1..m} h[m-i][m] h[m][m-1] ... h[m-i+1][m-i] p_{m-i}
+    and p_n is the answer."""
+    n = len(a)
+    h = [[x % l for x in row] for row in a]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[m], h[piv] = h[piv], h[m]
+            for row in h:
+                row[m], row[piv] = row[piv], row[m]
+        inv = pow(h[m][m - 1], l - 2, l)
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * inv % l
+            if u:
+                # row_i -= u row_m, then column_m += u column_i
+                h[i] = [(x - u * y) % l for x, y in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = (row[m] + u * row[i]) % l
+    polys = [[1]]
+    for m in range(n):
+        prev = polys[m]
+        p = [0] + prev
+        for k, c in enumerate(prev):
+            p[k] -= h[m][m] * c
+        t = 1
+        for i in range(1, m + 1):
+            t = t * h[m - i + 1][m - i] % l
+            f = t * h[m - i][m] % l
+            if f:
+                for k, c in enumerate(polys[m - i]):
+                    p[k] -= f * c
+        polys.append([x % l for x in p])
+    return polys[n]
+
+
+def _roots(poly, l):
+    """Every root in F_l of poly (ascending coefficients), by a Horner
+    scan over all of F_l."""
+    values = [poly[-1]] * l
+    for c in reversed(poly[:-1]):
+        values = [(v * lam + c) % l for lam, v in enumerate(values)]
+    return [lam for lam, v in enumerate(values) if v == 0]
 
 
 def _restrict(a, basis, l):
@@ -125,6 +181,28 @@ def _power(row, j):
     return row[(j - 1) % len(row)]
 
 
+def _lift(chi_mod, row, deg, z_pows, l):
+    """The exact value, at the class whose power map row is row, of the
+    character of degree deg with values chi_mod over F_l; z_pows lists the
+    powers of z, of order e in F_l.  With o = len(row), the order of the
+    class, the values at rep^j for j < o determine the multiplicity of
+    each eigenvalue zeta_o^k of rep, found by discrete Fourier inversion
+    over zeta_o = z^(e/o); the value is written at conductor e."""
+    e, o = len(z_pows), len(row)
+    zeta_o = z_pows[::e // o]
+    inv_o = pow(o, l - 2, l)
+    at_powers = [chi_mod[_power(row, j)] for j in range(o)]
+    terms = {}
+    for k in range(o):
+        m_k = sum(x * zeta_o[(-j * k) % o]
+                  for j, x in enumerate(at_powers)) * inv_o % l
+        if m_k > deg:
+            raise AssertionError("lifted multiplicity out of range")
+        if m_k:
+            terms[k] = m_k
+    return scalar(Cyclo.from_terms(o, terms).lift(e))
+
+
 def dixon_character_table(G: FiniteGroupTable):
     """List of exact irreducible ClassFunctions, sorted by degree."""
     r = len(G.classes())
@@ -135,7 +213,8 @@ def dixon_character_table(G: FiniteGroupTable):
     mats = _class_matrices(G)
 
     # split the class algebra into common eigenlines over F_l; it is split
-    # semisimple there, so each scan stops once its eigenspaces fill the space
+    # semisimple there, so each eigenvalue is a root of the restriction's
+    # characteristic polynomial and its eigenspace a nullspace
     spaces = [[[1 if i == j else 0 for j in range(r)] for i in range(r)]]
     for i in range(1, r):
         new_spaces = []
@@ -145,8 +224,7 @@ def dixon_character_table(G: FiniteGroupTable):
                 new_spaces.append(basis)
                 continue
             restricted = _restrict(mats[i], basis, l)
-            found = 0
-            for lam in range(l):
+            for lam in _roots(_charpoly(restricted, l), l):
                 shifted = [[(restricted[a][b] - (lam if a == b else 0)) % l
                             for b in range(d)] for a in range(d)]
                 sub = [[sum(coords[t] * basis[t][c] for t in range(d)) % l
@@ -154,16 +232,12 @@ def dixon_character_table(G: FiniteGroupTable):
                        for coords in _nullspace(shifted, l)]
                 if sub:
                     new_spaces.append(sub)
-                    found += len(sub)
-                    if found == d:
-                        break
         spaces = new_spaces
     if len(spaces) != r or any(len(b) != 1 for b in spaces):
         raise AssertionError("class algebra failed to split completely")
 
     z = pow(_primitive_root(l), (l - 1) // e, l)
     z_pows = [pow(z, t, l) for t in range(e)]
-    inv_e = pow(e, l - 2, l)
 
     chars = []
     for (v,) in spaces:
@@ -178,18 +252,8 @@ def dixon_character_table(G: FiniteGroupTable):
                    if d * d % l == d2)
         chi_mod = [deg * omega[i] * pow(sizes[i], l - 2, l) % l
                    for i in range(r)]
-        values = {}
-        for i, row in enumerate(power_map):
-            at_powers = [chi_mod[_power(row, j)] for j in range(e)]
-            terms = {}
-            for k in range(e):
-                m_ik = sum(x * z_pows[(-j * k) % e]
-                           for j, x in enumerate(at_powers)) * inv_e % l
-                if m_ik > deg:
-                    raise AssertionError("lifted multiplicity out of range")
-                if m_ik:
-                    terms[k] = m_ik
-            values[i] = scalar(Cyclo.from_terms(e, terms))
+        values = {i: _lift(chi_mod, row, deg, z_pows, l)
+                  for i, row in enumerate(power_map)}
         if values[0] != deg:
             raise AssertionError(f"degree {values[0]} lifted, {deg} expected")
         chars.append(G.class_function(values))

@@ -308,13 +308,6 @@ def module_basis(sc: SubgroupChar):
     return sorted(set(_left_cosets(sc)[0]))
 
 
-def _reduce(sc: SubgroupChar, g: int):
-    """g = rep k with rep the least element of gK; returns rep and the
-    coefficient multiplier chi(k) from g (x) v = rep (x) chi(k) v."""
-    rep, _, k = _left_cosets(sc)
-    return rep[g], sc.chi[k[g]]
-
-
 def apply_triple(t: HeckeTriple, vec: dict) -> dict:
     """Map between induced modules; vec maps canonical source-coset
     representatives to coefficients.
@@ -341,12 +334,17 @@ def _operator(t: HeckeTriple):
 
 
 def _apply(t: HeckeTriple, op, vec: dict) -> dict:
-    """apply_triple(t, vec) with op = _operator(t)."""
+    """apply_triple(t, vec) with op = _operator(t).  Each image g is
+    written g = least k, least the least element of g K and k in K, so
+    g (x) v = least (x) chi(k) v."""
+    least, _, k_of = _left_cosets(t.target)
+    chi = t.target.chi
     out: dict = {}
     for rep, c in vec.items():
         for move, psi_inv in op:
-            rep2, twist = _reduce(t.target, move[rep])
-            out[rep2] = out.get(rep2, 0) + c * psi_inv * twist
+            g = move[rep]
+            out[least[g]] = (out.get(least[g], 0)
+                             + c * psi_inv * chi[k_of[g]])
     return {k: v for k, v in out.items() if v != 0}
 
 

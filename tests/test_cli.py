@@ -127,6 +127,12 @@ PINNED_DIGESTS = {
         "df868d9651b7908b34a2b33fdd76647d811307733886d83f0afe1f316ccbeb21",
     ("verify", "bruhat"):
         "5ce2729863e727efd25cb8decab6f5488eafe597f800c5b00373c40c7c907b97",
+    ("chartable", "GL(2,5)"):
+        "a81a77b1a7169f14b2fd385f8f7ff52e5501e9fcddf1ab83049e8648b2ba195d",
+    ("chartable", "Wreath(3,GL(1,5))"):
+        "41a870026aa1da04bfe529c03822176c89043d885a8851d6c77c1c2a63f44246",
+    ("chartable", "GL(3,3)"):
+        "3b2a207fdfd369d5d1e37434d17799f8c213e4ee10ef7a3ccf337edb94f2bd24",
 }
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,12 +8,15 @@ from fractions import Fraction
 import pytest
 
 from pshlab.combinat import partitions
-from pshlab.cyclo import Cyclo, zeta
-from pshlab.dixon import _power, _power_map
+from pshlab import dixon
+from pshlab.cyclo import Cyclo, scalar, zeta
+from pshlab.dixon import (_charpoly, _power, _power_map, _roots, _rref,
+                          dixon_character_table)
 from pshlab import glfq
 from pshlab.glfq import (_nonsplit_torus, _torus_dlog, gl_group,
                          verify_bruhat_bijection, weil_theta_exponents)
 from pshlab.groups import FiniteGroupTable
+from pshlab.psh import _base_group
 from pshlab.hyperhecke import (subgroup_characters, verify_apply_faithful,
                                verify_associativity, verify_normal_form)
 from pshlab.specht import specht_character
@@ -238,6 +242,123 @@ def test_eigen_scan_fails_loudly_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_dropped_root_fails_loudly_under_optimize():
+    # the first root list comes back one root short
+    code = ("from pshlab import dixon\n"
+            "from pshlab.glfq import gl_group\n"
+            "roots, calls = dixon._roots, []\n"
+            "def drop_one(poly, l):\n"
+            "    calls.append(poly)\n"
+            "    found = roots(poly, l)\n"
+            "    return found[1:] if len(calls) == 1 else found\n"
+            "dixon._roots = drop_one\n"
+            "try:\n"
+            "    gl_group(2, 3).character_table()\n"
+            "except AssertionError as exc:\n"
+            "    raise SystemExit(0 if 'failed to split completely' in "
+            "str(exc) else 1)\n"
+            "raise SystemExit(1)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def cofactor_det(m, l):
+    """det m over F_l by expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j]
+               * cofactor_det([row[:j] + row[j + 1:] for row in m[1:]], l)
+               for j in range(len(m))) % l
+
+
+def charpoly_cases(l):
+    yield [[0]]
+    yield [[3]]
+    yield [[1, 2], [0, 1]]                     # zero subdiagonal
+    yield [[1, 0, 0], [0, 2, 0], [0, 0, 2]]    # diagonal, repeated root
+    yield [[1, 2, 3], [0, 4, 5], [6, 0, 1]]    # pivot below: a row swap
+    yield [[2, 1, 0, 0], [0, 0, 1, 0],         # a swap, then a zero
+           [0, 0, 0, 1], [5, 0, 0, 3]]         # subdiagonal further on
+    yield [[1, 1, 0, 0], [0, 1, 0, 0],         # zero column below the
+           [0, 0, 2, 1], [0, 0, 3, 2]]         # diagonal mid-matrix
+    yield [[0, 0, 0, 1], [0, 0, 0, 0],
+           [0, 0, 0, 0], [1, 0, 0, 0]]
+    rng = random.Random(7)
+    for d in range(1, 6):
+        for _ in range(12):
+            # mostly zeros, so pivots go missing and rows get swapped
+            yield [[rng.randrange(l) if rng.random() < 0.4 else 0
+                    for _ in range(d)] for _ in range(d)]
+
+
+def test_charpoly_vanishes_exactly_where_the_rank_drops():
+    l = 7
+    for a in charpoly_cases(l):
+        d = len(a)
+        poly = _charpoly(a, l)
+        assert len(poly) == d + 1 and poly[d] == 1, a
+        drops = []
+        for lam in range(l):
+            shifted = [[(a[i][j] - (lam if i == j else 0)) % l
+                        for j in range(d)] for i in range(d)]
+            value = sum(c * lam ** k for k, c in enumerate(poly)) % l
+            # det(lam I - a) = (-1)^d det(a - lam I)
+            assert value == (-1) ** d * cofactor_det(shifted, l) % l, (a, lam)
+            rank = len(_rref(shifted, l, d)[1])
+            assert (value == 0) == (rank < d), (a, lam)
+            if rank < d:
+                drops.append(lam)
+        assert _roots(poly, l) == drops, a
+
+
+def exponent_lift(chi_mod, row, deg, z_pows, l):
+    """The value lift over the group exponent e = len(z_pows): discrete
+    Fourier inversion over all e powers of z, e^2 steps, at conductor e."""
+    e = len(z_pows)
+    inv_e = pow(e, l - 2, l)
+    at_powers = [chi_mod[_power(row, j)] for j in range(e)]
+    terms = {}
+    for k in range(e):
+        m_k = sum(x * z_pows[(-j * k) % e]
+                  for j, x in enumerate(at_powers)) * inv_e % l
+        assert m_k <= deg
+        if m_k:
+            terms[k] = m_k
+    return scalar(Cyclo.from_terms(e, terms))
+
+
+@pytest.mark.parametrize("name", ["GL(2,3)", "GL(3,2)", "GL(2,4)",
+                                  "Wreath(2,GL(1,5))", "Wreath(4,C2)",
+                                  "Sym(5)"])
+def test_class_order_lift_matches_the_exponent_lift(name, monkeypatch):
+    G = {"GL(2,3)": lambda: gl_group(2, 3),
+         "GL(3,2)": lambda: gl_group(3, 2),
+         "GL(2,4)": lambda: gl_group(2, 4),
+         "Wreath(2,GL(1,5))": lambda: wreath_group(_base_group("GL(1,5)"), 2),
+         "Wreath(4,C2)": lambda: wreath_group(_base_group("C2"), 4),
+         "Sym(5)": lambda: sym_table(5)}[name]()
+    rows = _power_map(G)
+    # some class besides 1 has order below the exponent, so the two lifts
+    # invert over different roots of unity there
+    assert any(1 < len(row) < math.lcm(*map(len, rows)) for row in rows)
+    table = dixon_character_table(G)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return exponent_lift(*args)
+
+    monkeypatch.setattr(dixon, "_lift", counted)
+    oracle = dixon_character_table(G)
+    assert len(calls) == len(rows) ** 2
+    assert len(table) == len(oracle) == len(rows)
+    for chi, psi in zip(table, oracle):
+        assert chi.values == psi.values
+        assert ([str(v) for v in chi.values.values()]
+                == [str(v) for v in psi.values.values()])
 
 
 def induced_by_definition(G, chi_on_elements):
