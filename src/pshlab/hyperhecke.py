@@ -321,30 +321,32 @@ def apply_triple(t: HeckeTriple, vec: dict) -> dict:
 
 
 def _operator(t: HeckeTriple):
-    """What apply_triple needs of the triple alone: the pairs (the right
-    action of x g^-1 as a list, psi(x)^-1) over the least representatives
-    x of the left cosets of K meet g^-1 H g inside K, ascending."""
+    """What apply_triple needs of the triple alone: the left-coset table
+    of the target H, and the pairs (the right action of x g^-1 as a list,
+    psi(x)^-1) over the least representatives x of the left cosets of
+    K meet g^-1 H g inside K, ascending."""
     amb = t.amb
     least = amb.double_coset_table((amb.identity_idx,),
                                    _meet(t.source, t.g, t.target))[0]
     coset_reps = sorted({least[x] for x in t.source.indices})
     ginv = amb.inv(t.g)
-    return [(amb.right(amb.mul(x, ginv)), inverse(t.source.chi[x]))
-            for x in coset_reps]
+    return _left_cosets(t.target), [
+        (amb.right(amb.mul(x, ginv)), inverse(t.source.chi[x]))
+        for x in coset_reps]
 
 
 def _apply(t: HeckeTriple, op, vec: dict) -> dict:
     """apply_triple(t, vec) with op = _operator(t).  Each image g is
-    written g = least k, least the least element of g K and k in K, so
-    g (x) v = least (x) chi(k) v."""
-    least, _, k_of = _left_cosets(t.target)
+    written g = least h, least the least element of g H and h in H, so
+    g (x) v = least (x) phi(h) v for phi the target's character."""
+    (least, _, h_of), pairs = op
     chi = t.target.chi
     out: dict = {}
     for rep, c in vec.items():
-        for move, psi_inv in op:
+        for move, psi_inv in pairs:
             g = move[rep]
             out[least[g]] = (out.get(least[g], 0)
-                             + c * psi_inv * chi[k_of[g]])
+                             + c * psi_inv * chi[h_of[g]])
     return {k: v for k, v in out.items() if v != 0}
 
 
