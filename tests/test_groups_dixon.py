@@ -16,9 +16,9 @@ from pshlab import glfq
 from pshlab.glfq import (_nonsplit_torus, _torus_dlog, gl_group,
                          verify_bruhat_bijection, weil_theta_exponents)
 from pshlab.groups import FiniteGroupTable
-from pshlab.psh import _base_group
 from pshlab.hyperhecke import (subgroup_characters, verify_apply_faithful,
                                verify_associativity, verify_normal_form)
+from pshlab.psh import _base_group
 from pshlab.specht import specht_character
 from pshlab.symgroup import Perm
 from pshlab.wreath import wreath_base_subgroup, wreath_group
@@ -280,10 +280,10 @@ def charpoly_cases(l):
     yield [[1, 2], [0, 1]]                     # zero subdiagonal
     yield [[1, 0, 0], [0, 2, 0], [0, 0, 2]]    # diagonal, repeated root
     yield [[1, 2, 3], [0, 4, 5], [6, 0, 1]]    # pivot below: a row swap
-    yield [[2, 1, 0, 0], [0, 0, 1, 0],         # a swap, then a zero
-           [0, 0, 0, 1], [5, 0, 0, 3]]         # subdiagonal further on
-    yield [[1, 1, 0, 0], [0, 1, 0, 0],         # zero column below the
-           [0, 0, 2, 1], [0, 0, 3, 2]]         # diagonal mid-matrix
+    yield [[2, 1, 0, 0], [0, 0, 1, 0],         # the pivot is two rows
+           [0, 0, 0, 1], [5, 0, 0, 3]]         # further down: a swap
+    yield [[1, 1, 0, 0], [0, 1, 0, 0],         # no pivot in the first
+           [0, 0, 2, 1], [0, 0, 3, 2]]         # two columns
     yield [[0, 0, 0, 1], [0, 0, 0, 0],
            [0, 0, 0, 0], [1, 0, 0, 0]]
     rng = random.Random(7)
