@@ -258,11 +258,11 @@ def _suite_hopflike(args):
     from .hyperhecke import (verify_apply_faithful, verify_associativity,
                              verify_normal_form)
     return [verify_normal_form(gl_group(2, 2)),
-            verify_associativity(gl_group(2, 2), sample=12),
+            verify_associativity(gl_group(2, 2)),
             verify_apply_faithful(gl_group(2, 2)),
-            verify_normal_form(gl_group(2, 3), sample=8),
-            verify_associativity(gl_group(2, 3), sample=6),
-            verify_apply_faithful(gl_group(2, 3), sample=10),
+            verify_normal_form(gl_group(2, 3)),
+            verify_associativity(gl_group(2, 3)),
+            verify_apply_faithful(gl_group(2, 3)),
             _hopflike_findings(args)]
 
 

@@ -10,6 +10,10 @@ element as g = h g0 k: normal forms the (H, K) table, and the twist of a
 module vector the ({1}, K) table.  The module also provides the block
 product into a larger general linear group, the parabolic-restriction
 coproduct, and an exploratory check of their compatibility.
+
+The associativity and faithfulness verifiers read one table of basis
+products, each pair of triples multiplied once through element_product,
+and apply each triple's operator to each basis vector once.
 """
 
 from __future__ import annotations
@@ -107,6 +111,8 @@ class SubgroupChar:
                 tuple(str(self.chi[i]) for i in self.indices))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, SubgroupChar)
                 and self.amb is other.amb
                 and self.indices == other.indices
@@ -317,36 +323,40 @@ def apply_triple(t: HeckeTriple, vec: dict) -> dict:
     double-coset operator: a psi-weighted sum over K / (K meet g^-1 H g),
     which collapses to the single term above when the triple is valid and
     recovers the classical Hecke operator for (B, w, B)."""
-    return _apply(t, _operator(t), vec)
+    return _combine(_columns(t), vec)
 
 
-def _operator(t: HeckeTriple):
-    """What apply_triple needs of the triple alone: the left-coset table
-    of the target H, and the pairs (the right action of x g^-1 as a list,
-    psi(x)^-1) over the least representatives x of the left cosets of
-    K meet g^-1 H g inside K, ascending."""
+def _columns(t: HeckeTriple) -> dict:
+    """The matrix of apply_triple(t, -): the image of each source basis
+    vector rep, a sum of psi(x)^-1 rep x g^-1 (x) v over the least
+    representatives x of the left cosets of K meet g^-1 H g in K.  Each
+    image g' = least h, with least the least element of g' H and h in H,
+    so g' (x) v = least (x) phi(h) v for phi the target's character."""
     amb = t.amb
-    least = amb.double_coset_table((amb.identity_idx,),
-                                   _meet(t.source, t.g, t.target))[0]
-    coset_reps = sorted({least[x] for x in t.source.indices})
+    least_meet = amb.double_coset_table((amb.identity_idx,),
+                                        _meet(t.source, t.g, t.target))[0]
+    coset_reps = sorted({least_meet[x] for x in t.source.indices})
     ginv = amb.inv(t.g)
-    return _left_cosets(t.target), [
-        (amb.right(amb.mul(x, ginv)), inverse(t.source.chi[x]))
-        for x in coset_reps]
-
-
-def _apply(t: HeckeTriple, op, vec: dict) -> dict:
-    """apply_triple(t, vec) with op = _operator(t).  Each image g is
-    written g = least h, least the least element of g H and h in H, so
-    g (x) v = least (x) phi(h) v for phi the target's character."""
-    (least, _, h_of), pairs = op
+    pairs = [(amb.right(amb.mul(x, ginv)), inverse(t.source.chi[x]))
+             for x in coset_reps]
+    least, _, h_of = _left_cosets(t.target)
     chi = t.target.chi
-    out: dict = {}
-    for rep, c in vec.items():
+    columns = {}
+    for rep in module_basis(t.source):
+        out: dict = {}
         for move, psi_inv in pairs:
             g = move[rep]
-            out[least[g]] = (out.get(least[g], 0)
-                             + c * psi_inv * chi[h_of[g]])
+            out[least[g]] = out.get(least[g], 0) + psi_inv * chi[h_of[g]]
+        columns[rep] = {k: v for k, v in out.items() if v != 0}
+    return columns
+
+
+def _combine(columns: dict, vec: dict) -> dict:
+    """The sum of vec[x] times columns[x] over the support of vec."""
+    out: dict = {}
+    for x, a in vec.items():
+        for key, v in columns[x].items():
+            out[key] = out.get(key, 0) + a * v
     return {k: v for k, v in out.items() if v != 0}
 
 
@@ -588,18 +598,64 @@ def verify_normal_form(G: FiniteGroupTable, sample=None) -> dict:
             "failures": failures, "pass": not failures}
 
 
+def _product_table(triples):
+    """(index, table): index lists the triples, then every product that
+    falls outside them, and table[i][j] = (p, c) for t_i t_j = c index[p],
+    or None for a zero product, one element_product call per entry.  The
+    products of a listed triple with an appended one, on either side, are
+    filled too: all that either bracketing of three listed triples reads."""
+    index = list(triples)
+    position = {t: p for p, t in enumerate(index)}
+    elems = [HeckeElement.of(t) for t in index]
+    table = [{} for _ in index]
+
+    def fill(i, j):
+        entry = None
+        prod = element_product(elems[i], elems[j])
+        if not prod.is_zero():
+            (t3, c), = prod.terms.items()
+            if t3 not in position:
+                position[t3] = len(index)
+                index.append(t3)
+                elems.append(HeckeElement.of(t3))
+                table.append({})
+            entry = (position[t3], c)
+        table[i][j] = entry
+
+    n = len(index)
+    for i in range(n):
+        for j in range(n):
+            fill(i, j)
+    for m in range(n, len(index)):  # the products appended so far
+        for k in range(n):
+            fill(m, k)
+            fill(k, m)
+    return index, table
+
+
+def _times(c, entry):
+    """c times the table entry (p, c'), or None for a zero product."""
+    return None if entry is None else (entry[0], c * entry[1])
+
+
 def verify_associativity(G: FiniteGroupTable, sample=None) -> dict:
+    """(t1 t2) t3 = t1 (t2 t3) for every three checked triples, zero
+    products included, both bracketings read from the product table."""
     triples = _sampled_triples(G, sample)
-    elems = [HeckeElement.of(t) for t in triples]
+    _, table = _product_table(triples)
+    n = len(triples)
     cases = 0
     failures = []
-    for e1 in elems:
-        for e2 in elems:
-            p12 = element_product(e1, e2)
-            for e3 in elems:
+    for i in range(n):
+        row = table[i]
+        for j in range(n):
+            ij = row[j]
+            for k in range(n):
+                jk = table[j][k]
+                left = ij and _times(ij[1], table[ij[0]][k])
+                right = jk and _times(jk[1], row[jk[0]])
                 cases += 1
-                if (element_product(p12, e3)
-                        != element_product(e1, element_product(e2, e3))):
+                if left != right:
                     failures.append({"kind": "associativity"})
     return {"check": "associativity", "group": G.name, "cases": cases,
             "failures": failures, "pass": not failures}
@@ -609,24 +665,22 @@ def verify_apply_faithful(G: FiniteGroupTable, sample=None) -> dict:
     """Composition of module maps agrees with the triple product on
     every basis vector of the relevant induced module."""
     triples = _sampled_triples(G, sample)
+    index, table = _product_table(triples)
     cases = 0
     failures = []
-    # each operator is built once per triple, not once per basis vector
-    ops = [_operator(t) for t in triples]
-    for t1, op1 in zip(triples, ops):
-        for t2, op2 in zip(triples, ops):
+    # each triple applied to each basis vector once
+    columns = [_columns(t) for t in index]
+    for i, t1 in enumerate(triples):
+        for j, t2 in enumerate(triples):
             if t2.target != t1.source:
                 continue
-            prod = hecke_product(t1, t2)
-            (t3, c3), = prod.terms.items()
-            op3 = _operator(t3)
-            for rep in module_basis(t2.source):
-                vec = {rep: 1}
-                composed = _apply(t1, op1, _apply(t2, op2, vec))
-                direct = _apply(t3, op3, vec)
-                scaled = {k: c3 * v for k, v in direct.items()}
+            p3, c3 = table[i][j] or (None, None)
+            for rep, image in columns[j].items():
+                composed = _combine(columns[i], image)
+                direct = {} if p3 is None else {
+                    k: c3 * v for k, v in columns[p3][rep].items()}
                 cases += 1
-                if composed != scaled:
+                if composed != direct:
                     failures.append({"kind": "faithfulness", "rep": rep})
     return {"check": "apply-faithful", "group": G.name, "cases": cases,
             "failures": failures, "pass": not failures}

@@ -263,9 +263,9 @@ def test_criterion_10_hecke_reports():
     assert verify_associativity(G2)["pass"]
     assert verify_apply_faithful(G2)["pass"]
     G3 = gl_group(2, 3)
-    assert verify_normal_form(G3, sample=40)["pass"]
-    assert verify_associativity(G3, sample=8)["pass"]
-    assert verify_apply_faithful(G3, sample=40)["pass"]
+    assert verify_normal_form(G3)["pass"]
+    assert verify_associativity(G3)["pass"]
+    assert verify_apply_faithful(G3)["pass"]
 
 
 def test_criterion_10_coproduct_compatibility_findings():

@@ -87,7 +87,7 @@ PINNED_DIGESTS = {
     ("verify", "hasse-davenport"):
         "466ebb239f3bca40346c6491f938f9f397fea74ec128aa7786bd1265b9190685",
     ("verify", "hopflike"):
-        "1cd2dce7f12b63eb9e4f4e510131f2f33453c7bac19e5c353cc2c0fa4724404b",
+        "098797cfedb8215468316f385a6f687b38f24c31a6b5f51c84ad6af358f430c0",
     ("verify", "wreath-counterexample"):
         "e1a1f82af6b91910f590bb943d9ca758e80acc2a7a08dc726f24ce77997ce2c8",
     ("verify", "psh"):
@@ -99,9 +99,9 @@ PINNED_DIGESTS = {
     ("verify", "mezzadri", "--n", "4"):
         "93f40135aa9dab1f5ddcc85becde7a63cbe15f21ff540dba70f4147987ddd57d",
     ("verify", "hopflike", "--q", "3"):
-        "b4957e898e72a913b150c420d8ffda5d713f52d698adaeeb90d9676fc72d8223",
+        "3e08f6dc874981a53ac6ab6fff2d364883cdedd37d2dabe82e2ccee1dfc872b2",
     ("verify", "hopflike", "--q", "5"):
-        "5d44fbdb9757898d69f9a2a2d095a99f9a0d03e3af1aec2fc65e6b233f3a88c7",
+        "6d7ef7e1b167ce99efcb532c995608bf27a4156114de79a5bc1b591f2cfdd9c4",
     ("hecke", "verify-hopflike", "--q", "4"):
         "8f417d5f2f8cd840710d1c56b01679785e13b92dc55918a2971423b2118ae3ab",
     ("compute", "kondo", "--group", "GL(2,2)"):

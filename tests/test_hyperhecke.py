@@ -5,11 +5,13 @@ import pytest
 
 from pshlab.cyclo import Cyclo, inverse
 from pshlab.glfq import gl_group
+from pshlab import hyperhecke
 from pshlab.groups import FiniteGroupTable
 from pshlab.hyperhecke import (CharacterMismatchError, ContainmentError,
                                HeckeElement, HeckeTriple, SubgroupChar,
                                TripleError, _coproduct_component, _meet,
-                               _left_cosets, _sampled_triples, apply_triple,
+                               _left_cosets, _product_table,
+                               _sampled_triples, apply_triple,
                                coproduct, coproduct_well_defined,
                                element_product, enumerate_subgroup_chars,
                                enumerate_triples, graded_product,
@@ -531,6 +533,55 @@ def test_apply_triple_matches_oracle_gl22():
                     == outcome(brute_apply_triple, raw, vec)
 
 
+# -- the table of basis products the verifiers read ---------------------------
+
+@pytest.mark.parametrize("q,composable", [(2, 188), (3, 1568)])
+def test_product_table_matches_element_product(q, composable):
+    G = gl_group(2, q)
+    triples = enumerate_triples(G)
+    index, table = _product_table(triples)
+    # every composable product lands on an enumerated triple
+    assert len(index) == len(triples)
+    pairs, basis_vectors = 0, 0
+    for i, t1 in enumerate(triples):
+        for j, t2 in enumerate(triples):
+            entry = table[i][j]
+            got = (HeckeElement() if entry is None
+                   else HeckeElement.of(index[entry[0]], entry[1]))
+            assert got == element_product(HeckeElement.of(t1),
+                                          HeckeElement.of(t2))
+            if t2.target == t1.source:
+                assert entry is not None
+                pairs += 1
+                basis_vectors += len(module_basis(t2.source))
+            else:
+                assert entry is None
+    assert pairs == composable
+    report = verify_apply_faithful(G)
+    assert report["pass"] and report["cases"] == basis_vectors
+    report = verify_associativity(G)
+    assert report["pass"] and report["cases"] == len(triples) ** 3
+
+
+def test_product_table_appends_products_outside_a_sample():
+    G = gl_group(2, 3)
+    triples = _sampled_triples(G, 12)
+    n = len(triples)
+    index, table = _product_table(triples)
+    assert index[:n] == triples and len(index) > n
+    everything = enumerate_triples(G)
+    assert all(t in everything for t in index[n:])
+    # a product of two listed triples, multiplied by a listed triple on
+    # either side, is in the table
+    products = {table[i][j][0] for i in range(n) for j in range(n)
+                if table[i][j] is not None}
+    assert products - set(range(n))
+    for m in products:
+        assert all(k in table[m] and m in table[k] for k in range(n))
+    # the appended products are read, not checked
+    assert verify_associativity(G, sample=12)["cases"] == n ** 3
+
+
 # -- negative controls: a planted table defect must fail its verifier ---------
 
 def fresh_gl(n, q):
@@ -571,24 +622,39 @@ def test_wrong_factor_fails_normal_form():
     assert "idempotence" in {f["kind"] for f in report["failures"]}
 
 
-def test_wrong_twist_fails_apply_faithful():
-    G = fresh_gl(2, 2)
-    assert verify_apply_faithful(G)["pass"]
+def plant_wrong_twist(G):
+    """Replace the k of one element in the left-coset table of a subgroup
+    with a nontrivial character by a member whose value differs."""
     sc = next(sc for sc in enumerate_subgroup_chars(G) if nontrivial(sc))
     _, _, k = G.double_coset_table((G.identity_idx,), sc.indices)
     y = next(y for y in range(G.order) if k[y] != G.identity_idx)
     k[y] = next(x for x in sc.indices if sc.chi[x] != sc.chi[k[y]])
+
+
+def test_wrong_twist_fails_apply_faithful():
+    G = fresh_gl(2, 2)
+    assert verify_apply_faithful(G)["pass"]
+    plant_wrong_twist(G)
     report = verify_apply_faithful(G)
     assert not report["pass"]
     assert {f["kind"] for f in report["failures"]} == {"faithfulness"}
 
 
-def test_wrong_product_scalar_fails_associativity():
-    G = fresh_gl(2, 2)
-    assert verify_associativity(G, sample=8)["pass"]
-    # one composable product t1 t2 of the checked triples whose g = g1 g2
-    # is not the least of its double coset, so normalize reads its h
-    triples = _sampled_triples(G, 8)
+def test_wrong_twist_fails_apply_faithful_gl23():
+    # each column is computed once and read by many cases, so a defect in
+    # one column must still show
+    G = fresh_gl(2, 3)
+    assert verify_apply_faithful(G)["pass"]
+    plant_wrong_twist(G)
+    report = verify_apply_faithful(G)
+    assert not report["pass"]
+    assert {f["kind"] for f in report["failures"]} == {"faithfulness"}
+
+
+def plant_wrong_product_scalar(G, triples):
+    """Plant a wrong h for one composable product t1 t2 of the triples
+    whose g = g1 g2 is not the least of its double coset, so normalize
+    reads that h."""
     for t1 in triples:
         for t2 in triples:
             g = G.mul(t1.g, t2.g)
@@ -597,12 +663,47 @@ def test_wrong_product_scalar_fails_associativity():
             if (t2.target == t1.source and rep[g] != g
                     and nontrivial(t1.target)):
                 plant_wrong_h(G, t1.target, t2.source, g)
-                report = verify_associativity(G, sample=8)
-                assert not report["pass"]
-                assert {f["kind"] for f in report["failures"]} \
-                    == {"associativity"}
                 return
     raise AssertionError("no composable product to plant a scalar in")
+
+
+def test_wrong_product_scalar_fails_associativity():
+    G = fresh_gl(2, 2)
+    assert verify_associativity(G, sample=8)["pass"]
+    plant_wrong_product_scalar(G, _sampled_triples(G, 8))
+    report = verify_associativity(G, sample=8)
+    assert not report["pass"]
+    assert {f["kind"] for f in report["failures"]} == {"associativity"}
+
+
+def test_wrong_product_scalar_fails_full_associativity():
+    G = fresh_gl(2, 2)
+    assert verify_associativity(G)["pass"]
+    plant_wrong_product_scalar(G, enumerate_triples(G))
+    report = verify_associativity(G)
+    assert not report["pass"]
+    assert {f["kind"] for f in report["failures"]} == {"associativity"}
+
+
+def test_nonzero_product_of_a_noncomposable_pair_fails_associativity(
+        monkeypatch):
+    # the zero cases are compared too, not assumed
+    G = gl_group(2, 2)
+    triples = enumerate_triples(G)
+    t1, t2 = next((a, b) for a in triples for b in triples
+                  if b.target != a.source)
+    real = hyperhecke.hecke_product
+
+    def planted(a, b):
+        if a == t1 and b == t2:
+            return HeckeElement.of(HeckeTriple(b.source, G.mul(a.g, b.g),
+                                               a.target, check=False))
+        return real(a, b)
+
+    monkeypatch.setattr(hyperhecke, "hecke_product", planted)
+    report = verify_associativity(G)
+    assert not report["pass"]
+    assert {f["kind"] for f in report["failures"]} == {"associativity"}
 
 
 def test_coproduct_check_survives_optimize():
