@@ -19,9 +19,10 @@ from .cyclo import Cyclo, _prime_divisors, integer, is_prime, zeta
 from .groups import FiniteGroupTable, check_group_order
 from .symgroup import kmatrix_solutions, w_of_kmatrix
 
-__all__ = ["Fq", "build_field", "gl_group", "gl_order", "psi_measure",
-           "kondo_measure", "weil_character", "weil_theta_exponents",
-           "gauss_sum", "hasse_davenport_check", "verify_bruhat_bijection",
+__all__ = ["Fq", "build_field", "GLTable", "gl_group", "gl_order",
+           "psi_measure", "kondo_measure", "weil_character",
+           "weil_theta_exponents", "gauss_sum", "hasse_davenport_check",
+           "verify_bruhat_bijection",
            "mat_mul", "mat_inv", "mat_det", "mat_identity", "mat_trace",
            "block_diagonal", "diagonal_blocks",
            "central_character"]
@@ -289,14 +290,35 @@ def _gl_elements(f: Fq, n: int) -> list:
     return [tuple(vecs[r] for r in rows) for rows in extend((), {0})]
 
 
+class GLTable(FiniteGroupTable):
+    """The table of GL_n(F_q) on its invertible matrices, in the given
+    order.  Right multiplication by s acts on each row separately, so the
+    right action of s is read from its map row -> row s on the q^n rows:
+    q^n products per generator of the Schreier tree, none per element."""
+
+    def __init__(self, f: Fq, n: int, elements):
+        super().__init__(f"GL({n},{f.q})", elements,
+                         lambda a, b: mat_mul(f, a, b),
+                         lambda a: mat_inv(f, a), mat_identity(f, n))
+        self.field = f
+        self.n = n
+
+    def _right_array(self, s: int) -> list[int]:
+        f, t, index = self.field, self.elements[s], self.index
+        rowmap = {v: mat_mul(f, (v,), t)[0]
+                  for v in f._row_tables(self.n)[0]}.__getitem__
+        return [index[tuple(map(rowmap, x))] for x in self.elements]
+
+
 @lru_cache(maxsize=None)
-def gl_group(n: int, q: int) -> FiniteGroupTable:
+def gl_group(n: int, q: int) -> GLTable:
     """GL_n(F_q) by full enumeration, with the standard subgroups
     registered as closures of their generators: U(k,n-k), P(k,n-k),
     L(k,n-k), Z, D, B and Sigma, built from the transvections I + c E_ij
     (c in the additive basis p^t of F_q), the diagonal matrices with one
     entry the field generator g, the scalar g I and the adjacent
-    transposition matrices."""
+    transposition matrices.  The Schreier tree's right actions come from
+    each generator's row map (GLTable), not from a product per element."""
     if n < 1:
         raise ValueError(f"GL({n},{q}) needs n >= 1")
     p, d = _prime_power(q)
@@ -306,12 +328,7 @@ def gl_group(n: int, q: int) -> FiniteGroupTable:
     if len(elements) != gl_order(n, q):
         raise AssertionError(f"{len(elements)} invertible matrices, "
                              f"not |GL({n},{q})| = {gl_order(n, q)}")
-    G = FiniteGroupTable(f"GL({n},{q})", elements,
-                         lambda a, b: mat_mul(f, a, b),
-                         lambda a: mat_inv(f, a),
-                         mat_identity(f, n))
-    G.field = f
-    G.n = n
+    G = GLTable(f, n, elements)
 
     def matrix(entries):
         """The index of the identity matrix with the given (i, j) -> value

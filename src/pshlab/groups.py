@@ -11,17 +11,20 @@ element index to an element index.  They are all read from one Schreier
 tree, built the first time one is needed by a breadth-first walk from the
 identity under right multiplication by the group's greedy generators
 (each index, in ascending order, that the earlier generators do not
-reach).  The walk calls the multiplication callback once per element and
-generator, keeps each generator's right action R_s: x -> x s, and records
-each element's tree step y = parent(y) s.  One pass down the tree then
-gives the left action L_g of any element (g y = (g parent(y)) s); the
-right action of g composes the R_s along g's tree path, and a product
-x y moves y along x's path by the generators' L_s (x y = parent(x) (s y)),
-so the multiplication callback runs only while the tree is built.
+reach).  The walk takes each generator's right action R_s: x -> x s as a
+whole array from `_right_array`, which by default calls the
+multiplication callback once per element (a subclass may read it from a
+cheaper description of the product, as GL(n, q) does from its row maps),
+and records each element's tree step y = parent(y) s.  One pass down the
+tree then gives the left action L_g of any element (g y = (g parent(y))
+s); the right action of g composes the R_s along g's tree path, and a
+product x y moves y along x's path by the generators' L_s (x y =
+parent(x) (s y)), so no product is formed once the tree is built.
 Closures, greedy generators, conjugacy classes and double cosets are
 orbits of these arrays, scanned in ascending order of least member; the
-double-coset walk also factors each member as h rep k.  `inv` keeps a
-cache of its callback.
+whole group's greedy generators are the tree's own, and the double-coset
+walk also factors each member as h rep k.  `inv` keeps a cache of its
+callback.
 """
 
 from __future__ import annotations
@@ -114,61 +117,67 @@ class FiniteGroupTable:
         members = [self.identity_idx]
         steps = {self.identity_idx: None}
         gens, moves = [], []
-
-        def reach(x, k):
-            y = moves[k](x)
-            if y not in steps:
-                steps[y] = (x, k)
-                members.append(y)
-
         done = 1  # members[:done] are moved by every generator so far
         for c in candidates:
             if c in steps:
                 continue
+            k, move = len(moves), image(c)
             gens.append(c)
-            moves.append(image(c))
+            moves.append(move)
             for x in members[:done]:
-                reach(x, len(moves) - 1)
+                y = move(x)
+                if y not in steps:
+                    steps[y] = (x, k)
+                    members.append(y)
             while done < len(members):
                 x = members[done]
                 done += 1
-                for k in range(len(moves)):
-                    reach(x, k)
+                for k, move in enumerate(moves):
+                    y = move(x)
+                    if y not in steps:
+                        steps[y] = (x, k)
+                        members.append(y)
         return gens, members, steps
+
+    def _right_array(self, s: int) -> list[int]:
+        """The right action x -> x s as a list, by one multiplication
+        callback per element."""
+        els, index, fn = self.elements, self.index, self._mul_fn
+        t = els[s]
+        return [index[fn(x, t)] for x in els]
 
     def _schreier_tree(self):
         """(rights, members, steps), built once: the right action rights[k]
-        of each greedy generator s_k of the group, filled by one
-        multiplication callback per element and generator; the members in
-        breadth-first order, parents first; and the tree step
-        steps[y] = (parent(y), k) with y = parent(y) s_k."""
+        of each greedy generator s_k of the group, from `_right_array`;
+        the members in breadth-first order, parents first; and the tree
+        step steps[y] = (parent(y), k) with y = parent(y) s_k.  Each s_k
+        is its array's image of the identity."""
         if self._tree is None:
-            n, els, index, fn = (self.order, self.elements, self.index,
-                                 self._mul_fn)
             rights = []
 
             def image(s):
-                r = [0] * n
-                rights.append(r)
+                rights.append(self._right_array(s))
+                return rights[-1].__getitem__
 
-                def move(x):
-                    r[x] = y = index[fn(els[x], els[s])]
-                    return y
-                return move
-
-            _, members, steps = self._span(range(n), image)
+            _, members, steps = self._span(range(self.order), image)
             self._tree = (rights, members, steps)
         return self._tree
 
-    def _right_move(self, g: int):
-        """x -> x g, composing the generators' right actions along g's
-        tree path."""
+    def _path(self, g: int) -> list[list[int]]:
+        """The right actions of the generators along g's tree path, the
+        identity's end first: x g = x s_1 ... s_k."""
         rights, _, steps = self._schreier_tree()
         path = []
         while steps[g] is not None:
             g, k = steps[g]
             path.append(rights[k])
         path.reverse()
+        return path
+
+    def _right_move(self, g: int):
+        """x -> x g, composing the generators' right actions along g's
+        tree path."""
+        path = self._path(g)
 
         def move(x):
             for r in path:
@@ -177,8 +186,12 @@ class FiniteGroupTable:
         return move
 
     def right(self, g: int) -> list[int]:
-        """The right action x -> x g as a list."""
-        return list(map(self._right_move(g), range(self.order)))
+        """The right action x -> x g as a list, composed one generator's
+        array at a time along g's tree path."""
+        out = list(range(self.order))
+        for r in self._path(g):
+            out = [r[x] for x in out]
+        return out
 
     def left(self, g: int) -> list[int]:
         """The left action x -> g x as a list, one pass down the tree:
@@ -220,10 +233,12 @@ class FiniteGroupTable:
     def small_generators(self, indices) -> list[int]:
         """The greedy generators of the subgroup given by its indices:
         each index, in ascending order, that the earlier ones do not
-        generate."""
+        generate.  For the whole group they are the Schreier tree's."""
         indices = sorted(indices)
+        if indices == list(range(self.order)):
+            return [r[self.identity_idx] for r in self._schreier_tree()[0]]
         gens, members, _ = self._span(indices, self._right_move)
-        if len(members) != len(indices):
+        if sorted(members) != indices:
             raise ValueError("index set is not closed under multiplication")
         return gens
 

@@ -175,6 +175,15 @@ def test_small_generators_rejects_a_set_that_is_not_a_subgroup():
         G.small_generators([0, 2, 5])
 
 
+def test_small_generators_rejects_a_repeated_index():
+    # a list as long as the group, but with one index twice and one
+    # missing, is not the whole group, although its span is
+    for G in (cyclic_table(6), gl_group(2, 3)):
+        indices = [0] + list(range(G.order - 1))
+        with pytest.raises(ValueError):
+            G.small_generators(indices)
+
+
 def test_class_functions_consistent():
     G = sym_table(3)
     f = G.function_to_class_function(
@@ -534,9 +543,59 @@ def fresh_table(G):
 
 
 def test_kernel_arrays_match_the_callbacks():
-    for G in (sym_table(4), gl_group(2, 3), gl_group(3, 2),
+    # GL(2,4) reads its row maps over F_4, a field with d = 2
+    for G in (sym_table(4), gl_group(2, 3), gl_group(3, 2), gl_group(2, 4),
               wreath_group(gl_group(1, 3), 2)):
         assert kernel_mismatches(G) == [], G.name
+
+
+def tree_mismatches(G):
+    """The parts of G's Schreier tree (right actions, members, steps)
+    that differ from the tree a fresh table builds by callback."""
+    return [name for name, ours, theirs in zip(
+        ("rights", "members", "steps"), G._schreier_tree(),
+        fresh_table(G)._schreier_tree()) if ours != theirs]
+
+
+def test_gl_row_map_tree_matches_the_callback_tree():
+    G = gl_group(3, 3)
+    assert isinstance(G, glfq.GLTable)
+    assert type(fresh_table(G)) is FiniteGroupTable
+    assert tree_mismatches(G) == []
+
+
+def test_a_swapped_row_map_entry_fails_the_tree_comparison(monkeypatch):
+    # swap the images of the rows v and -v in the first generator's row
+    # map: every right action stays a permutation of GL(3,3), but a wrong
+    # one
+    G = gl_group(3, 3)
+    first = G.elements[G._schreier_tree()[0][0][G.identity_idx]]
+    swap = {(1, 0, 0): (2, 0, 0), (2, 0, 0): (1, 0, 0)}
+    mat_mul = glfq.mat_mul
+
+    def swapped(f, a, b):
+        if len(a) == 1 and b == first:
+            a = (swap.get(a[0], a[0]),)
+        return mat_mul(f, a, b)
+
+    monkeypatch.setattr(glfq, "mat_mul", swapped)
+    assert "rights" in tree_mismatches(gl_group.__wrapped__(3, 3))
+
+
+def test_gl_tree_makes_no_product_per_element(monkeypatch):
+    # at most one product per row of F_q^n and tree generator, against
+    # |G| = 11,232 products per generator by callback
+    calls = [0]
+    mat_mul = glfq.mat_mul
+
+    def counted(f, a, b):
+        calls[0] += 1
+        return mat_mul(f, a, b)
+
+    monkeypatch.setattr(glfq, "mat_mul", counted)
+    G = gl_group.__wrapped__(3, 3)
+    assert G._tree is not None
+    assert 0 < calls[0] <= 3 ** 3 * len(G._tree[0])
 
 
 def test_orbit_algorithms_match_callback_orbits():
