@@ -253,19 +253,37 @@ def gram_matrix(mu: tuple):
 
 def kappa_multiple_check(mu: tuple) -> bool:
     """For every tableau t of shape mu and every tabloid basis vector u,
-    the signed column sum of t applied to u is a scalar multiple of e_t."""
+    the signed column sum kappa_t applied to u is a scalar multiple of e_t
+    (James's Lemma 4.6).
+
+    kappa_t depends on t only through its column sets, so the tableaux are
+    grouped by them and each class's column stabilizer is built once and
+    applied once to every tabloid.  Every member t' of a class has its own
+    e_{t'} = kappa_t{t'} among those images; each must be nonzero, and
+    every nonzero image must be proportional to the first one.
+    Proportionality among nonzero vectors is an equivalence relation, so
+    this is the statement for every pair (t', u), one class at a time."""
     check_sym_order(sum(mu))
     keys = [tab.key for tab in all_tabloids(mu)]
+    classes: dict = {}
     for t in all_tableaux(mu):
-        stabilizer = _column_stabilizer(t)
-        e = apply_kappa(stabilizer, {t.tabloid().key: 1})
-        k0, e0 = next(iter(e.items()))
+        classes.setdefault(frozenset(map(frozenset, t.columns())),
+                           []).append(t)
+    for members in classes.values():
+        stabilizer = _column_stabilizer(members[0])
+        own = {t.tabloid().key for t in members}
+        e = None
         for u in keys:
             image = apply_kappa(stabilizer, {u: 1})
             if not image:
+                if u in own:
+                    return False
                 continue
-            # image = c e_t iff image * e_t[k0] = image[k0] * e_t
-            if image.keys() != e.keys() or (
+            if e is None:
+                e = image
+                k0, e0 = next(iter(e.items()))
+            # image = c e iff image * e[k0] = image[k0] * e
+            elif image.keys() != e.keys() or (
                     {k: v * e0 for k, v in image.items()}
                     != {k: image[k0] * c for k, c in e.items()}):
                 return False
@@ -276,8 +294,12 @@ def tabloid_adjacency_check(mu: tuple) -> bool:
     """For every tableau t of shape mu in which x-1 sits in a strictly
     lower row than x, no tabloid of shape mu lies strictly between the
     tabloid of t and the tabloid of t with x-1 and x swapped, in the
-    m-count dominance order.  Each tabloid's m-count vector is computed
-    once."""
+    m-count dominance order.
+
+    Both the condition and the swapped tabloid read t only through its
+    tabloid, and every tabloid of shape mu is the tabloid of some
+    tableau, so the sweep runs once per tabloid.  Each tabloid's m-count
+    vector is computed once."""
     n = sum(mu)
     check_sym_order(n)
     counts = {tab.key: tabloid_m_counts(tab) for tab in all_tabloids(mu)}
@@ -288,9 +310,7 @@ def tabloid_adjacency_check(mu: tuple) -> bool:
     def below(a, b):
         return a != b and all(map(operator.le, a, b))
 
-    for t in all_tableaux(mu):
-        key = t.tabloid().key
-        lower = counts[key]
+    for key, lower in counts.items():
         for x in range(1, n):
             # 0-based points x-1 and x are the entries x and x+1
             if key[x - 1] <= key[x]:

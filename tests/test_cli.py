@@ -133,6 +133,8 @@ PINNED_DIGESTS = {
         "41a870026aa1da04bfe529c03822176c89043d885a8851d6c77c1c2a63f44246",
     ("chartable", "GL(3,3)"):
         "3b2a207fdfd369d5d1e37434d17799f8c213e4ee10ef7a3ccf337edb94f2bd24",
+    ("verify", "branching"):
+        "32e5f4fe66cf33d0a0a189e9920805b76beda5a99bd99118338a2e179bcf02e8",
 }
 
 

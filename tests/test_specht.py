@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import operator
 import os
 import pathlib
 import subprocess
@@ -347,3 +348,140 @@ def test_column_stabilizer_signs_match_sign_of():
                 assert [(move(key), sign) for move, sign
                         in specht._column_stabilizer(t)] \
                     == signed_by_sign_of(t), t
+
+
+def kappa_multiple_oracle(mu):
+    """The per-(t, u) statement read literally: kappa_t is rebuilt for
+    every tableau t and applied to every tabloid u, and each nonzero
+    image must be a multiple of e_t."""
+    keys = [tab.key for tab in specht.all_tabloids(mu)]
+    for t in all_tableaux(mu):
+        stabilizer = specht._column_stabilizer(t)
+        e = specht.apply_kappa(stabilizer, {t.tabloid().key: 1})
+        k0, e0 = next(iter(e.items()))
+        for u in keys:
+            image = specht.apply_kappa(stabilizer, {u: 1})
+            if not image:
+                continue
+            if image.keys() != e.keys() or (
+                    {k: v * e0 for k, v in image.items()}
+                    != {k: image[k0] * c for k, c in e.items()}):
+                return False
+    return True
+
+
+def column_sets(t):
+    return frozenset(map(frozenset, t.columns()))
+
+
+def test_kappa_check_agrees_with_per_tableau_oracle():
+    for n in range(1, 6):
+        for mu in partitions(n):
+            assert kappa_multiple_check(mu) is True
+            assert kappa_multiple_oracle(mu) is True, mu
+
+
+def test_kappa_check_sees_a_flip_in_one_late_column_class():
+    mu = (2, 2, 1)
+    # the column classes in the order the check visits them
+    visited = list(dict.fromkeys(map(column_sets, all_tableaux(mu))))
+    target = visited[-1]
+    assert len(visited) == 10 and target != visited[0]
+    real_stabilizer = specht._column_stabilizer
+
+    def flipped_in_target(t):
+        pairs = real_stabilizer(t)
+        if column_sets(t) != target:
+            return pairs
+        move, sign = pairs[-1]
+        return pairs[:-1] + [(move, -sign)]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specht, "_column_stabilizer", flipped_in_target)
+        assert kappa_multiple_check(mu) is False
+        assert kappa_multiple_oracle(mu) is False
+    assert kappa_multiple_check(mu) is True
+
+
+
+def test_kappa_check_rejects_a_vanishing_polytabloid():
+    # each element cancelled by its negative: every image, e_t included,
+    # is zero, though e_t has coefficient 1 at {t}
+    real_stabilizer = specht._column_stabilizer
+
+    def cancelled(t):
+        pairs = real_stabilizer(t)
+        return pairs + [(move, -sign) for move, sign in pairs]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specht, "_column_stabilizer", cancelled)
+        assert kappa_multiple_check((2, 1)) is False
+
+def test_column_stabilizer_depends_only_on_column_sets():
+    for n in range(1, 6):
+        key = tuple(range(n))
+        for mu in partitions(n):
+            by_class = {}
+            for t in all_tableaux(mu):
+                pairs = {(move(key), sign)
+                         for move, sign in specht._column_stabilizer(t)}
+                assert by_class.setdefault(column_sets(t), pairs) == pairs, t
+
+
+def counted_kappa_calls(mu, monkeypatch):
+    calls = {"_column_stabilizer": 0, "apply_kappa": 0}
+    for name in calls:
+        real = getattr(specht, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(specht, name, counting)
+    assert kappa_multiple_check(mu)
+    monkeypatch.undo()
+    return calls
+
+
+def test_kappa_check_builds_one_stabilizer_for_a_single_column(monkeypatch):
+    assert counted_kappa_calls((1, 1, 1, 1, 1), monkeypatch) \
+        == {"_column_stabilizer": 1, "apply_kappa": 120}
+
+
+def test_kappa_check_builds_one_stabilizer_per_column_class(monkeypatch):
+    for n in range(1, 6):
+        for mu in partitions(n):
+            # set partitions of 1..n into blocks of the column lengths;
+            # columns of equal length are unordered
+            lengths = conjugate(mu)
+            classes = math.factorial(n) // math.prod(
+                map(math.factorial, lengths)) // math.prod(
+                math.factorial(lengths.count(c)) for c in set(lengths))
+            tabloids = math.factorial(n) // math.prod(
+                map(math.factorial, mu))
+            assert counted_kappa_calls(mu, monkeypatch) \
+                == {"_column_stabilizer": classes,
+                    "apply_kappa": classes * tabloids}, mu
+
+
+def test_tabloid_adjacency_exits_on_planted_defects(monkeypatch):
+    mu = (2, 1)
+    keys = [tab.key for tab in specht.all_tabloids(mu)]
+    real_counts = specht.tabloid_m_counts
+    top = Tableau(((1, 2), (3,))).tabloid().key
+    assert tabloid_adjacency_check(mu)
+    # negated m-counts reverse dominance: the first swap leads down, so
+    # the check stops where the swapped tabloid is not above
+    monkeypatch.setattr(specht, "tabloid_m_counts",
+                        lambda tab: tuple(-c for c in real_counts(tab)))
+    assert tabloid_adjacency_check(mu) is False
+    monkeypatch.undo()
+    # every swap lands on the dominance-top tabloid, strictly above each
+    # tabloid with a descent, so only the betweenness exit can fire: the
+    # middle tabloid {13|2} lies between {23|1} and the top {12|3}
+    top_counts = real_counts(Tabloid(top))
+    assert all(all(map(operator.le, real_counts(Tabloid(k)), top_counts))
+               for k in keys)
+    monkeypatch.setattr(specht, "_mover", lambda inverse: lambda key: top)
+    assert tabloid_adjacency_check(mu) is False
+    monkeypatch.undo()
+    assert tabloid_adjacency_check(mu)
