@@ -403,7 +403,6 @@ def test_kappa_check_sees_a_flip_in_one_late_column_class():
     assert kappa_multiple_check(mu) is True
 
 
-
 def test_kappa_check_rejects_a_vanishing_polytabloid():
     # each element cancelled by its negative: every image, e_t included,
     # is zero, though e_t has coefficient 1 at {t}
@@ -416,6 +415,7 @@ def test_kappa_check_rejects_a_vanishing_polytabloid():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(specht, "_column_stabilizer", cancelled)
         assert kappa_multiple_check((2, 1)) is False
+
 
 def test_column_stabilizer_depends_only_on_column_sets():
     for n in range(1, 6):
