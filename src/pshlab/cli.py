@@ -229,11 +229,12 @@ def _suite_branching(args):
     ok = True
     cases = 0
     for m in range(1, bound + 1):
-        for lam in partitions(m):
-            for mu in partitions(m):
-                for t1 in all_tableaux(lam):
+        tableaux = {mu: all_tableaux(mu) for mu in partitions(m)}
+        for lam in tableaux:
+            for mu in tableaux:
+                for t1 in tableaux[lam]:
                     column_of = t1.column_of()
-                    for t2 in all_tableaux(mu):
+                    for t2 in tableaux[mu]:
                         cases += 1
                         if (combinatorial_lemma_check(column_of, t2)
                                 and not dominates(lam, mu)):

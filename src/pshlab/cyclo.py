@@ -21,7 +21,8 @@ An exact scalar is an int, a Fraction or a Cyclo.  scalar() gives its
 normal form: an int when the value is an integer, a Fraction when it is
 rational, and otherwise the Cyclo itself.  conj(), inverse(), integer()
 and scalar_json() act on all three types, so no other module needs to
-know which type a value has except to display it.
+know which type a value has except to display it.  zeta(n, k) is memoised:
+one shared Cyclo per (n, k mod n), safe because a Cyclo is immutable.
 """
 
 from __future__ import annotations
@@ -408,10 +409,15 @@ def is_prime(n: int) -> bool:
 
 
 def zeta(n: int, k: int = 1) -> Cyclo:
-    """The root of unity zeta_n^k in canonical form."""
+    """The root of unity zeta_n^k, memoised: one Cyclo per (n, k mod n)."""
     if n < 1:
         raise ValueError("conductor must be >= 1")
-    return Cyclo.from_terms(n, {k % n: 1})
+    return _zeta(n, k % n)
+
+
+@lru_cache(maxsize=None)
+def _zeta(n: int, k: int) -> Cyclo:
+    return Cyclo.from_terms(n, {k: 1})
 
 
 def scalar(v):

@@ -3,14 +3,16 @@ subgroups, the additive trace measure, Kondo-Gauss sums, Weil characters,
 Gauss-sum identities along field extensions, and the double-coset count
 for pairs of parabolic subgroups.
 
-Field elements are integer indices into a fixed enumeration; matrices are
-tuples of tuples of indices, so they are hashable and canonical.  Matrices
+Field elements are integer indices into a fixed enumeration, and each
+field reads its products from one discrete-log table; matrices are tuples
+of tuples of indices, so they are hashable and canonical.  Matrices
 multiply row by row through lookup tables of the row space F_q^m.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -44,7 +46,9 @@ _IRREDUCIBLE = {
 
 class Fq:
     """The field with p^d elements; elements are indices 0..q-1 with
-    0 = zero and 1 = one."""
+    0 = zero and 1 = one.  The generator is the least index of order q - 1,
+    found by polynomial products mod _IRREDUCIBLE[(p, d)]; mul, inv, pow
+    and element_order read its powers and their inverse, dlog."""
 
     def __init__(self, p: int, d: int = 1):
         if not is_prime(p):
@@ -64,20 +68,33 @@ class Fq:
             self.elements.append(tuple(digits))
         self.index = {e: i for i, e in enumerate(self.elements)}
         self._modulus = modulus
-        self.add_table = [[self.index[self._poly_add(a, b)]
-                           for b in self.elements] for a in self.elements]
-        self.mul_table = [[self.index[self._poly_mul(a, b)]
-                           for b in self.elements] for a in self.elements]
+        # digit by digit mod p (XOR when p = 2): the constant digit, and
+        # the others from the addition table of F_p^(d-1)
+        high = build_field(p, d - 1).add_table if d > 1 else [[0]]
+        self.add_table = [[(x + y) % p + p * high[x // p][y // p]
+                           for y in range(q)] for x in range(q)]
         self.neg_table = [self.index[tuple((-c) % p for c in a)]
                           for a in self.elements]
-        self.inv_table = [None] + [next(j for j in range(1, q)
-                                        if self.mul_table[i][j] == 1)
-                                   for i in range(1, q)]
+        # the generator g is the least unit of order q - 1; its q - 1
+        # powers exp[k] = g^k and their inverse dlog give * and inv
+        for g in range(1, q):
+            exp, x = [1], g
+            while x != 1 and len(exp) < q - 1:
+                exp.append(x)
+                x = self.index[self._poly_mul(self.elements[x],
+                                              self.elements[g])]
+            if x == 1 and len(exp) == q - 1:
+                break
+        else:
+            raise AssertionError(f"F_{p}^{d}: modulus {modulus} is reducible")
+        self.generator, self._exp = g, exp
+        self.dlog = log = {x: k for k, x in enumerate(exp)}
+        self.mul_table = [[0] * q] + [
+            [0] + [exp[(log[a] + log[b]) % (q - 1)] for b in range(1, q)]
+            for a in range(1, q)]
+        self.inv_table = [None] + [exp[-log[a] % (q - 1)] for a in range(1, q)]
         self.trace_table = [self._trace(i) for i in range(q)]
         self.norm_table = [self._norm(i) for i in range(q)]
-        self.generator = next(g for g in range(1, q)
-                              if self.element_order(g) == q - 1)
-        self.dlog = {self.pow(self.generator, k): k for k in range(q - 1)}
         self._rows = {}
 
     def _row_tables(self, m: int):
@@ -98,9 +115,6 @@ class Fq:
                       for v in vecs] for c in range(self.q)]
             tables = self._rows[m] = (vecs, code, add, scale)
         return tables
-
-    def _poly_add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
 
     def _poly_mul(self, a, b):
         d, p = self.d, self.p
@@ -133,19 +147,14 @@ class Fq:
         return self.inv_table[i]
 
     def pow(self, i, k):
-        out = 1
-        for _ in range(k):
-            out = self.mul_table[out][i]
-        return out
+        if i == 0:
+            return 0 if k else 1
+        return self._exp[self.dlog[i] * k % (self.q - 1)]
 
     def element_order(self, i):
         if i == 0:
             raise ValueError("zero has no multiplicative order")
-        k, x = 1, i
-        while x != 1:
-            x = self.mul_table[x][i]
-            k += 1
-        return k
+        return (self.q - 1) // math.gcd(self.dlog[i], self.q - 1)
 
     def _trace(self, i) -> int:
         """Trace to the prime field as an integer 0..p-1."""
@@ -157,8 +166,6 @@ class Fq:
 
     def _norm(self, i) -> int:
         """Norm to the prime field as an integer 0..p-1 (norm(0) = 0)."""
-        if i == 0:
-            return 0
         e = (self.q - 1) // (self.p - 1)
         return self._prime_field_int(self.pow(i, e), "norm")
 

@@ -135,6 +135,10 @@ PINNED_DIGESTS = {
         "3b2a207fdfd369d5d1e37434d17799f8c213e4ee10ef7a3ccf337edb94f2bd24",
     ("verify", "branching"):
         "32e5f4fe66cf33d0a0a189e9920805b76beda5a99bd99118338a2e179bcf02e8",
+    ("verify", "hasse-davenport", "--p", "2", "--m", "6"):
+        "a723d07c6d7ea2a019d1936957f75668958516e323924261b125caceefe5862d",
+    ("verify", "hasse-davenport", "--p", "7", "--m", "2"):
+        "cc76520b4b90efa8ad711b2d3b5bd742d492caafeb1a97103c5762db2406adae",
 }
 
 

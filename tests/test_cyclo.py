@@ -268,6 +268,18 @@ def oracle_reduced(n, coeffs):
             return d, tuple(x)
 
 
+def test_zeta_is_memoised_and_matches_oracle():
+    # one shared object per (n, k mod n), equal to x^k reduced mod Phi_n
+    for n in (12, 24, 120):
+        for k in range(-n, 2 * n):
+            z = zeta(n, k)
+            assert z is zeta(n, k + n) and z is zeta(n, k % n)
+            assert z.n == n and z.den == 1
+            assert z.coeffs == oracle(n, [0] * (k % n) + [1])
+    with pytest.raises(ValueError):
+        zeta(0)
+
+
 small = st.one_of(st.integers(-3, 3),
                   st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
 

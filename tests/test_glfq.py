@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,8 @@ import pytest
 
 from pshlab.chars import elementwise, numerical_invariant
 from pshlab.cyclo import Cyclo, is_prime, zeta
-from pshlab.glfq import (_gl_elements, _prime_power, build_field, gauss_sum, gl_group,
+from pshlab import glfq
+from pshlab.glfq import (_IRREDUCIBLE, Fq, _gl_elements, _prime_power, build_field, gauss_sum, gl_group,
                          gl_order, hasse_davenport_check, kondo_measure,
                          mat_det, mat_identity, mat_inv, mat_mul, mat_trace,
                          permutation_matrix, psi_measure, unit_character,
@@ -52,6 +54,83 @@ def test_extension_field():
     # dlog inverts powers of the generator
     g = next(x for x in range(1, 9) if f.element_order(x) == 8)
     assert f.dlog[f.pow(g, 5)] % 8 == (5 * f.dlog[g]) % 8
+
+
+def polynomial_oracle(p, d, modulus):
+    """add, mul and neg on indices of F_p[x]/(modulus) by schoolbook
+    polynomial arithmetic: index c0 + c1 p + ... is c0 + c1 x + ..."""
+    def poly(i):
+        return [i // p ** k % p for k in range(d)]
+
+    def index(coeffs):
+        return sum(c % p * p ** k for k, c in enumerate(coeffs))
+
+    def mul(a, b):
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(poly(a)):
+            for j, y in enumerate(poly(b)):
+                prod[i + j] += x * y
+        # x^k = x^(k-d) (x^d - modulus), from the top degree down
+        for k in range(2 * d - 2, d - 1, -1):
+            c = prod[k]
+            for j in range(d + 1):
+                prod[k - d + j] -= c * modulus[j]
+        return index(prod[:d])
+
+    def add(a, b):
+        return index(x + y for x, y in zip(poly(a), poly(b)))
+
+    def neg(a):
+        return index(-x for x in poly(a))
+    return add, mul, neg
+
+
+ALL_FIELDS = ([(p, 1) for p in range(2, 62) if is_prime(p)]
+              + sorted(_IRREDUCIBLE))
+
+
+@pytest.mark.parametrize("p,d", ALL_FIELDS)
+def test_field_tables_match_polynomial_oracle(p, d):
+    f = build_field(p, d)
+    q = f.q
+    add, mul, neg = polynomial_oracle(p, d, _IRREDUCIBLE.get((p, d)))
+    for a in range(q):
+        assert f.neg_table[a] == neg(a)
+        assert f.add_table[a] == [add(a, b) for b in range(q)]
+        assert f.mul_table[a] == [mul(a, b) for b in range(q)]
+    assert f.inv_table[0] is None
+    for a in range(1, q):
+        assert mul(a, f.inv_table[a]) == 1
+    powers = {}
+    for a in range(1, q):
+        row, x = [1], a
+        while x != 1:
+            row.append(x)
+            x = mul(x, a)
+        powers[a] = row
+        assert f.element_order(a) == len(row)
+        assert [f.pow(a, k) for k in range(2 * q)] == [
+            row[k % len(row)] for k in range(2 * q)]
+    g = min(a for a in range(1, q) if len(powers[a]) == q - 1)
+    assert f.generator == g
+    assert f.dlog == {x: k for k, x in enumerate(powers[g])}
+    assert [f.pow(0, k) for k in range(3)] == [1, 0, 0]
+    with pytest.raises(ValueError):
+        f.element_order(0)
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
+
+
+@pytest.mark.parametrize("p,d,modulus", [(2, 2, (1, 0, 1)),
+                                         (2, 6, (1, 0, 0, 0, 0, 0, 1))])
+def test_reducible_modulus_fails_as_a_structured_error(p, d, modulus,
+                                                       monkeypatch):
+    # (x + 1)^2 and (x^3 + 1)^2 over F_2 have zero divisors, so no unit
+    # has order q - 1; Fq bypasses the build_field cache
+    monkeypatch.setitem(glfq._IRREDUCIBLE, (p, d), modulus)
+    with pytest.raises(AssertionError,
+                       match=rf"F_{p}\^{d}: .*{re.escape(str(modulus))}"):
+        Fq(p, d)
 
 
 def test_matrix_helpers():
