@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -160,6 +161,28 @@ def test_branching_suite_runs_kappa_once_per_partition(monkeypatch):
     assert len(calls) == 6 == len(set(calls))
     kappa = [r for r in reports if r.get("check") == "kappa-multiple"]
     assert len(kappa) == 6 and all(r["pass"] for r in kappa)
+
+
+def test_branching_suite_builds_each_shapes_tableaux_once(monkeypatch):
+    # specht binds its own all_tableaux at import, so only the suite's
+    # column-distinctness sweep reads the counting one
+    from pshlab import combinat, specht  # noqa: F401
+    calls = []
+    real = combinat.all_tableaux
+
+    def counting(shape):
+        calls.append(shape)
+        return real(shape)
+    monkeypatch.setattr(combinat, "all_tableaux", counting)
+    reports = cli._suite_branching(argparse.Namespace(n=3))
+    assert sorted(calls) == sorted(combinat.partitions(1)
+                                   + combinat.partitions(2)
+                                   + combinat.partitions(3))
+    # every pair of fillings of every pair of shapes, m! fillings each
+    sweep = reports[-1]
+    assert sweep["check"] == "column-distinctness-forces-dominance"
+    assert sweep["cases"] == sum(len(combinat.partitions(m)) ** 2
+                                 * math.factorial(m) ** 2 for m in (1, 2, 3))
 
 
 def test_chartable_trivial_group():

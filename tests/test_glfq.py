@@ -10,8 +10,8 @@ import pytest
 
 from pshlab.chars import elementwise, numerical_invariant
 from pshlab.cyclo import Cyclo, is_prime, zeta
-from pshlab import glfq
-from pshlab.glfq import (_IRREDUCIBLE, Fq, _gl_elements, _prime_power, build_field, gauss_sum, gl_group,
+from pshlab.glfq import (_IRREDUCIBLE, Fq, _gl_elements, _prime_power,
+                         build_field, gauss_sum, gl_group,
                          gl_order, hasse_davenport_check, kondo_measure,
                          mat_det, mat_identity, mat_inv, mat_mul, mat_trace,
                          permutation_matrix, psi_measure, unit_character,
@@ -127,7 +127,7 @@ def test_reducible_modulus_fails_as_a_structured_error(p, d, modulus,
                                                        monkeypatch):
     # (x + 1)^2 and (x^3 + 1)^2 over F_2 have zero divisors, so no unit
     # has order q - 1; Fq bypasses the build_field cache
-    monkeypatch.setitem(glfq._IRREDUCIBLE, (p, d), modulus)
+    monkeypatch.setitem(_IRREDUCIBLE, (p, d), modulus)
     with pytest.raises(AssertionError,
                        match=rf"F_{p}\^{d}: .*{re.escape(str(modulus))}"):
         Fq(p, d)
