@@ -25,6 +25,10 @@ orbits of these arrays, scanned in ascending order of least member; the
 whole group's greedy generators are the tree's own, and the double-coset
 walk also factors each member as h rep k.  `inv` keeps a cache of its
 callback.
+
+`subgroup` gives a subgroup its own table on the ambient's elements in
+ascending index order; it shares the ambient's multiplication and inverse
+callbacks, so a subgroup table is never built by hand.
 """
 
 from __future__ import annotations
@@ -244,6 +248,14 @@ class FiniteGroupTable:
 
     def is_subgroup(self, indices) -> bool:
         return self.closure(indices) == frozenset(indices)
+
+    def subgroup(self, indices, name: str) -> FiniteGroupTable:
+        """The table of the subgroup on the sorted indices, with this
+        group's multiplication and inverse callbacks and its identity."""
+        return FiniteGroupTable(name, [self.elements[i]
+                                       for i in sorted(indices)],
+                                self._mul_fn, self._inv_fn,
+                                self.elements[self.identity_idx])
 
     # -- conjugacy ------------------------------------------------------
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cyclo import inverse, scalar, scalar_json
-from .groups import FiniteGroupTable, check_group_order
+from .groups import FiniteGroupTable
 from .symgroup import kmatrix_solutions
 
 __all__ = ["SubgroupChar", "HeckeTriple", "HeckeElement", "TripleError",
@@ -46,19 +46,11 @@ class CharacterMismatchError(TripleError):
     pass
 
 
-def subgroup_table(G: FiniteGroupTable, indices) -> FiniteGroupTable:
-    indices = sorted(indices)
-    elements = [G.elements[i] for i in indices]
-    return FiniteGroupTable(f"{G.name}|sub{len(indices)}", elements,
-                            G._mul_fn, G._inv_fn,
-                            G.elements[G.identity_idx])
-
-
 def subgroup_characters(G: FiniteGroupTable, indices):
     """Every irreducible character of the subgroup, in the order of its
     character table, as a map from ambient element index to value."""
-    sub = subgroup_table(G, indices)
     indices = sorted(indices)
+    sub = G.subgroup(indices, f"{G.name}|sub{len(indices)}")
     return [{indices[i]: chi.values[sub.class_of(i)]
              for i in range(sub.order)} for chi in sub.character_table()]
 
@@ -364,26 +356,16 @@ def _combine(columns: dict, vec: dict) -> dict:
 
 @lru_cache(maxsize=None)
 def pair_ambient(q: int, a: int, b: int) -> FiniteGroupTable:
-    """The group GL_a x GL_b realized as block-diagonal matrices; a zero
-    part degenerates to the other factor."""
-    from .glfq import block_diagonal, gl_group, mat_inv, mat_mul
+    """The group GL_a x GL_b as the Levi subgroup L(a,b) of GL_{a+b}: its
+    block-diagonal matrices, in the order block_diagonal(x, y) for x in
+    GL_a, then y in GL_b.  A zero part degenerates to the other factor."""
+    from .glfq import gl_group
     if a == 0:
         return gl_group(b, q)
     if b == 0:
         return gl_group(a, q)
-    Ga, Gb = gl_group(a, q), gl_group(b, q)
-    name = f"GL({a},{q})xGL({b},{q})"
-    check_group_order(name, Ga.order * Gb.order)
-    f = Ga.field
-    elements = [block_diagonal(x, y)
-                for x in Ga.elements for y in Gb.elements]
-    G = FiniteGroupTable(name, elements,
-                         lambda x, y: mat_mul(f, x, y),
-                         lambda x: mat_inv(f, x),
-                         block_diagonal(Ga.elements[Ga.identity_idx],
-                                        Gb.elements[Gb.identity_idx]))
-    G.field = f
-    return G
+    G = gl_group(a + b, q)
+    return G.subgroup(G.subgroups[f"L({a},{b})"], f"GL({a},{q})xGL({b},{q})")
 
 
 def _pair(amb: FiniteGroupTable, s1: SubgroupChar,

@@ -344,19 +344,14 @@ def wreath_theorem_check(n: int, q: int = 3) -> dict:
 def _counterexample_groups(q: int = 3):
     """The index-6 subgroup generated by the transposition of the first
     two slots and matrix components supported there, inside the full
-    3-fold wreath product."""
-    from .groups import FiniteGroupTable
-    from .wreath import wreath_inv, wreath_mul
+    3-fold wreath product.  GL(1,2) is trivial, so q = 2 has no
+    counterexample and is refused."""
     H, J = _wreath_setup(3, q)
-    g_elements = []
-    for sig in ((1, 2, 3), (2, 1, 3)):
-        for a1 in range(H.order):
-            for a2 in range(H.order):
-                g_elements.append((sig, (a1, a2, H.identity_idx)))
-    G = FiniteGroupTable(f"CounterexampleG(q={q})", g_elements,
-                         lambda a, b: wreath_mul(H, a, b),
-                         lambda a: wreath_inv(H, a),
-                         ((1, 2, 3), (H.identity_idx,) * 3))
+    if H.order == 1:
+        raise ValueError(f"GL(1,{q}) is trivial: no character can differ")
+    G = J.subgroup([i for i, (sig, al) in enumerate(J.elements)
+                    if sig[2] == 3 and al[2] == H.identity_idx],
+                   f"CounterexampleG(q={q})")
     return H, J, G
 
 

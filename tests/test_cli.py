@@ -43,7 +43,8 @@ def test_usage_errors():
                  ("verify", "psh", "--q", "1"),
                  ("verify", "gauss", "--q", "1", "--weil"),
                  ("chartable", "GL(0,3)"),
-                 ("compute", "wreath-w", "--lambda", "(2,1)", "--n", "4")]:
+                 ("compute", "wreath-w", "--lambda", "(2,1)", "--n", "4"),
+                 ("verify", "wreath-counterexample", "--q", "2")]:
         rc, _, err = run_cli(*args)
         assert rc == 2, (args, err)
         assert "Traceback" not in err, args
@@ -241,9 +242,17 @@ def test_hecke_out(tmp_path):
 
 
 def test_suite_names():
-    assert set(cli.SUITE_CHECKS) == {
+    assert set(cli.SUITES) == {
         "psh", "mezzadri", "gauss", "branching", "hopflike", "bruhat",
         "hasse-davenport", "wreath-counterexample"}
+
+
+def test_verify_hopflike_exits_1_on_a_failed_check(monkeypatch, capsys):
+    from pshlab import hyperhecke
+    monkeypatch.setattr(hyperhecke, "verify_normal_form",
+                        lambda G: {"check": "normal-form", "pass": False})
+    assert cli.main(["verify", "hopflike"]) == cli.EXIT_FAIL
+    assert "FAILURES present" in capsys.readouterr().out
 
 
 def test_registry_covers_all_verifiers():
@@ -251,7 +260,7 @@ def test_registry_covers_all_verifiers():
     import inspect
     import re
     registered = set()
-    for checks in cli.SUITE_CHECKS.values():
+    for _, _, checks in cli.SUITES.values():
         registered.update(checks)
     discovered = set()
     for modname in ("combinat", "specht", "glfq", "psh", "invariants",

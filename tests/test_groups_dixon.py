@@ -18,6 +18,7 @@ from pshlab.glfq import (_nonsplit_torus, _torus_dlog, gl_group,
 from pshlab.groups import FiniteGroupTable
 from pshlab.hyperhecke import (subgroup_characters, verify_apply_faithful,
                                verify_associativity, verify_normal_form)
+from pshlab.invariants import _counterexample_groups
 from pshlab.psh import _base_group
 from pshlab.specht import specht_character
 from pshlab.symgroup import Perm
@@ -166,6 +167,50 @@ def test_subgroup_registry():
     assert len(H) == 3
     assert G.is_subgroup(H)
     assert not G.is_subgroup(H[:2])  # a three-cycle pair is not closed
+
+
+def subgroup_mismatches(G, indices, sub):
+    """Where the subgroup table sub on the sorted indices disagrees with
+    its ambient G restricted to them: products, inverses, the identity,
+    and the classes, which are the orbits of conjugation by the
+    subgroup's own elements inside G."""
+    indices = sorted(indices)
+    bad = []
+    if sub.elements != [G.elements[i] for i in indices]:
+        bad.append(("elements",))
+    if indices[sub.identity_idx] != G.identity_idx:
+        bad.append(("identity",))
+    for x in range(sub.order):
+        if indices[sub.inv(x)] != G.inv(indices[x]):
+            bad.append(("inv", x))
+        if [indices[sub.mul(x, y)] for y in range(sub.order)] != [
+                G.mul(indices[x], indices[y]) for y in range(sub.order)]:
+            bad.append(("mul", x))
+    classes = sorted({tuple(sorted({G.conj(x, g) for g in indices}))
+                      for x in indices})
+    if sorted(tuple(sorted(indices[x] for x in c))
+              for c in sub.classes()) != classes:
+        bad.append(("classes",))
+    return bad
+
+
+def test_subgroup_table_agrees_with_its_ambient():
+    G = gl_group(2, 3)
+    B = G.subgroups["B"]
+    assert subgroup_mismatches(G, B, G.subgroup(B, "B")) == []
+    H = gl_group(1, 3)
+    J = wreath_group(H, 3)
+    sub = [i for i, (sig, al) in enumerate(J.elements)
+           if sig[2] == 3 and al[2] == H.identity_idx]
+    assert len(sub) == 8
+    assert subgroup_mismatches(J, sub, _counterexample_groups(3)[2]) == []
+    # negative control: the opposite product on B's elements, B being
+    # nonabelian, fails the product check and nothing else
+    opposite = FiniteGroupTable(
+        "Bop", [G.elements[i] for i in sorted(B)],
+        lambda a, b: G._mul_fn(b, a), G._inv_fn,
+        G.elements[G.identity_idx])
+    assert {m[0] for m in subgroup_mismatches(G, B, opposite)} == {"mul"}
 
 
 def test_small_generators_rejects_a_set_that_is_not_a_subgroup():

@@ -4,8 +4,8 @@ import sys
 import pytest
 
 from pshlab.cyclo import Cyclo, inverse
-from pshlab.glfq import gl_group
-from pshlab import hyperhecke
+from pshlab import glfq, hyperhecke
+from pshlab.glfq import block_diagonal, gl_group
 from pshlab.groups import FiniteGroupTable
 from pshlab.hyperhecke import (CharacterMismatchError, ContainmentError,
                                HeckeElement, HeckeTriple, SubgroupChar,
@@ -17,7 +17,7 @@ from pshlab.hyperhecke import (CharacterMismatchError, ContainmentError,
                                enumerate_triples, graded_product,
                                hecke_product, identity_triple,
                                linear_characters, module_basis, normalize,
-                               pair_ambient, pair_triple, subgroup_table,
+                               pair_ambient, pair_triple,
                                verify_apply_faithful, verify_associativity,
                                verify_hopflike, verify_normal_form)
 
@@ -31,7 +31,7 @@ def borel_char(q=2):
 def test_subgroup_table_and_linear_characters():
     G = gl_group(2, 2)
     B = sorted(G.subgroups["B"])
-    sub = subgroup_table(G, B)
+    sub = G.subgroup(B, "B")
     assert sub.order == len(B)
     chars = linear_characters(G, B)
     assert all(set(c) == set(B) for c in chars)
@@ -156,9 +156,20 @@ def test_pair_ambient():
     assert pair_ambient(2, 2, 0) is gl_group(2, 2)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 1)])
+def test_pair_ambient_lists_block_diagonal_products(q, a, b):
+    # the order every pair-ambient index, and so every digest, depends on
+    Ga, Gb = gl_group(a, q), gl_group(b, q)
+    assert pair_ambient(q, a, b).elements == [
+        block_diagonal(x, y) for x in Ga.elements for y in Gb.elements]
+
+
 def test_pair_ambient_respects_group_order_cap(monkeypatch):
     monkeypatch.setenv("PSHLAB_MAX_GROUP_ORDER", "10")
-    # |GL(1,5)|^2 = 16; the uncached call builds the product table afresh
+    # |GL(2,5)| = 480; uncached calls check the cap even if GL(2,5) is
+    # already built
+    monkeypatch.setattr(glfq, "gl_group", gl_group.__wrapped__)
     with pytest.raises(ResourceWarning):
         pair_ambient.__wrapped__(5, 1, 1)
 

@@ -20,6 +20,11 @@ a pshlab class counts as used if its name appears there as an attribute
 
 The layering scan keeps cyclo at the bottom of the package: cyclo.py
 imports no pshlab module, not even inside a function.
+
+The privacy scan keeps each module's private attributes its own: it
+flags ``obj._name`` when ``_name`` is not a dunder, ``obj`` is not
+``self`` or ``cls``, and the module neither defines nor assigns
+``_name``.
 """
 
 import ast
@@ -232,3 +237,46 @@ def test_scanner_flags_a_package_import():
 def test_cyclo_imports_no_pshlab_module():
     source = (PACKAGE / "cyclo.py").read_text(encoding="utf-8")
     assert package_imports(source) == []
+
+
+def foreign_private_attributes(source):
+    """(line, name) for every private attribute the module reads off an
+    object other than self or cls without defining or assigning it."""
+    tree = ast.parse(source)
+    own = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            own.add(node.name)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
+                node.ctx, ast.Store):
+            own.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return sorted(
+        (node.lineno, node.attr) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and not node.attr.endswith("__") and node.attr not in own
+        and not (isinstance(node.value, ast.Name)
+                 and node.value.id in ("self", "cls")))
+
+
+def test_scanner_flags_a_foreign_private_attribute():
+    source = ("_LIMIT = 3\n"
+              "class A:\n"
+              "    def __init__(self, g):\n"
+              "        self._cache = g._cache\n"
+              "        self._seen = type(g).__name__\n"
+              "    def _helper(self, g):\n"
+              "        return self._fn, g._helper, m._LIMIT\n"
+              "def f(g):\n"
+              "    return g._mul_fn(g._tree), g.__dict__\n")
+    assert foreign_private_attributes(source) == [(9, "_mul_fn"),
+                                                  (9, "_tree")]
+
+
+def test_no_module_reads_another_modules_private_attribute():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        foreign = foreign_private_attributes(path.read_text(encoding="utf-8"))
+        if foreign:
+            found[path.name] = foreign
+    assert not found, found
