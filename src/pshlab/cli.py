@@ -137,11 +137,9 @@ def _suite_psh(args):
     from . import psh
     from .invariants import verify_psh_multiplicativity
     reports = []
-    instances = [(psh.symmetric_instance(6), None),
-                 (psh.wreath_instance("C2", 3), None),
-                 (psh.gl_instance(2, 2), None),
-                 (psh.gl_instance(3, 2), None)]
-    for R, _ in instances:
+    instances = [psh.symmetric_instance(6), psh.wreath_instance("C2", 3),
+                 psh.gl_instance(2, 2), psh.gl_instance(3, 2)]
+    for R in instances:
         for fn in (psh.verify_self_adjoint, psh.verify_hopf,
                    psh.verify_positivity, psh.verify_cocommutativity):
             reports.append(fn(R))
@@ -243,8 +241,7 @@ def _suite_hopflike(args):
 
 def _suite_bruhat(args):
     from .glfq import verify_bruhat_bijection
-    from .symgroup import kmatrix_of, kmatrix_solutions, w_of_kmatrix
-    import itertools
+    from .symgroup import young_double_coset_check
     m_max = args.m or 3
     reports = []
     for q in (2, 3):
@@ -252,25 +249,9 @@ def _suite_bruhat(args):
             for a in range(m + 1):
                 for alpha in range(m + 1):
                     reports.append(verify_bruhat_bijection(a, alpha, m, q))
-    # the symmetric-group version: the matrix invariant separates the
-    # double cosets of the two-block subgroups and the canonical
-    # representatives hit every value
+    # the symmetric-group version of the same bijection
     young_max = 5 if args.m is None else args.m
-    for m in range(1, young_max + 1):
-        perms = list(itertools.permutations(range(1, m + 1)))
-        from .symgroup import Perm
-        ok = True
-        for a in range(m + 1):
-            for alpha in range(m + 1):
-                sols = kmatrix_solutions(a, alpha, m)
-                seen = {kmatrix_of(Perm(images), a, alpha, m)
-                        for images in perms}
-                reps_ok = all(
-                    kmatrix_of(w_of_kmatrix(k, a, alpha, m), a, alpha, m)
-                    == k for k in sols)
-                ok = ok and reps_ok and seen == set(sols)
-        reports.append({"check": "young-double-cosets", "m": m,
-                        "pass": ok})
+    reports += [young_double_coset_check(m) for m in range(1, young_max + 1)]
     return reports
 
 
@@ -322,7 +303,8 @@ SUITES = {
                   "hyperhecke.verify_normal_form",
                   "hyperhecke.verify_associativity",
                   "hyperhecke.verify_apply_faithful")),
-    "bruhat": (_suite_bruhat, ("m",), ("glfq.verify_bruhat_bijection",)),
+    "bruhat": (_suite_bruhat, ("m",), ("glfq.verify_bruhat_bijection",
+                                       "symgroup.young_double_coset_check")),
     "hasse-davenport": (_suite_hasse_davenport, ("p", "m"),
                         ("glfq.hasse_davenport_check",)),
     "wreath-counterexample": (_suite_wreath_counterexample, ("q",),

@@ -17,8 +17,7 @@ __all__ = ["parse_partition", "format_partition", "partitions", "conjugate",
            "dominates", "addable_nodes", "removable_nodes",
            "add_node", "remove_node", "Tableau", "Tabloid",
            "standard_tableaux", "all_tableaux", "all_tabloids",
-           "combinatorial_lemma_check",
-           "tabloid_m_counts", "tabloid_leq", "tabloid_lt"]
+           "combinatorial_lemma_check", "tabloid_m_counts"]
 
 
 class PartitionParseError(ValueError):
@@ -181,9 +180,6 @@ class Tableau:
         """Map entry -> 1-based column index."""
         return {x: j + 1 for r in self.rows for j, x in enumerate(r)}
 
-    def row_of(self) -> dict:
-        return {x: i + 1 for i, r in enumerate(self.rows) for x in r}
-
     def tabloid(self) -> "Tabloid":
         key = [0] * self.n
         for i, r in enumerate(self.rows):
@@ -328,15 +324,3 @@ def tabloid_m_counts(t: Tabloid) -> tuple:
         per_row[r] += 1
         out.extend(itertools.accumulate(per_row))
     return tuple(out)
-
-
-def tabloid_leq(t1: Tabloid, t2: Tabloid) -> bool:
-    """Tabloid dominance: t1 <= t2 iff every m-count of t1 is <= that of
-    t2."""
-    if t1.shape != t2.shape:
-        raise ValueError("tabloid dominance needs equal shapes")
-    return all(map(operator.le, tabloid_m_counts(t1), tabloid_m_counts(t2)))
-
-
-def tabloid_lt(t1: Tabloid, t2: Tabloid) -> bool:
-    return t1 != t2 and tabloid_leq(t1, t2)

@@ -246,9 +246,6 @@ class FiniteGroupTable:
             raise ValueError("index set is not closed under multiplication")
         return gens
 
-    def is_subgroup(self, indices) -> bool:
-        return self.closure(indices) == frozenset(indices)
-
     def subgroup(self, indices, name: str) -> FiniteGroupTable:
         """The table of the subgroup on the sorted indices, with this
         group's multiplication and inverse callbacks and its identity."""
@@ -298,18 +295,6 @@ class FiniteGroupTable:
     def class_function(self, values_by_class: dict) -> ClassFunction:
         return ClassFunction(self.name, values_by_class, self.class_sizes(),
                              0)
-
-    def function_to_class_function(self, fn) -> ClassFunction:
-        """Build a ClassFunction from a map element-index -> value,
-        checking constancy on classes."""
-        values = {}
-        for label, members in enumerate(self.classes()):
-            first = fn(members[0])
-            if any(fn(x) != first for x in members[1:]):
-                raise AssertionError(
-                    f"not a class function on class {label} of {self.name}")
-            values[label] = first
-        return self.class_function(values)
 
     def class_measure(self, fn):
         """A conjugation-invariant fn of element indices as a measure on

@@ -9,7 +9,9 @@ values.  Both read the group's double-coset tables, which factor every
 element as g = h g0 k: normal forms the (H, K) table, and the twist of a
 module vector the ({1}, K) table.  The module also provides the block
 product into a larger general linear group, the parabolic-restriction
-coproduct, and an exploratory check of their compatibility.
+coproduct, and an exploratory check of their compatibility.  The pair of
+two triples and each coproduct component are triples of GL_{a+b} itself,
+on its block-diagonal Levi subgroup GL_a x GL_b.
 
 The associativity and faithfulness verifiers read one table of basis
 products, each pair of triples multiplied once through element_product,
@@ -18,8 +20,6 @@ and apply each triple's operator to each basis vector once.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .cyclo import inverse, scalar, scalar_json
 from .groups import FiniteGroupTable
 from .symgroup import kmatrix_solutions
@@ -27,7 +27,7 @@ from .symgroup import kmatrix_solutions
 __all__ = ["SubgroupChar", "HeckeTriple", "HeckeElement", "TripleError",
            "ContainmentError", "CharacterMismatchError", "normalize",
            "hecke_product", "element_product", "apply_triple",
-           "module_basis", "graded_product", "pair_ambient", "pair_triple",
+           "module_basis", "graded_product", "pair_triple",
            "coproduct", "coproduct_well_defined", "subgroup_characters",
            "linear_characters", "enumerate_subgroup_chars",
            "enumerate_triples", "verify_normal_form", "verify_associativity",
@@ -202,10 +202,6 @@ def _meet(source: SubgroupChar, g: int, target: SubgroupChar) -> list:
     return out
 
 
-def identity_triple(sc: SubgroupChar) -> HeckeTriple:
-    return HeckeTriple(sc, sc.amb.identity_idx, sc, check=False)
-
-
 def normalize(coeff, t: HeckeTriple):
     """Move g to the least element g0 of its target-g-source double coset;
     with g = h g0 k read from the group's double-coset table, the
@@ -354,24 +350,10 @@ def _combine(columns: dict, vec: dict) -> dict:
 
 # -- graded product and coproduct --------------------------------------------
 
-@lru_cache(maxsize=None)
-def pair_ambient(q: int, a: int, b: int) -> FiniteGroupTable:
-    """The group GL_a x GL_b as the Levi subgroup L(a,b) of GL_{a+b}: its
-    block-diagonal matrices, in the order block_diagonal(x, y) for x in
-    GL_a, then y in GL_b.  A zero part degenerates to the other factor."""
-    from .glfq import gl_group
-    if a == 0:
-        return gl_group(b, q)
-    if b == 0:
-        return gl_group(a, q)
-    G = gl_group(a + b, q)
-    return G.subgroup(G.subgroups[f"L({a},{b})"], f"GL({a},{q})xGL({b},{q})")
-
-
 def _pair(amb: FiniteGroupTable, s1: SubgroupChar,
           s2: SubgroupChar) -> SubgroupChar:
     """The product character of s1 and s2 on their block-diagonal product
-    inside the pair ambient amb."""
+    inside amb, a general linear group of the summed degree."""
     from .glfq import block_diagonal
     G1, G2 = s1.amb, s2.amb
     chi = {amb.index[block_diagonal(G1.elements[i], G2.elements[j])]:
@@ -380,11 +362,11 @@ def _pair(amb: FiniteGroupTable, s1: SubgroupChar,
 
 
 def pair_triple(t1: HeckeTriple, t2: HeckeTriple, q: int) -> HeckeTriple:
-    """Direct-product triple of two triples inside the block-diagonal
-    realization of the product group (no unipotent inflation)."""
-    from .glfq import block_diagonal
+    """Direct-product triple of two triples, on the block-diagonal Levi
+    subgroup GL_n x GL_m of GL_{n+m} (no unipotent inflation)."""
+    from .glfq import block_diagonal, gl_group
     G1, G2 = t1.amb, t2.amb
-    amb = pair_ambient(q, len(G1.elements[0]), len(G2.elements[0]))
+    amb = gl_group(len(G1.elements[0]) + len(G2.elements[0]), q)
     g = amb.index[block_diagonal(G1.elements[t1.g], G2.elements[t2.g])]
     return HeckeTriple(_pair(amb, t1.source, t2.source), g,
                        _pair(amb, t1.target, t2.target))
@@ -399,10 +381,10 @@ def graded_product(t1: HeckeTriple, t2: HeckeTriple, q: int) -> HeckeTriple:
     n = len(G1.elements[0])
     m = len(G2.elements[0])
     G = gl_group(n + m, q)
-    p_indices, _, amb, project = _blocks(G, n + m, n)
+    p_indices, _, project = _blocks(G, n + m, n)
 
     def inflate(s1, s2):
-        chi = _pullback(p_indices, project, _pair(amb, s1, s2).chi)
+        chi = _pullback(p_indices, project, _pair(G, s1, s2).chi)
         return SubgroupChar(G, chi, chi, check=False)
 
     g = G.index[block_diagonal(G1.elements[t1.g], G2.elements[t2.g])]
@@ -411,11 +393,11 @@ def graded_product(t1: HeckeTriple, t2: HeckeTriple, q: int) -> HeckeTriple:
 
 
 def _blocks(G, n, a):
-    """(P indices, U indices, the block-diagonal pair ambient, and the
-    index map projecting P onto it) for the (a, n-a) block structure;
-    a in {0, n} degenerates to the whole group."""
+    """(P indices, U indices, and the index map sending each p in P to
+    its block-diagonal part, in the Levi subgroup L(a, n-a) of G) for the
+    (a, n-a) block structure; a in {0, n} degenerates to the whole group
+    and the identity map."""
     from .glfq import block_diagonal, diagonal_blocks
-    amb = pair_ambient(G.field.q, a, n - a)
     if a == 0 or a == n:
         p_indices, u_indices = list(range(G.order)), [G.identity_idx]
     else:
@@ -423,9 +405,9 @@ def _blocks(G, n, a):
         u_indices = sorted(G.subgroups[f"U({a},{n - a})"])
 
     def project(p):
-        return amb.index[block_diagonal(*diagonal_blocks(G.elements[p], a))]
+        return G.index[block_diagonal(*diagonal_blocks(G.elements[p], a))]
 
-    return p_indices, u_indices, amb, project
+    return p_indices, u_indices, project
 
 
 def _coproduct_component(t: HeckeTriple, a: int, z: int):
@@ -434,7 +416,7 @@ def _coproduct_component(t: HeckeTriple, a: int, z: int):
     it."""
     G = t.amb
     n = len(G.elements[0])
-    p_indices, u_indices, amb, project = _blocks(G, n, a)
+    p_indices, u_indices, project = _blocks(G, n, a)
     w = G.mul(z, G.inv(t.g))
     winv = G.inv(w)
     zinv = G.inv(z)
@@ -450,9 +432,9 @@ def _coproduct_component(t: HeckeTriple, a: int, z: int):
     if any(psibar.get(u, 1) != 1 for u in u_indices):
         raise AssertionError("source character nontrivial on U")
     # both characters are trivial on U, so they pass to the Levi quotient
-    source = _image(amb, psibar, project)
-    target = _image(amb, phibar, project)
-    return HeckeTriple(source, amb.identity_idx, target)
+    source = _image(G, psibar, project)
+    target = _image(G, phibar, project)
+    return HeckeTriple(source, G.identity_idx, target)
 
 
 def coproduct(t: HeckeTriple, a: int) -> HeckeElement:
@@ -461,7 +443,7 @@ def coproduct(t: HeckeTriple, a: int) -> HeckeElement:
     extreme components a = 0 and a = n always contribute."""
     G = t.amb
     n = len(G.elements[0])
-    p_indices, _, _, _ = _blocks(G, n, a)
+    p_indices = _blocks(G, n, a)[0]
     terms = []
     for z, _ in G.double_cosets(p_indices, list(t.source.indices)):
         comp = _coproduct_component(t, a, z)
@@ -480,7 +462,7 @@ def coproduct_well_defined(t: HeckeTriple, a: int) -> dict:
     members."""
     G = t.amb
     n = len(G.elements[0])
-    p_indices, _, amb, project = _blocks(G, n, a)
+    p_indices, _, project = _blocks(G, n, a)
     cases = 0
     failures = []
     u_of = G.double_coset_table(p_indices, t.source.indices)[1]
@@ -495,14 +477,14 @@ def coproduct_well_defined(t: HeckeTriple, a: int) -> dict:
             if base is None:
                 continue
             # z2 = u z k with u in P
-            ubar_inv = amb.inv(project(u_of[z2]))
+            ubar_inv = G.inv(project(u_of[z2]))
 
             # the z' data is the z data conjugated by ubar, so undoing
             # that conjugation must recover the canonical component
             def transport(sc):
-                return _image(amb, sc.chi, lambda i: amb.conj(i, ubar_inv))
+                return _image(G, sc.chi, lambda i: G.conj(i, ubar_inv))
 
-            moved = HeckeTriple(transport(alt.source), amb.identity_idx,
+            moved = HeckeTriple(transport(alt.source), G.identity_idx,
                                 transport(alt.target), check=False)
             if moved != base:
                 failures.append({"z": z, "z2": z2, "kind": "transport"})

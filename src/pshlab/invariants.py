@@ -169,6 +169,8 @@ def verify_induction_invariance(n: int) -> dict:
     symmetric group: exhaustive over all cyclic subgroups of Sigma_n and
     all of their linear characters."""
     from .groups import FiniteGroupTable
+    from .specht import check_sym_order
+    check_sym_order(n)
     G = FiniteGroupTable(f"Sym({n})", _all_perms(n), lambda a, b: a * b,
                          lambda a: a.inv(), Perm.identity(n))
 

@@ -154,10 +154,10 @@ class PshStructure:
 
 # -- generic verifiers -----------------------------------------------------
 
-def verify_self_adjoint(R: PshStructure, maxdeg: int | None = None) -> dict:
+def verify_self_adjoint(R: PshStructure) -> dict:
     """<m(x ox y), z> must equal the (x, y) coefficient of m*(z) for all
-    basis triples with deg x + deg y = deg z <= maxdeg."""
-    maxdeg = maxdeg or R.maxdeg
+    basis triples with deg x + deg y = deg z <= R.maxdeg."""
+    maxdeg = R.maxdeg
     cases = 0
     failures = []
     for n in range(0, maxdeg + 1):
@@ -192,11 +192,11 @@ def _tensor4_from_pair(R, cop_x, cop_y):
     return {k: v for k, v in out.items() if v}
 
 
-def verify_hopf(R: PshStructure, maxdeg: int | None = None) -> dict:
+def verify_hopf(R: PshStructure) -> dict:
     """Hopf compatibility m* m = (m ox m)(1 ox T ox 1)(m* ox m*) on all
     basis pairs, plus associativity of m, coassociativity of m*, and the
     unit/counit laws."""
-    maxdeg = maxdeg or R.maxdeg
+    maxdeg = R.maxdeg
     cases = 0
     failures = []
     # compatibility
@@ -263,8 +263,8 @@ def verify_hopf(R: PshStructure, maxdeg: int | None = None) -> dict:
             "cases": cases, "failures": failures, "pass": not failures}
 
 
-def verify_positivity(R: PshStructure, maxdeg: int | None = None) -> dict:
-    maxdeg = maxdeg or R.maxdeg
+def verify_positivity(R: PshStructure) -> dict:
+    maxdeg = R.maxdeg
     cases = 0
     failures = []
     for n in range(0, maxdeg + 1):
@@ -283,8 +283,8 @@ def verify_positivity(R: PshStructure, maxdeg: int | None = None) -> dict:
             "cases": cases, "failures": failures, "pass": not failures}
 
 
-def verify_cocommutativity(R: PshStructure, maxdeg: int | None = None) -> dict:
-    maxdeg = maxdeg or R.maxdeg
+def verify_cocommutativity(R: PshStructure) -> dict:
+    maxdeg = R.maxdeg
     cases = 0
     failures = []
     for n in range(0, maxdeg + 1):
@@ -311,11 +311,11 @@ def primitives(R: PshStructure, n: int):
     return out
 
 
-def decompose(R: PshStructure, maxdeg: int | None = None) -> dict:
+def decompose(R: PshStructure) -> dict:
     """Assign each basis label to the block of the primitive whose powers
     contain it; returns {"blocks": {(deg, prim): [labels]},
     "unresolved": [labels]}."""
-    maxdeg = maxdeg or R.maxdeg
+    maxdeg = R.maxdeg
     prims = []
     for d in range(1, maxdeg + 1):
         prims.extend((d, p) for p in primitives(R, d))

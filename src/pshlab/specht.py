@@ -30,7 +30,7 @@ from .symgroup import (Perm, centralizer_order, class_representative,
 
 __all__ = ["check_sym_order", "apply_kappa",
            "standard_basis", "specht_dim", "specht_action",
-           "specht_character", "permutation_character", "sym_class_sizes",
+           "specht_character", "sym_class_sizes",
            "sym_character_table", "induce_young", "restrict_character",
            "verify_branching", "submodule_theorem_check",
            "kappa_multiple_check", "tabloid_adjacency_check",
@@ -162,21 +162,6 @@ def specht_character(mu: tuple) -> ClassFunction:
         rep = class_representative(n, lam)
         mat = specht_action(rep, mu)
         values[lam] = integer(sum(mat[i][i] for i in range(len(mat))))
-    return ClassFunction(_group_id(n), values, sym_class_sizes(n),
-                         (1,) * n)
-
-
-@lru_cache(maxsize=None)
-def permutation_character(mu: tuple) -> ClassFunction:
-    """Character of the tabloid permutation module: fixed-tabloid counts."""
-    n = sum(mu)
-    check_sym_order(n)
-    keys = [tab.key for tab in all_tabloids(mu)]
-    values = {}
-    for lam in partitions(n):
-        # moves by the representative's inverse, which fixes the same keys
-        move = _mover([y - 1 for y in class_representative(n, lam).images])
-        values[lam] = sum(1 for k in keys if move(k) == k)
     return ClassFunction(_group_id(n), values, sym_class_sizes(n),
                          (1,) * n)
 

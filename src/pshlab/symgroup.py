@@ -1,9 +1,11 @@
-"""Permutations, cycle types, Young subgroups and their double cosets.
+"""Permutations, cycle types and the double cosets of two-block Young
+subgroups.
 
-The double-coset enumeration realizes the bijection between
+The K-matrix invariant realizes the bijection between
 (Sigma_a x Sigma_{m-a}) \\ Sigma_m / (Sigma_alpha x Sigma_{m-alpha})
 and 2x2 matrices of non-negative integers with prescribed row and column
-sums, together with the explicit block-interchange representative w(k).
+sums, together with the explicit block-interchange representative w(k);
+young_double_coset_check verifies it over all of Sigma_m.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import itertools
 import math
 
 __all__ = ["Perm", "cycles_of", "sign_of", "centralizer_order", "class_size",
-           "young_subgroup", "KMatrix", "kmatrix_solutions", "kmatrix_of",
-           "w_of_kmatrix", "young_double_cosets", "double_coset_decompose"]
+           "KMatrix", "kmatrix_solutions", "kmatrix_of", "w_of_kmatrix",
+           "young_double_coset_check"]
 
 
 class Perm:
@@ -60,23 +62,11 @@ class Perm:
             out[y - 1] = x
         return Perm(out)
 
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Disjoint cycles covering 1..n, fixed points included, each cycle
-        starting at its least element, cycles sorted by length descending
-        then by least element."""
-        return sorted(cycles_of(self.images), key=lambda c: (-len(c), c[0]))
-
     def cycle_type(self) -> tuple[int, ...]:
         return tuple(sorted(map(len, cycles_of(self.images)), reverse=True))
 
     def sign(self) -> int:
         return sign_of(self.images)
-
-    def cycle_notation(self) -> str:
-        nontrivial = [c for c in self.cycles() if len(c) > 1]
-        if not nontrivial:
-            return "()"
-        return "".join("(" + ",".join(map(str, c)) + ")" for c in nontrivial)
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images
@@ -138,15 +128,6 @@ def class_representative(n: int, ctype) -> Perm:
         cycles.append(tuple(range(k, k + part)))
         k += part
     return Perm.from_cycles(n, cycles)
-
-
-def young_subgroup(m: int, a: int) -> list[Perm]:
-    """Sigma({1..a}) x Sigma({a+1..m}) as explicit permutations."""
-    out = []
-    for p in itertools.permutations(range(1, a + 1)):
-        for s in itertools.permutations(range(a + 1, m + 1)):
-            out.append(Perm(p + s))
-    return out
 
 
 class KMatrix:
@@ -215,39 +196,20 @@ def w_of_kmatrix(k: KMatrix, a: int, alpha: int, m: int) -> Perm:
     return Perm(images)
 
 
-def young_double_cosets(a: int, alpha: int, m: int):
-    """One (KMatrix, w(k)) pair per (Sigma_a x Sigma_{m-a}) double coset of
-    (Sigma_alpha x Sigma_{m-alpha}) in Sigma_m."""
-    return [(k, w_of_kmatrix(k, a, alpha, m))
-            for k in kmatrix_solutions(a, alpha, m)]
-
-
-def double_coset_decompose(g: Perm, a: int, alpha: int, m: int):
-    """Factor g = u * w * h with u in Sigma_a x Sigma_{m-a}, h in
-    Sigma_alpha x Sigma_{m-alpha} and w the canonical representative."""
-    k = kmatrix_of(g, a, alpha, m)
-    w = w_of_kmatrix(k, a, alpha, m)
-    # h sorts each J block so that elements heading into I_1 come first
-    h_images = [0] * m
-    j1 = list(range(1, alpha + 1))
-    j2 = list(range(alpha + 1, m + 1))
-    lo1 = [x for x in j1 if g(x) <= a]
-    hi1 = [x for x in j1 if g(x) > a]
-    lo2 = [x for x in j2 if g(x) <= a]
-    hi2 = [x for x in j2 if g(x) > a]
-    for t, x in enumerate(lo1):
-        h_images[x - 1] = 1 + t
-    for t, x in enumerate(hi1):
-        h_images[x - 1] = k.k11 + 1 + t
-    for t, x in enumerate(lo2):
-        h_images[x - 1] = alpha + 1 + t
-    for t, x in enumerate(hi2):
-        h_images[x - 1] = alpha + k.k21 + 1 + t
-    h = Perm(h_images)
-    u = g * h.inv() * w.inv()
-    # sanity: u really does preserve the I blocks
-    if any((u(x) <= a) != (x <= a) for x in range(1, m + 1)):
-        raise AssertionError(f"{u} does not preserve the blocks of {a}")
-    if u * w * h != g:
-        raise AssertionError(f"u * w * h != {g}")
-    return u, w, h
+def young_double_coset_check(m: int) -> dict:
+    """For every a, alpha <= m, the matrix invariant takes exactly the
+    solution values on Sigma_m, and each canonical representative w(k)
+    has invariant k: the invariant separates the double cosets of the
+    two-block Young subgroups and the representatives hit every value."""
+    perms = [Perm(images)
+             for images in itertools.permutations(range(1, m + 1))]
+    ok = True
+    for a in range(m + 1):
+        for alpha in range(m + 1):
+            sols = kmatrix_solutions(a, alpha, m)
+            seen = {kmatrix_of(g, a, alpha, m) for g in perms}
+            reps_ok = all(
+                kmatrix_of(w_of_kmatrix(k, a, alpha, m), a, alpha, m) == k
+                for k in sols)
+            ok = ok and reps_ok and seen == set(sols)
+    return {"check": "young-double-cosets", "m": m, "pass": ok}

@@ -12,10 +12,9 @@ import math
 from functools import lru_cache
 
 from .groups import FiniteGroupTable, check_group_order
-from .symgroup import Perm
 
-__all__ = ["wreath_group", "wreath_mul", "wreath_inv", "wreath_identity",
-           "wreath_embed_sym", "wreath_base_subgroup"]
+__all__ = ["WreathTable", "wreath_group", "wreath_mul", "wreath_inv",
+           "wreath_identity"]
 
 
 def wreath_mul(H: FiniteGroupTable, x, y):
@@ -43,31 +42,24 @@ def wreath_identity(H: FiniteGroupTable, n: int):
     return (tuple(range(1, n + 1)), (H.identity_idx,) * n)
 
 
+class WreathTable(FiniteGroupTable):
+    """The table of Sigma_n wr H on the given elements; base is H, whose
+    indices spell each element's alpha string."""
+
+    def __init__(self, H: FiniteGroupTable, n: int, elements):
+        super().__init__(f"Wreath({n},{H.name})", elements,
+                         lambda a, b: wreath_mul(H, a, b),
+                         lambda a: wreath_inv(H, a), wreath_identity(H, n))
+        self.base = H
+
+
 @lru_cache(maxsize=None)
-def wreath_group(H: FiniteGroupTable, n: int) -> FiniteGroupTable:
-    """Sigma_n wr H as an explicit FiniteGroupTable."""
+def wreath_group(H: FiniteGroupTable, n: int) -> WreathTable:
+    """Sigma_n wr H as an explicit WreathTable."""
     check_group_order(f"Wreath({n},{H.name})",
                       math.factorial(n) * H.order ** n)
     elements = []
     for sig in itertools.permutations(range(1, n + 1)):
         for alphas in itertools.product(range(H.order), repeat=n):
             elements.append((sig, alphas))
-    G = FiniteGroupTable(f"Wreath({n},{H.name})", elements,
-                         lambda a, b: wreath_mul(H, a, b),
-                         lambda a: wreath_inv(H, a),
-                         wreath_identity(H, n))
-    G.base = H
-    G.n = n
-    return G
-
-
-def wreath_embed_sym(H: FiniteGroupTable, n: int, sigma: Perm):
-    """The permutation sigma as a wreath element with trivial alphas."""
-    return (sigma.images, (H.identity_idx,) * n)
-
-
-def wreath_base_subgroup(G: FiniteGroupTable):
-    """Indices of the normal subgroup H^n (trivial permutation part)."""
-    n = G.n
-    ident = tuple(range(1, n + 1))
-    return [i for i, (sig, _) in enumerate(G.elements) if sig == ident]
+    return WreathTable(H, n, elements)

@@ -258,13 +258,15 @@ def test_verify_hopflike_exits_1_on_a_failed_check(monkeypatch, capsys):
 def test_registry_covers_all_verifiers():
     import importlib
     import inspect
+    import pkgutil
     import re
+    import pshlab
     registered = set()
     for _, _, checks in cli.SUITES.values():
         registered.update(checks)
     discovered = set()
-    for modname in ("combinat", "specht", "glfq", "psh", "invariants",
-                    "hyperhecke"):
+    for info in pkgutil.iter_modules(pshlab.__path__):
+        modname = info.name
         mod = importlib.import_module(f"pshlab.{modname}")
         for name, fn in inspect.getmembers(mod, inspect.isfunction):
             if fn.__module__ != mod.__name__ or name.startswith("_"):

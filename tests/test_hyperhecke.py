@@ -15,9 +15,8 @@ from pshlab.hyperhecke import (CharacterMismatchError, ContainmentError,
                                coproduct, coproduct_well_defined,
                                element_product, enumerate_subgroup_chars,
                                enumerate_triples, graded_product,
-                               hecke_product, identity_triple,
-                               linear_characters, module_basis, normalize,
-                               pair_ambient, pair_triple,
+                               hecke_product, linear_characters,
+                               module_basis, normalize, pair_triple,
                                verify_apply_faithful, verify_associativity,
                                verify_hopflike, verify_normal_form)
 
@@ -69,7 +68,7 @@ def test_triple_error_kinds():
 
 def test_identity_triple_is_unit():
     G, bchar = borel_char()
-    e = identity_triple(bchar)
+    e = HeckeTriple(bchar, G.identity_idx, bchar, check=False)
     prod = hecke_product(e, e)
     assert prod == HeckeElement.of(e)
     assert element_product(HeckeElement.of(e), HeckeElement.of(e)) \
@@ -149,29 +148,25 @@ def test_coproduct_components():
             assert report["pass"], report
 
 
-def test_pair_ambient():
-    P = pair_ambient(2, 1, 1)
-    assert P.order == gl_group(1, 2).order ** 2
-    assert pair_ambient(2, 0, 2) is gl_group(2, 2)
-    assert pair_ambient(2, 2, 0) is gl_group(2, 2)
-
-
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 1)])
 def test_pair_ambient_lists_block_diagonal_products(q, a, b):
-    # the order every pair-ambient index, and so every digest, depends on
-    Ga, Gb = gl_group(a, q), gl_group(b, q)
-    assert pair_ambient(q, a, b).elements == [
-        block_diagonal(x, y) for x in Ga.elements for y in Gb.elements]
+    # pair triples and coproduct components live on GL(a+b,q)'s Levi
+    # subgroup L(a,b): exactly the block-diagonal products
+    G, Ga, Gb = gl_group(a + b, q), gl_group(a, q), gl_group(b, q)
+    assert G.subgroups[f"L({a},{b})"] == {
+        G.index[block_diagonal(x, y)] for x in Ga.elements
+        for y in Gb.elements}
 
 
 def test_pair_ambient_respects_group_order_cap(monkeypatch):
+    # two GL(1,5) triples pair inside GL(2,5), |GL(2,5)| = 480; uncached
+    # calls check the cap even if GL(2,5) is already built
+    t = enumerate_triples(gl_group(1, 5))[0]
     monkeypatch.setenv("PSHLAB_MAX_GROUP_ORDER", "10")
-    # |GL(2,5)| = 480; uncached calls check the cap even if GL(2,5) is
-    # already built
     monkeypatch.setattr(glfq, "gl_group", gl_group.__wrapped__)
     with pytest.raises(ResourceWarning):
-        pair_ambient.__wrapped__(5, 1, 1)
+        pair_triple(t, t, 5)
 
 
 def test_hopflike_runs_and_reports():
@@ -207,8 +202,9 @@ def test_equal_triples_at_different_conductors_collapse():
                if any(isinstance(v, Cyclo) for v in c.values()))
     lifted = {i: v.lift(6) if isinstance(v, Cyclo) else v
               for i, v in chi.items()}
-    t3 = identity_triple(SubgroupChar(G, whole, chi))
-    t6 = identity_triple(SubgroupChar(G, whole, lifted))
+    s3, s6 = SubgroupChar(G, whole, chi), SubgroupChar(G, whole, lifted)
+    t3 = HeckeTriple(s3, G.identity_idx, s3, check=False)
+    t6 = HeckeTriple(s6, G.identity_idx, s6, check=False)
     assert t3 == t6 and hash(t3) == hash(t6)
     both = HeckeElement([(t3, 1), (t6, 1)])
     assert len(both.terms) == 1
@@ -334,23 +330,21 @@ def outcome(fn, *args):
 
 def brute_blocks(G, n, a):
     from pshlab.glfq import block_diagonal, diagonal_blocks
-    q = G.field.q
-    amb = pair_ambient(q, a, n - a)
     if a == 0 or a == n:
-        return list(range(G.order)), [G.identity_idx], amb, lambda mat: mat
+        return list(range(G.order)), [G.identity_idx], lambda mat: mat
     p_indices = sorted(G.subgroups[f"P({a},{n - a})"])
     u_indices = sorted(G.subgroups[f"U({a},{n - a})"])
 
     def project(mat):
         return block_diagonal(*diagonal_blocks(mat, a))
 
-    return p_indices, u_indices, amb, project
+    return p_indices, u_indices, project
 
 
 def brute_coproduct_component(t, a, z):
     G = t.amb
     n = len(G.elements[0])
-    p_indices, u_indices, amb, project = brute_blocks(G, n, a)
+    p_indices, u_indices, project = brute_blocks(G, n, a)
     w = G.mul(z, G.inv(t.g))
     winv = G.inv(w)
     zinv = G.inv(z)
@@ -381,24 +375,24 @@ def brute_coproduct_component(t, a, z):
         q_indices = []
         q_chi = {}
         for p in indices:
-            idx = amb.index[project(G.elements[p])]
+            idx = G.index[project(G.elements[p])]
             if idx in q_chi:
                 if q_chi[idx] != chi[p]:
                     raise AssertionError("character not constant on U-fibres")
             else:
                 q_indices.append(idx)
                 q_chi[idx] = chi[p]
-        return SubgroupChar(amb, q_indices, q_chi, check=False)
+        return SubgroupChar(G, q_indices, q_chi, check=False)
 
     source = quotient(kbar, psibar)
     target = quotient(hbar, phibar)
-    return HeckeTriple(source, amb.identity_idx, target)
+    return HeckeTriple(source, G.identity_idx, target)
 
 
 def brute_pair_triple(t1, t2, q):
     from pshlab.glfq import block_diagonal
     G1, G2 = t1.amb, t2.amb
-    amb = pair_ambient(q, len(G1.elements[0]), len(G2.elements[0]))
+    amb = gl_group(len(G1.elements[0]) + len(G2.elements[0]), q)
 
     def embed_sc(s1, s2):
         indices = []

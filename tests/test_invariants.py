@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from pshlab.chars import elementwise
 from pshlab.invariants import (Poly, X, f_lambda,
                                verify_induction_invariance, verify_mezzadri,
@@ -63,6 +65,13 @@ def test_w_x_trivial_character():
 
 def test_induction_invariance():
     assert verify_induction_invariance(3)["pass"]
+
+
+def test_induction_invariance_respects_group_order_cap(monkeypatch):
+    # |Sym(4)| = 24 is over the cap, checked before any permutation is built
+    monkeypatch.setenv("PSHLAB_MAX_GROUP_ORDER", "10")
+    with pytest.raises(ResourceWarning):
+        verify_induction_invariance(4)
 
 
 def test_psh_multiplicativity():

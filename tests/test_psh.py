@@ -6,16 +6,16 @@ from pshlab.psh import (PshElement, PshStructure, decompose, gl_instance,
                         verify_self_adjoint, wreath_instance)
 
 
-def _all_verifiers(R, maxdeg=None):
+def _all_verifiers(R):
     for check in (verify_self_adjoint, verify_hopf, verify_positivity,
                   verify_cocommutativity):
-        report = check(R, maxdeg)
+        report = check(R)
         assert report["pass"], report
         assert report["cases"] > 0
 
 
 def test_symmetric_axioms():
-    _all_verifiers(symmetric_instance(4), 4)
+    _all_verifiers(symmetric_instance(4))
 
 
 def test_symmetric_pieri_square():
@@ -39,7 +39,7 @@ def test_symmetric_primitives():
     R = symmetric_instance(4)
     assert primitives(R, 1) == [(1,)]
     assert primitives(R, 2) == []
-    dec = decompose(R, 4)
+    dec = decompose(R)
     assert not dec["unresolved"]
     # one primitive generates everything
     assert set(dec["blocks"]) == {(1, (1,))}
@@ -52,12 +52,12 @@ def test_inner_product():
 
 
 def test_wreath_axioms():
-    _all_verifiers(wreath_instance("C2", 2), 2)
+    _all_verifiers(wreath_instance("C2", 2))
 
 
 def test_gl_axioms():
-    _all_verifiers(gl_instance(2, 2), 2)
-    _all_verifiers(gl_instance(3, 2), 2)
+    _all_verifiers(gl_instance(2, 2))
+    _all_verifiers(gl_instance(3, 2))
 
 
 def test_gl_has_cuspidal_generators():

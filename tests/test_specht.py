@@ -17,7 +17,7 @@ from pshlab.combinat import (Tableau, Tabloid, _mover, all_tableaux,
 from pshlab.groups import FiniteGroupTable
 from pshlab.linalg import rank_exact
 from pshlab.specht import (induce_young, kappa_multiple_check,
-                           permutation_character, restrict_character,
+                           restrict_character,
                            sign_character, specht_action, specht_character,
                            specht_dim, standard_basis,
                            submodule_theorem_check, sym_character_table,
@@ -93,13 +93,6 @@ def test_sign_conjugate():
         for mu in partitions(n):
             assert specht_character(conjugate(mu)) \
                 == specht_character(mu) * sgn
-
-
-def test_permutation_character_contains_trivial():
-    for mu in partitions(4):
-        perm = permutation_character(mu)
-        assert perm.inner(specht_character((4,))) >= 1
-        assert perm.inner(specht_character(mu)) == 1
 
 
 def test_branching():

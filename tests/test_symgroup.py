@@ -1,11 +1,18 @@
 import itertools
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from pshlab import symgroup
+from pshlab.symgroup import (KMatrix, Perm, cycles_of, kmatrix_of,
+                             kmatrix_solutions, w_of_kmatrix,
+                             young_double_coset_check)
 
-from pshlab.symgroup import (KMatrix, Perm, double_coset_decompose,
-                             kmatrix_of, kmatrix_solutions, w_of_kmatrix,
-                             young_double_cosets, young_subgroup)
+
+def young_subgroup(m: int, a: int) -> list[Perm]:
+    """Sigma({1..a}) x Sigma({a+1..m}) as explicit permutations."""
+    out = []
+    for p in itertools.permutations(range(1, a + 1)):
+        for s in itertools.permutations(range(a + 1, m + 1)):
+            out.append(Perm(p + s))
+    return out
 
 
 def test_perm_basics():
@@ -21,7 +28,7 @@ def test_cycle_data():
     g = Perm.from_cycles(7, [(1, 2, 4, 5), (3, 6, 7)])
     assert g.cycle_type() == (4, 3)
     assert g.sign() == (-1) ** (3 + 2)
-    assert g.cycle_notation() == "(1,2,4,5)(3,6,7)"
+    assert cycles_of(g.images) == [(1, 2, 4, 5), (3, 6, 7)]
     assert Perm.identity(4).cycle_type() == (1, 1, 1, 1)
 
 
@@ -64,7 +71,8 @@ def test_representatives_fixed_points():
     for m in range(1, 6):
         for a in range(m + 1):
             for alpha in range(m + 1):
-                for k, w in young_double_cosets(a, alpha, m):
+                for k in kmatrix_solutions(a, alpha, m):
+                    w = w_of_kmatrix(k, a, alpha, m)
                     assert kmatrix_of(w, a, alpha, m) == k
 
 
@@ -90,13 +98,15 @@ def test_kmatrix_separates_double_cosets():
                 assert g.images in coset
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.permutations(list(range(1, 7))), st.integers(0, 6),
-       st.integers(0, 6))
-def test_decompose(images, a, alpha):
-    g = Perm(images)
-    u, w, h = double_coset_decompose(g, a, alpha, 6)
-    assert u * w * h == g
-    assert all((u(x) <= a) == (x <= a) for x in range(1, 7))
-    assert all((h(x) <= alpha) == (x <= alpha) for x in range(1, 7))
-    assert w == w_of_kmatrix(kmatrix_of(g, a, alpha, 6), a, alpha, 6)
+def test_young_double_coset_check():
+    for m in range(1, 6):
+        assert young_double_coset_check(m) == {
+            "check": "young-double-cosets", "m": m, "pass": True}
+
+
+def test_young_double_coset_check_sees_a_wrong_representative(monkeypatch):
+    # every w(k) the identity: its invariant is k only for the one k of
+    # the identity's double coset
+    monkeypatch.setattr(symgroup, "w_of_kmatrix",
+                        lambda k, a, alpha, m: Perm.identity(m))
+    assert young_double_coset_check(3)["pass"] is False

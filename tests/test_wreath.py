@@ -6,9 +6,14 @@ from hypothesis import strategies as st
 from pshlab.groups import FiniteGroupTable
 from pshlab.psh import _base_group
 from pshlab.symgroup import Perm
-from pshlab.wreath import (wreath_base_subgroup, wreath_embed_sym,
-                           wreath_group, wreath_identity, wreath_inv,
+from pshlab.wreath import (wreath_group, wreath_identity, wreath_inv,
                            wreath_mul)
+
+
+def wreath_base_subgroup(G: FiniteGroupTable):
+    """Indices of the normal subgroup H^n (trivial permutation part)."""
+    ident = tuple(range(1, len(G.elements[0][0]) + 1))
+    return [i for i, (sig, _) in enumerate(G.elements) if sig == ident]
 
 
 def c2():
@@ -65,10 +70,10 @@ def test_embed_sym_homomorphism():
     for p1 in itertools.permutations([1, 2, 3]):
         for p2 in itertools.permutations([1, 2, 3]):
             a, b = Perm(p1), Perm(p2)
-            lhs = wreath_mul(H, wreath_embed_sym(H, 3, a),
-                             wreath_embed_sym(H, 3, b))
+            trivial = (H.identity_idx,) * 3
+            lhs = wreath_mul(H, (a.images, trivial), (b.images, trivial))
             # pairs compose left-to-right, so the embedded product flips
-            assert lhs == wreath_embed_sym(H, 3, b * a)
+            assert lhs == ((b * a).images, trivial)
 
 
 def test_base_subgroup_normal():
@@ -79,7 +84,14 @@ def test_base_subgroup_normal():
     for x in base:
         for g in range(G.order):
             assert G.conj(x, g) in base
-    assert G.is_subgroup(base)
+    assert G.closure(base) == frozenset(base)
+
+
+def test_wreath_table_keeps_its_base_group():
+    # alpha strings are indices into the base group; spelling an element
+    # out independently of any element order reads them through it
+    H = c2()
+    assert wreath_group(H, 2).base is H
 
 
 def test_wreath_cache_tells_equally_named_groups_apart():
