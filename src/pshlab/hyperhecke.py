@@ -14,8 +14,10 @@ two triples and each coproduct component are triples of GL_{a+b} itself,
 on its block-diagonal Levi subgroup GL_a x GL_b.
 
 The associativity and faithfulness verifiers read one table of basis
-products, each pair of triples multiplied once through element_product,
-and apply each triple's operator to each basis vector once.
+products, each pair of triples multiplied once through hecke_product.
+The faithfulness verifier reads each triple's operator once as a
+monomial map, each basis vector to one scalar times one basis vector,
+and composes two operators by lookups.
 """
 
 from __future__ import annotations
@@ -311,7 +313,12 @@ def apply_triple(t: HeckeTriple, vec: dict) -> dict:
     double-coset operator: a psi-weighted sum over K / (K meet g^-1 H g),
     which collapses to the single term above when the triple is valid and
     recovers the classical Hecke operator for (B, w, B)."""
-    return _combine(_columns(t), vec)
+    columns = _columns(t)
+    out: dict = {}
+    for x, a in vec.items():
+        for key, v in columns[x].items():
+            out[key] = out.get(key, 0) + a * v
+    return {k: v for k, v in out.items() if v != 0}
 
 
 def _columns(t: HeckeTriple) -> dict:
@@ -337,15 +344,6 @@ def _columns(t: HeckeTriple) -> dict:
             out[least[g]] = out.get(least[g], 0) + psi_inv * chi[h_of[g]]
         columns[rep] = {k: v for k, v in out.items() if v != 0}
     return columns
-
-
-def _combine(columns: dict, vec: dict) -> dict:
-    """The sum of vec[x] times columns[x] over the support of vec."""
-    out: dict = {}
-    for x, a in vec.items():
-        for key, v in columns[x].items():
-            out[key] = out.get(key, 0) + a * v
-    return {k: v for k, v in out.items() if v != 0}
 
 
 # -- graded product and coproduct --------------------------------------------
@@ -565,23 +563,21 @@ def verify_normal_form(G: FiniteGroupTable, sample=None) -> dict:
 def _product_table(triples):
     """(index, table): index lists the triples, then every product that
     falls outside them, and table[i][j] = (p, c) for t_i t_j = c index[p],
-    or None for a zero product, one element_product call per entry.  The
+    or None for a zero product, one hecke_product call per entry.  The
     products of a listed triple with an appended one, on either side, are
     filled too: all that either bracketing of three listed triples reads."""
     index = list(triples)
     position = {t: p for p, t in enumerate(index)}
-    elems = [HeckeElement.of(t) for t in index]
     table = [{} for _ in index]
 
     def fill(i, j):
         entry = None
-        prod = element_product(elems[i], elems[j])
+        prod = hecke_product(index[i], index[j])
         if not prod.is_zero():
             (t3, c), = prod.terms.items()
             if t3 not in position:
                 position[t3] = len(index)
                 index.append(t3)
-                elems.append(HeckeElement.of(t3))
                 table.append({})
             entry = (position[t3], c)
         table[i][j] = entry
@@ -627,24 +623,41 @@ def verify_associativity(G: FiniteGroupTable, sample=None) -> dict:
 
 def verify_apply_faithful(G: FiniteGroupTable, sample=None) -> dict:
     """Composition of module maps agrees with the triple product on
-    every basis vector of the relevant induced module."""
+    every basis vector of the relevant induced module, each operator read
+    once as a monomial map rep -> (image, scalar).  Failure kinds:
+    "column", a column with other than one term; "overlap", two triples
+    of one (source, target) pair whose supports {(rep, image)} meet;
+    "faithfulness", a composition that differs from the product.  cases
+    counts the compositions, one per basis vector of a composable pair."""
     triples = _sampled_triples(G, sample)
     index, table = _product_table(triples)
+    failures, owner = [], {}
+    maps = [{} for _ in index]  # None at a column that is not one term
+    for p, t in enumerate(index):
+        for rep, column in _columns(t).items():
+            if len(column) != 1:
+                maps[p][rep] = None
+                failures.append({"kind": "column", "triple": p, "rep": rep})
+                continue
+            (maps[p][rep],) = column.items()
+            key = (t.source, t.target, rep, maps[p][rep][0])
+            if owner.setdefault(key, p) != p:
+                failures.append({"kind": "overlap", "rep": rep,
+                                 "triples": [owner[key], p]})
     cases = 0
-    failures = []
-    # each triple applied to each basis vector once
-    columns = [_columns(t) for t in index]
     for i, t1 in enumerate(triples):
         for j, t2 in enumerate(triples):
             if t2.target != t1.source:
                 continue
-            p3, c3 = table[i][j] or (None, None)
-            for rep, image in columns[j].items():
-                composed = _combine(columns[i], image)
-                direct = {} if p3 is None else {
-                    k: c3 * v for k, v in columns[p3][rep].items()}
+            p3, c3 = table[i][j] or (None, 0)
+            for rep, first in maps[j].items():
                 cases += 1
-                if composed != direct:
+                then = first and maps[i][first[0]]
+                direct = (None, 0) if p3 is None else maps[p3][rep]
+                if then is None or direct is None:
+                    continue  # a column failure, reported above
+                if (then[0] != direct[0]
+                        or then[1] * first[1] != c3 * direct[1]):
                     failures.append({"kind": "faithfulness", "rep": rep})
     return {"check": "apply-faithful", "group": G.name, "cases": cases,
             "failures": failures, "pass": not failures}

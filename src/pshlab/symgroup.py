@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 
+from .groups import check_group_order
+
 __all__ = ["Perm", "cycles_of", "sign_of", "centralizer_order", "class_size",
            "KMatrix", "kmatrix_solutions", "kmatrix_of", "w_of_kmatrix",
            "young_double_coset_check"]
@@ -64,9 +66,6 @@ class Perm:
 
     def cycle_type(self) -> tuple[int, ...]:
         return tuple(sorted(map(len, cycles_of(self.images)), reverse=True))
-
-    def sign(self) -> int:
-        return sign_of(self.images)
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images
@@ -201,6 +200,7 @@ def young_double_coset_check(m: int) -> dict:
     solution values on Sigma_m, and each canonical representative w(k)
     has invariant k: the invariant separates the double cosets of the
     two-block Young subgroups and the representatives hit every value."""
+    check_group_order(f"Sym({m})", math.factorial(m))
     perms = [Perm(images)
              for images in itertools.permutations(range(1, m + 1))]
     ok = True

@@ -656,6 +656,50 @@ def test_wrong_twist_fails_apply_faithful_gl23():
     assert {f["kind"] for f in report["failures"]} == {"faithfulness"}
 
 
+def test_shared_support_fails_apply_faithful(monkeypatch):
+    # two triples of one (source, target) pair, source != target, so that
+    # neither composes with the other: only the injectivity check reads
+    # them when they are the whole sweep
+    G = gl_group(2, 2)
+    triples = enumerate_triples(G)
+    ta, tb = next((a, b) for a in triples for b in triples
+                  if a != b and a.source == b.source != a.target == b.target)
+    monkeypatch.setattr(hyperhecke, "enumerate_triples", lambda G: [ta, tb])
+    report = verify_apply_faithful(G)
+    assert report["pass"] and report["cases"] == 0
+    real = hyperhecke._columns
+    monkeypatch.setattr(hyperhecke, "_columns",
+                        lambda t: real(ta if t == tb else t))
+    report = verify_apply_faithful(G)
+    assert not report["pass"]
+    assert {f["kind"] for f in report["failures"]} == {"overlap"}
+    assert {tuple(f["triples"]) for f in report["failures"]} == {(0, 1)}
+
+
+@pytest.mark.parametrize("terms", [0, 2])
+def test_column_not_one_term_fails_apply_faithful(monkeypatch, terms):
+    # a column with no term or two terms is reported as such; the
+    # compositions that read it are counted but not compared
+    G = gl_group(2, 2)
+    victim = enumerate_triples(G)[0]
+    real = hyperhecke._columns
+
+    def planted(t):
+        columns = real(t)
+        if t == victim:
+            rep = min(columns)
+            image = next(iter(columns[rep]))
+            others = [y for y in module_basis(t.target) if y != image]
+            columns[rep] = {y: 1 for y in [image, *others][:terms]}
+        return columns
+
+    monkeypatch.setattr(hyperhecke, "_columns", planted)
+    report = verify_apply_faithful(G)
+    assert not report["pass"] and report["cases"] == 1034
+    assert {f["kind"] for f in report["failures"]} == {"column"}
+    assert [f["triple"] for f in report["failures"]] == [0]
+
+
 def plant_wrong_product_scalar(G, triples):
     """Plant a wrong h for one composable product t1 t2 of the triples
     whose g = g1 g2 is not the least of its double coset, so normalize

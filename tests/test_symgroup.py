@@ -1,8 +1,10 @@
 import itertools
 
+import pytest
+
 from pshlab import symgroup
 from pshlab.symgroup import (KMatrix, Perm, cycles_of, kmatrix_of,
-                             kmatrix_solutions, w_of_kmatrix,
+                             kmatrix_solutions, sign_of, w_of_kmatrix,
                              young_double_coset_check)
 
 
@@ -27,7 +29,7 @@ def test_perm_basics():
 def test_cycle_data():
     g = Perm.from_cycles(7, [(1, 2, 4, 5), (3, 6, 7)])
     assert g.cycle_type() == (4, 3)
-    assert g.sign() == (-1) ** (3 + 2)
+    assert sign_of(g.images) == (-1) ** (3 + 2)
     assert cycles_of(g.images) == [(1, 2, 4, 5), (3, 6, 7)]
     assert Perm.identity(4).cycle_type() == (1, 1, 1, 1)
 
@@ -36,7 +38,8 @@ def test_sign_multiplicative():
     perms = [Perm(p) for p in itertools.permutations(range(1, 5))]
     for a in perms[:8]:
         for b in perms[:8]:
-            assert (a * b).sign() == a.sign() * b.sign()
+            assert sign_of((a * b).images) \
+                == sign_of(a.images) * sign_of(b.images)
 
 
 def test_kmatrix_solution_counts():
@@ -102,6 +105,14 @@ def test_young_double_coset_check():
     for m in range(1, 6):
         assert young_double_coset_check(m) == {
             "check": "young-double-cosets", "m": m, "pass": True}
+
+
+def test_young_double_coset_check_respects_group_order_cap(monkeypatch):
+    # |Sym(4)| = 24 is over the cap: no permutation is enumerated
+    monkeypatch.setenv("PSHLAB_MAX_GROUP_ORDER", "10")
+    with pytest.raises(ResourceWarning):
+        young_double_coset_check(4)
+    assert young_double_coset_check(3)["pass"]
 
 
 def test_young_double_coset_check_sees_a_wrong_representative(monkeypatch):
