@@ -155,18 +155,20 @@ def _restrict(a, basis, l):
     return [m[i][d:] for i in range(d)]
 
 
-def _class_matrices(G: FiniteGroupTable):
+def _class_matrices(G: FiniteGroupTable, power_map):
     """The class-sum matrices B_i: (B_i)[k][j] counts the x in class i
-    with x^-1 z in class j, z the representative of class k; x^-1 z is
-    the right action of z at x^-1."""
-    r = len(G.classes())
-    label = [G.class_of(x) for x in range(G.order)]
-    inv = [G.inv(x) for x in range(G.order)]
+    with x^-1 z in class j, z the representative of class k.  So it
+    counts the w = x^-1 in the inverse class of i, read from the power
+    map, with w z, the right action of z at w, in class j."""
+    r = len(power_map)
+    inverse = [_power(row, -1) for row in power_map]
+    label = [G.class_of(w) for w in range(G.order)]
+    inverse_label = [inverse[c] for c in label]
     mats = [[[0] * r for _ in range(r)] for _ in range(r)]
     for k, z in enumerate(G.class_reps()):
         by_z = G.right(z)
-        for x, i in enumerate(label):
-            mats[i][k][label[by_z[inv[x]]]] += 1
+        for w, i in enumerate(inverse_label):
+            mats[i][k][label[by_z[w]]] += 1
     return mats
 
 
@@ -210,7 +212,7 @@ def dixon_character_table(G: FiniteGroupTable):
     power_map = _power_map(G)
     e = math.lcm(*map(len, power_map))
     l = _choose_prime(e, 2 * G.order)
-    mats = _class_matrices(G)
+    mats = _class_matrices(G, power_map)
 
     # split the class algebra into common eigenlines over F_l; it is split
     # semisimple there, so each eigenvalue is a root of the restriction's

@@ -51,11 +51,12 @@ class Fq:
     and element_order read its powers and their inverse, dlog."""
 
     def __init__(self, p: int, d: int = 1):
+        # before is_prime trial-divides p; p^d > 64 once d > 6
+        if p > 64 or d > 6 or p ** d > 64:
+            raise ValueError(f"field size {p}^{d} exceeds the bound 64")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         q = p ** d
-        if q > 64:
-            raise ValueError(f"field size {q} exceeds the bound 64")
         self.p, self.d, self.q = p, d, q
         modulus = _IRREDUCIBLE[(p, d)] if d > 1 else None
         # index = c0 + c1 p + ... (constant coefficient first)
@@ -305,8 +306,8 @@ class GLTable(FiniteGroupTable):
 
     def __init__(self, f: Fq, n: int, elements):
         super().__init__(f"GL({n},{f.q})", elements,
-                         lambda a, b: mat_mul(f, a, b),
-                         lambda a: mat_inv(f, a), mat_identity(f, n))
+                         lambda a, b: mat_mul(f, a, b), None,
+                         mat_identity(f, n))
         self.field = f
         self.n = n
 
@@ -328,9 +329,8 @@ def gl_group(n: int, q: int) -> GLTable:
     each generator's row map (GLTable), not from a product per element."""
     if n < 1:
         raise ValueError(f"GL({n},{q}) needs n >= 1")
-    p, d = _prime_power(q)
-    f = build_field(p, d)
     check_group_order(f"GL({n},{q})", gl_order(n, q))
+    f = build_field(*_prime_power(q))
     elements = _gl_elements(f, n)
     if len(elements) != gl_order(n, q):
         raise AssertionError(f"{len(elements)} invertible matrices, "
@@ -345,7 +345,7 @@ def gl_group(n: int, q: int) -> GLTable:
 
     def transvections(pairs):
         # I + c E_ij for c in the additive basis p^t of F_q
-        return [matrix({ij: p ** t}) for ij in pairs for t in range(d)]
+        return [matrix({ij: f.p ** t}) for ij in pairs for t in range(f.d)]
 
     diagonal = [matrix({(i, i): f.generator}) for i in range(n)]
     for k in range(1, n):
@@ -456,7 +456,9 @@ def _nonsplit_torus(G: FiniteGroupTable):
 def weil_theta_exponents(q: int) -> list[int]:
     """Exponents j for which the j-th torus character is moved by the
     field Frobenius (the hypothesis for a Weil character)."""
-    _prime_power(q)  # a ValueError unless q is a prime power
+    if q > 64:  # Fq's bound, before q is factored
+        raise ValueError(f"field size {q} exceeds the bound 64")
+    build_field(*_prime_power(q))  # a ValueError unless F_q is a field
     return [j for j in range(q * q - 1) if (j * q - j) % (q * q - 1) != 0]
 
 

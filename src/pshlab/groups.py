@@ -1,7 +1,7 @@
 """A uniform carrier for small finite groups given by explicit elements.
 
-FiniteGroupTable wraps an element list plus multiplication and inverse
-callbacks, and lazily computes conjugacy classes, subgroup closures,
+FiniteGroupTable wraps an element list plus a multiplication callback,
+and lazily computes conjugacy classes, subgroup closures,
 double cosets, double-coset factorization tables and induced
 characters.  Class labels are integer class indices; the identity's class
 is always label 0.
@@ -23,12 +23,12 @@ parent(x) (s y)), so no product is formed once the tree is built.
 Closures, greedy generators, conjugacy classes and double cosets are
 orbits of these arrays, scanned in ascending order of least member; the
 whole group's greedy generators are the tree's own, and the double-coset
-walk also factors each member as h rep k.  `inv` keeps a cache of its
-callback.
+walk also factors each member as h rep k.  `inv` reads an inverse from the
+element's powers, the one before the identity: no callback inverts.
 
 `subgroup` gives a subgroup its own table on the ambient's elements in
-ascending index order; it shares the ambient's multiplication and inverse
-callbacks, so a subgroup table is never built by hand.
+ascending index order; it shares the ambient's multiplication callback,
+so a subgroup table is never built by hand.
 """
 
 from __future__ import annotations
@@ -54,16 +54,17 @@ def check_group_order(name: str, order: int) -> None:
 
 class FiniteGroupTable:
 
-    def __init__(self, name: str, elements, mul, inv, identity):
+    def __init__(self, name: str, elements, mul, unused, identity):
+        """The fourth argument, once an inverse callback, is not read:
+        inverses come from powers.  It stays for the five-argument C2 of
+        perfbench/workloads.py; every other caller passes None."""
         self.name = name
         self.elements = list(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
             raise ValueError("duplicate elements")
         self._mul_fn = mul
-        self._inv_fn = inv
         self.identity_idx = self.index[identity]
-        self._inv_cache: dict = {}
         self._classes = None
         self._class_of = None
         self.subgroups: dict = {}
@@ -90,11 +91,9 @@ class FiniteGroupTable:
         return j
 
     def inv(self, i: int) -> int:
-        out = self._inv_cache.get(i)
-        if out is None:
-            out = self.index[self._inv_fn(self.elements[i])]
-            self._inv_cache[i] = out
-        return out
+        """i^-1, the power of i just before the identity."""
+        chain = self.powers(i)
+        return chain[-2] if len(chain) > 1 else i
 
     def conj(self, x: int, g: int) -> int:
         """g x g^-1."""
@@ -106,6 +105,8 @@ class FiniteGroupTable:
         move = self._right_move(g)
         chain = [g]
         while chain[-1] != self.identity_idx:
+            if len(chain) == self.order:
+                raise AssertionError(f"the powers of {g} miss the identity")
             chain.append(move(chain[-1]))
         return chain
 
@@ -248,10 +249,10 @@ class FiniteGroupTable:
 
     def subgroup(self, indices, name: str) -> FiniteGroupTable:
         """The table of the subgroup on the sorted indices, with this
-        group's multiplication and inverse callbacks and its identity."""
+        group's multiplication callback and its identity."""
         return FiniteGroupTable(name, [self.elements[i]
                                        for i in sorted(indices)],
-                                self._mul_fn, self._inv_fn,
+                                self._mul_fn, None,
                                 self.elements[self.identity_idx])
 
     # -- conjugacy ------------------------------------------------------

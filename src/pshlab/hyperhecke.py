@@ -50,9 +50,11 @@ class CharacterMismatchError(TripleError):
 
 def subgroup_characters(G: FiniteGroupTable, indices):
     """Every irreducible character of the subgroup, in the order of its
-    character table, as a map from ambient element index to value."""
+    character table, as a map from ambient element index to value; the
+    whole group reads G's own table."""
     indices = sorted(indices)
-    sub = G.subgroup(indices, f"{G.name}|sub{len(indices)}")
+    sub = (G if indices == list(range(G.order))
+           else G.subgroup(indices, f"{G.name}|sub{len(indices)}"))
     return [{indices[i]: chi.values[sub.class_of(i)]
              for i in range(sub.order)} for chi in sub.character_table()]
 
@@ -193,9 +195,10 @@ def _meet(source: SubgroupChar, g: int, target: SubgroupChar) -> list:
     """The elements k of the source subgroup with g k g^-1 in the target,
     ascending; the two characters must agree there."""
     amb = source.amb
+    ginv = amb.inv(g)
     out = []
     for k in source.indices:
-        h = amb.conj(k, g)
+        h = amb.mul(amb.mul(g, k), ginv)
         if h in target.chi:
             if source.chi[k] != target.chi[h]:
                 raise CharacterMismatchError(
@@ -475,12 +478,14 @@ def coproduct_well_defined(t: HeckeTriple, a: int) -> dict:
             if base is None:
                 continue
             # z2 = u z k with u in P
-            ubar_inv = G.inv(project(u_of[z2]))
+            ubar = project(u_of[z2])
+            ubar_inv = G.inv(ubar)
 
             # the z' data is the z data conjugated by ubar, so undoing
             # that conjugation must recover the canonical component
             def transport(sc):
-                return _image(G, sc.chi, lambda i: G.conj(i, ubar_inv))
+                return _image(G, sc.chi,
+                              lambda i: G.mul(G.mul(ubar_inv, i), ubar))
 
             moved = HeckeTriple(transport(alt.source), G.identity_idx,
                                 transport(alt.target), check=False)

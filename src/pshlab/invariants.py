@@ -172,7 +172,7 @@ def verify_induction_invariance(n: int) -> dict:
     from .specht import check_sym_order
     check_sym_order(n)
     G = FiniteGroupTable(f"Sym({n})", _all_perms(n), lambda a, b: a * b,
-                         lambda a: a.inv(), Perm.identity(n))
+                         None, Perm.identity(n))
 
     def cycles(i):
         return Poly.monomial(len(G.elements[i].cycle_type()))

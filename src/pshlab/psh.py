@@ -435,7 +435,7 @@ def _base_group(name: str):
     from .groups import FiniteGroupTable
     if name == "C2":
         return FiniteGroupTable("C2", [0, 1], lambda a, b: (a + b) % 2,
-                                lambda a: a, 0)
+                                None, 0)
     if name.startswith("GL(1,"):
         from .glfq import gl_group
         q = int(name[5:-1])

@@ -13,8 +13,7 @@ from functools import lru_cache
 
 from .groups import FiniteGroupTable, check_group_order
 
-__all__ = ["WreathTable", "wreath_group", "wreath_mul", "wreath_inv",
-           "wreath_identity"]
+__all__ = ["WreathTable", "wreath_group", "wreath_mul", "wreath_identity"]
 
 
 def wreath_mul(H: FiniteGroupTable, x, y):
@@ -28,16 +27,6 @@ def wreath_mul(H: FiniteGroupTable, x, y):
     return (prod_sig, prod_alphas)
 
 
-def wreath_inv(H: FiniteGroupTable, x):
-    sig, alphas = x
-    n = len(alphas)
-    inv_sig = [0] * n
-    for i, v in enumerate(sig, start=1):
-        inv_sig[v - 1] = i
-    inv_alphas = tuple(H.inv(alphas[inv_sig[i] - 1]) for i in range(n))
-    return (tuple(inv_sig), inv_alphas)
-
-
 def wreath_identity(H: FiniteGroupTable, n: int):
     return (tuple(range(1, n + 1)), (H.identity_idx,) * n)
 
@@ -48,8 +37,8 @@ class WreathTable(FiniteGroupTable):
 
     def __init__(self, H: FiniteGroupTable, n: int, elements):
         super().__init__(f"Wreath({n},{H.name})", elements,
-                         lambda a, b: wreath_mul(H, a, b),
-                         lambda a: wreath_inv(H, a), wreath_identity(H, n))
+                         lambda a, b: wreath_mul(H, a, b), None,
+                         wreath_identity(H, n))
         self.base = H
 
 

@@ -75,6 +75,31 @@ def test_sym_order_cap_comes_before_any_work(args):
     assert elapsed < 2.0, elapsed
 
 
+BIG_PRIME = "1000000000000000003"
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "gauss", "--q", "1000003"),
+    ("verify", "gauss", "--q", BIG_PRIME, "--weil"),
+    ("verify", "hasse-davenport", "--p", BIG_PRIME, "--m", "1"),
+    ("verify", "hasse-davenport", "--p", "2", "--m", "100000000"),
+    ("chartable", f"GL(1,{BIG_PRIME})"),
+    ("compute", "kondo", "--group", f"GL(1,{BIG_PRIME})"),
+    ("compute", "wreath-w", "--lambda", "(2,1)", "--q", BIG_PRIME),
+    ("hecke", "verify-hopflike", "--q", BIG_PRIME),
+    ("verify", "wreath-counterexample", "--q", BIG_PRIME)])
+def test_size_bounds_come_before_factoring(args):
+    # each bound is checked on the inputs before any work that scales
+    # with them; a regression times out here instead of hanging
+    env = {k: v for k, v in os.environ.items()
+           if k != "PSHLAB_MAX_GROUP_ORDER"}
+    proc = subprocess.run([sys.executable, "-m", "pshlab.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode in (2, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "exceeds the" in proc.stderr
+
+
 # result digests that a change to how values are computed must keep; the
 # parametrised ids number the entries in the order written here
 PINNED_DIGESTS = {

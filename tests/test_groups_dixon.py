@@ -27,13 +27,13 @@ from pshlab.wreath import wreath_group
 
 def sym_table(n: int) -> FiniteGroupTable:
     elements = [Perm(p) for p in itertools.permutations(range(1, n + 1))]
-    return FiniteGroupTable(f"S{n}", elements, lambda a, b: a * b,
-                            lambda a: a.inv(), Perm.identity(n))
+    return FiniteGroupTable(f"S{n}", elements, lambda a, b: a * b, None,
+                            Perm.identity(n))
 
 
 def cyclic_table(n: int) -> FiniteGroupTable:
     return FiniteGroupTable(f"C{n}", list(range(n)),
-                            lambda a, b: (a + b) % n, lambda a: (-a) % n, 0)
+                            lambda a, b: (a + b) % n, None, 0)
 
 
 def test_table_bookkeeping():
@@ -209,7 +209,7 @@ def test_subgroup_table_agrees_with_its_ambient():
     # nonabelian, fails the product check and nothing else
     opposite = FiniteGroupTable(
         "Bop", [G.elements[i] for i in sorted(B)],
-        lambda a, b: G._mul_fn(b, a), G._inv_fn,
+        lambda a, b: G._mul_fn(b, a), None,
         G.elements[G.identity_idx])
     assert {m[0] for m in subgroup_mismatches(G, B, opposite)} == {"mul"}
 
@@ -484,6 +484,13 @@ def kernel_mismatches(G):
     return bad
 
 
+def callback_inverse(G, g):
+    """The y with g y the identity, found by the multiplication
+    callback."""
+    return next(y for y in range(G.order)
+                if product(G, g, y) == G.identity_idx)
+
+
 def callback_orbit(start, moves):
     """The orbit of start under the callables in moves, by a
     breadth-first walk."""
@@ -540,9 +547,8 @@ def orbit_mismatches(G):
             bad.append(("generators", name))
     # classes in ascending order of least member, the identity's first
     classes = [sorted(orbit) for _, orbit in callback_orbits(
-        G, [lambda x, g=g: product(G, product(G, g, x),
-                                    G.index[G._inv_fn(G.elements[g])])
-            for g in gens["G"]])]
+        G, [lambda x, g=g, gi=callback_inverse(G, g):
+            product(G, product(G, g, x), gi) for g in gens["G"]])]
     ident = next(i for i, c in enumerate(classes) if G.identity_idx in c)
     classes[0], classes[ident] = classes[ident], classes[0]
     if G.classes() != classes:
@@ -561,7 +567,7 @@ def orbit_mismatches(G):
 
 def fresh_table(G):
     """A new table of G's elements and callbacks, with G's subgroups."""
-    H = FiniteGroupTable(G.name, G.elements, G._mul_fn, G._inv_fn,
+    H = FiniteGroupTable(G.name, G.elements, G._mul_fn, None,
                          G.elements[G.identity_idx])
     H.subgroups = dict(G.subgroups)
     return H
@@ -672,6 +678,100 @@ def test_a_swapped_generator_entry_fails_the_kernel_checks():
     except ValueError:  # a registered subgroup no longer closes
         found = True
     assert found
+    assert inverse_mismatches(G, matrix_inverse(G, gl_group(2, 3).field))
+    # some powers now cycle without the identity: powers says so, not loops
+    with pytest.raises(AssertionError, match="miss the identity"):
+        for x in range(G.order):
+            G.powers(x)
+
+
+# -- inverses from powers, against independent oracles ------------------------
+
+GL_TABLES = [(1, q) for q in (2, 3, 4, 5)] + [(2, q) for q in (2, 3, 4, 5)]
+GL_TABLES += [(3, 2), (3, 3)]
+
+
+def inverse_mismatches(G, oracle):
+    """The element indices x whose G.inv(x) is not oracle(x), or whose
+    powers never reach the identity."""
+    bad = []
+    for x in range(G.order):
+        try:
+            if G.inv(x) != oracle(x):
+                bad.append(x)
+        except AssertionError:
+            bad.append(x)
+    return bad
+
+
+def matrix_inverse(G, f):
+    """x -> x^-1 on a table of invertible matrices over the field f, by
+    glfq.mat_inv."""
+    return lambda x: G.index[glfq.mat_inv(f, G.elements[x])]
+
+
+def wreath_inverse(G):
+    """x -> x^-1 on a wreath table by (sigma, a)^-1 = (sigma^-1,
+    (a_{sigma^-1(i)}^-1)_i), each base inverse found by the base group's
+    multiplication callback."""
+    H = G.base
+
+    def inverse(x):
+        sig, alphas = G.elements[x]
+        inv_sig = [0] * len(sig)
+        for i, v in enumerate(sig, start=1):
+            inv_sig[v - 1] = i
+        return G.index[(tuple(inv_sig),
+                        tuple(callback_inverse(H, alphas[v - 1])
+                              for v in inv_sig))]
+    return inverse
+
+
+def test_gl_inverses_match_mat_inv():
+    for n, q in GL_TABLES:
+        G = gl_group(n, q)
+        assert inverse_mismatches(G, matrix_inverse(G, G.field)) == [], (
+            G.name)
+
+
+def test_sym_inverses_match_perm_inv():
+    for n in (1, 3, 4, 5):
+        G = sym_table(n)
+        assert inverse_mismatches(
+            G, lambda x: G.index[G.elements[x].inv()]) == [], G.name
+
+
+def test_wreath_inverses_match_the_explicit_formula():
+    for G in (wreath_group(gl_group(1, 3), 3),
+              wreath_group(_base_group("C2"), 4)):
+        assert inverse_mismatches(G, wreath_inverse(G)) == [], G.name
+
+
+def test_cyclic_inverses_are_negatives():
+    for n in (1, 2, 6, 7):
+        G = cyclic_table(n)
+        assert inverse_mismatches(G, lambda x: (-x) % n) == [], G.name
+
+
+def class_matrices_by_definition(G, inverse):
+    """(B_i)[k][j]: the x in class i with x^-1 z in class j, z the
+    representative of class k, x^-1 from the oracle and the product from
+    the multiplication callback."""
+    r = len(G.classes())
+    mats = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for k, z in enumerate(G.class_reps()):
+        for x in range(G.order):
+            mats[G.class_of(x)][k][G.class_of(
+                product(G, inverse(x), z))] += 1
+    return mats
+
+
+def test_class_matrices_match_their_definition():
+    gl23, wreath = gl_group(2, 3), wreath_group(gl_group(1, 3), 3)
+    for G, inverse in ((gl23, matrix_inverse(gl23, gl23.field)),
+                       (wreath, wreath_inverse(wreath))):
+        assert dixon._class_matrices(G, _power_map(G)) == (
+            class_matrices_by_definition(G, inverse)), G.name
 
 
 def gl_class_number(n, q):
@@ -688,8 +788,6 @@ def gl_class_number(n, q):
 
 
 def test_gl_class_numbers_match_the_generating_function():
-    cases = [(1, q) for q in (2, 3, 4, 5)] + [(2, q) for q in (2, 3, 4, 5)]
-    cases += [(3, 2), (3, 3)]
-    for n, q in cases:
+    for n, q in GL_TABLES:
         assert len(gl_group(n, q).classes()) == gl_class_number(n, q), (n, q)
     assert gl_class_number(3, 2) == 6 and gl_class_number(3, 3) == 24

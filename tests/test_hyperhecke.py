@@ -593,7 +593,7 @@ def fresh_gl(n, q):
     """A new table of GL(n,q) with its subgroups, so that a planted
     defect stays off the cached group."""
     G = gl_group(n, q)
-    H = FiniteGroupTable(G.name, G.elements, G._mul_fn, G._inv_fn,
+    H = FiniteGroupTable(G.name, G.elements, G._mul_fn, None,
                          G.elements[G.identity_idx])
     H.subgroups = dict(G.subgroups)
     return H

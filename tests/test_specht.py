@@ -133,8 +133,8 @@ def test_induce_young_matches_table_induction():
     # Sym(k) x Sym(n-k) on a Sym(n) group table
     for n in range(2, 6):
         perms = [Perm(p) for p in itertools.permutations(range(1, n + 1))]
-        G = FiniteGroupTable(f"S{n}", perms, lambda a, b: a * b,
-                             lambda a: a.inv(), Perm.identity(n))
+        G = FiniteGroupTable(f"S{n}", perms, lambda a, b: a * b, None,
+                             Perm.identity(n))
         for k in range(1, n):
             young = [i for i, s in enumerate(G.elements)
                      if all(s(x) <= k for x in range(1, k + 1))]

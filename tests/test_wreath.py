@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from pshlab.groups import FiniteGroupTable
 from pshlab.psh import _base_group
 from pshlab.symgroup import Perm
-from pshlab.wreath import (wreath_group, wreath_identity, wreath_inv,
-                           wreath_mul)
+from pshlab.wreath import wreath_group, wreath_identity, wreath_mul
 
 
 def wreath_base_subgroup(G: FiniteGroupTable):
@@ -61,7 +60,6 @@ def test_associativity_random(a, b, c):
     lhs = wreath_mul(H, wreath_mul(H, x, y), z)
     rhs = wreath_mul(H, x, wreath_mul(H, y, z))
     assert lhs == rhs
-    assert wreath_mul(H, x, wreath_inv(H, x)) == wreath_identity(H, 3)
 
 
 def test_embed_sym_homomorphism():
@@ -95,9 +93,7 @@ def test_wreath_table_keeps_its_base_group():
 
 
 def test_wreath_cache_tells_equally_named_groups_apart():
-    c2 = FiniteGroupTable("H", [0, 1], lambda a, b: (a + b) % 2,
-                          lambda a: a, 0)
-    c3 = FiniteGroupTable("H", [0, 1, 2], lambda a, b: (a + b) % 3,
-                          lambda a: -a % 3, 0)
+    c2 = FiniteGroupTable("H", [0, 1], lambda a, b: (a + b) % 2, None, 0)
+    c3 = FiniteGroupTable("H", [0, 1, 2], lambda a, b: (a + b) % 3, None, 0)
     assert wreath_group(c2, 2).order == 8
     assert wreath_group(c3, 2).order == 18
