@@ -51,8 +51,8 @@ class Fq:
     and element_order read its powers and their inverse, dlog."""
 
     def __init__(self, p: int, d: int = 1):
-        # before is_prime trial-divides p; p^d > 64 once d > 6
-        if p > 64 or d > 6 or p ** d > 64:
+        # before is_prime trial-divides p; p^7 > 64 for any prime p
+        if p > 64 or p ** min(d, 7) > 64:
             raise ValueError(f"field size {p}^{d} exceeds the bound 64")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
