@@ -31,8 +31,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-__all__ = ["Cyclo", "zeta", "one", "zero", "scalar", "conj", "inverse",
-           "integer", "scalar_json"]
+__all__ = ["Cyclo", "zeta", "scalar", "conj", "inverse", "integer",
+           "scalar_json"]
 
 
 @lru_cache(maxsize=None)
@@ -462,6 +462,3 @@ def scalar_json(v):
     v = Fraction(v)
     return v.numerator if v.denominator == 1 else str(v)
 
-
-zero = Cyclo.rational(0)
-one = Cyclo.rational(1)

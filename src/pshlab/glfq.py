@@ -520,21 +520,12 @@ def weil_identity_check(q: int, j: int) -> dict:
 
 def verify_kondo_induction(n: int, q: int) -> dict:
     """W of a linear character of a cyclic subgroup equals W of its
-    induction to the whole group; exhaustive over all cyclic subgroups
-    and all of their characters."""
+    induction to the whole group, for the Kondo measure; exhaustive over
+    all cyclic subgroups and all of their characters (see
+    FiniteGroupTable.cyclic_induction_check)."""
     G = gl_group(n, q)
-    psi = kondo_measure(G)
-    on_classes = G.class_measure(psi)
-    cases = 0
-    failures = []
-    for g, chain, j, chi in G.cyclic_characters():
-        lhs = numerical_invariant(
-            elementwise(G.name, chi, G.identity_idx), psi)
-        rhs = numerical_invariant(G.induced_character(chain, chi),
-                                  on_classes)
-        cases += 1
-        if lhs != rhs:
-            failures.append({"generator": g, "character": j})
+    cases, found = G.cyclic_induction_check(kondo_measure(G))
+    failures = [{"generator": g, "character": j} for g, j in found]
     return {"check": "kondo-induction", "n": n, "q": q, "cases": cases,
             "failures": failures, "pass": not failures}
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from .chars import ClassFunction
+from .chars import ClassFunction, elementwise, numerical_invariant
 from .cyclo import scalar, zeta
 
 __all__ = ["FiniteGroupTable", "check_group_order"]
@@ -94,10 +94,6 @@ class FiniteGroupTable:
         """i^-1, the power of i just before the identity."""
         chain = self.powers(i)
         return chain[-2] if len(chain) > 1 else i
-
-    def conj(self, x: int, g: int) -> int:
-        """g x g^-1."""
-        return self.mul(self.mul(g, x), self.inv(g))
 
     def powers(self, g: int) -> list[int]:
         """[g, g^2, ..., 1]: the powers of g up to the identity, so the
@@ -334,9 +330,24 @@ class FiniteGroupTable:
                 yield g, chain, j, {chain[k]: zeta(order, j * (k + 1) % order)
                                     for k in range(order)}
 
-    def restrict_character(self, chi: ClassFunction, sub_indices) -> dict:
-        """Restriction as a map subgroup-element-index -> value."""
-        return {x: chi.values[self.class_of(x)] for x in sorted(sub_indices)}
+    def cyclic_induction_check(self, fn):
+        """(cases, [(g, j)]): W(chi) with the element measure fn against
+        W(Ind chi) with fn read at class representatives, for every chi
+        of cyclic_characters, W being numerical_invariant, and the (g, j)
+        where they differ.  By Frobenius reciprocity the two agree for
+        any class-function measure, so this tests induced_character and
+        class_measure, not fn."""
+        on_classes = self.class_measure(fn)
+        cases, failures = 0, []
+        for g, chain, j, chi in self.cyclic_characters():
+            cases += 1
+            lhs = numerical_invariant(
+                elementwise(self.name, chi, self.identity_idx), fn)
+            rhs = numerical_invariant(self.induced_character(chain, chi),
+                                      on_classes)
+            if lhs != rhs:
+                failures.append((g, j))
+        return cases, failures
 
     def _coset_moves(self, left_indices, right_indices):
         """The left actions of the greedy generators of left, and the

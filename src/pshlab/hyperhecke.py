@@ -13,7 +13,11 @@ coproduct, and an exploratory check of their compatibility.  The pair of
 two triples and each coproduct component are triples of GL_{a+b} itself,
 on its block-diagonal Levi subgroup GL_a x GL_b.
 
-The associativity and faithfulness verifiers read one table of basis
+HeckeElement holds sums; a basis product is a pair.  The product of two
+triples is zero or one scalar times one normalized triple, so
+hecke_product returns (scalar, triple) or None, and only the coproduct
+and the reroute of the compatibility check build a HeckeElement.  The
+associativity and faithfulness verifiers read one table of basis
 products, each pair of triples multiplied once through hecke_product.
 The faithfulness verifier reads each triple's operator once as a
 monomial map, each basis vector to one scalar times one basis vector,
@@ -28,7 +32,7 @@ from .symgroup import kmatrix_solutions
 
 __all__ = ["SubgroupChar", "HeckeTriple", "HeckeElement", "TripleError",
            "ContainmentError", "CharacterMismatchError", "normalize",
-           "hecke_product", "element_product", "apply_triple",
+           "hecke_product", "apply_triple",
            "module_basis", "graded_product", "pair_triple",
            "coproduct", "coproduct_well_defined", "subgroup_characters",
            "linear_characters", "enumerate_subgroup_chars",
@@ -227,28 +231,15 @@ class HeckeElement:
 
     def __init__(self, terms=()):
         collected: dict = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for t, c in items:
+        for t, c in terms:
             c, t = normalize(c, t)
-            prev = collected.get(t, 0)
-            collected[t] = prev + c
-        clean = {}
-        for t, c in collected.items():
-            c = scalar(c)
-            if c != 0:
-                clean[t] = c
-        object.__setattr__(self, "terms", clean)
+            collected[t] = collected.get(t, 0) + c
+        clean = {t: scalar(c) for t, c in collected.items()}
+        object.__setattr__(self, "terms",
+                           {t: c for t, c in clean.items() if c != 0})
 
     def __setattr__(self, *a):
         raise AttributeError("HeckeElement is immutable")
-
-    @staticmethod
-    def of(t: HeckeTriple, coeff=1) -> "HeckeElement":
-        return HeckeElement([(t, coeff)])
-
-    def __add__(self, other):
-        return HeckeElement(list(self.terms.items())
-                            + list(other.terms.items()))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -271,25 +262,15 @@ class HeckeElement:
             self.terms.items(), key=lambda item: item[0]._key())]
 
 
-def hecke_product(t1: HeckeTriple, t2: HeckeTriple) -> HeckeElement:
-    """t1 composed after t2: nonzero only when t2's target pair equals
-    t1's source pair exactly."""
+def hecke_product(t1: HeckeTriple, t2: HeckeTriple):
+    """t1 after t2: normalize(1, [source of t2, g1 g2, target of t1]) with
+    its scalar in normal form, or None unless t2's target pair is t1's
+    source.  HeckeElement holds sums; a basis product is a pair."""
     if t2.target != t1.source:
-        return HeckeElement()
-    amb = t1.amb
-    out = HeckeTriple(t2.source, amb.mul(t1.g, t2.g), t1.target,
-                      check=False)
-    return HeckeElement.of(out)
-
-
-def element_product(e1: HeckeElement, e2: HeckeElement) -> HeckeElement:
-    terms = []
-    for t1, c1 in e1.terms.items():
-        for t2, c2 in e2.terms.items():
-            prod = hecke_product(t1, t2)
-            for t, c in prod.terms.items():
-                terms.append((t, c1 * c2 * c))
-    return HeckeElement(terms)
+        return None
+    c, t = normalize(1, HeckeTriple(t2.source, t1.amb.mul(t1.g, t2.g),
+                                    t1.target, check=False))
+    return scalar(c), t
 
 
 # -- induced modules ---------------------------------------------------------
@@ -576,10 +557,9 @@ def _product_table(triples):
     table = [{} for _ in index]
 
     def fill(i, j):
-        entry = None
-        prod = hecke_product(index[i], index[j])
-        if not prod.is_zero():
-            (t3, c), = prod.terms.items()
+        entry = hecke_product(index[i], index[j])
+        if entry is not None:
+            c, t3 = entry
             if t3 not in position:
                 position[t3] = len(index)
                 index.append(t3)
@@ -685,7 +665,7 @@ def verify_hopflike(n: int = 2, q: int = 2) -> dict:
             big = graded_product(t1, t2, q)
             route1 = coproduct(big, 1)
 
-            route2 = None
+            terms = []
             for (x11, x12, x21, x22) in solutions:
                 c1 = coproduct(t1, x11)
                 c2 = coproduct(t2, x21)
@@ -693,14 +673,12 @@ def verify_hopflike(n: int = 2, q: int = 2) -> dict:
                 # product of the x11 part of t1 and the x21 part of t2,
                 # the second of the x12 and x22 parts; at n = 2 exactly
                 # one of x11 and x21 is 1
-                part = None
                 for u1, cu1 in c1.terms.items():
                     for u2, cu2 in c2.terms.items():
                         first, second = (u1, u2) if x11 else (u2, u1)
-                        combined = HeckeElement.of(
-                            pair_triple(first, second, q), cu1 * cu2)
-                        part = combined if part is None else part + combined
-                route2 = part if route2 is None else route2 + part
+                        terms.append((pair_triple(first, second, q),
+                                      cu1 * cu2))
+            route2 = HeckeElement(terms)
             findings.append({
                 "t1": t1.to_json(), "t2": t2.to_json(),
                 "route1": route1.to_json(), "route2": route2.to_json(),

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .chars import elementwise, numerical_invariant
+from .chars import numerical_invariant
 from .combinat import add_node, addable_nodes, conjugate, partitions
 from .cyclo import Cyclo, scalar, zeta
 from .symgroup import Perm, cycles_of
@@ -167,27 +167,17 @@ def w_x_sym(chi) -> Poly:
 def verify_induction_invariance(n: int) -> dict:
     """w_x is unchanged by inducing from a cyclic subgroup up to the full
     symmetric group: exhaustive over all cyclic subgroups of Sigma_n and
-    all of their linear characters."""
+    all of their linear characters (see
+    FiniteGroupTable.cyclic_induction_check)."""
     from .groups import FiniteGroupTable
     from .specht import check_sym_order
     check_sym_order(n)
     G = FiniteGroupTable(f"Sym({n})", _all_perms(n), lambda a, b: a * b,
                          None, Perm.identity(n))
-
-    def cycles(i):
-        return Poly.monomial(len(G.elements[i].cycle_type()))
-    on_classes = G.class_measure(cycles)
-    cases = 0
-    failures = []
-    for g, chain, j, chi in G.cyclic_characters():
-        lhs = numerical_invariant(
-            elementwise(G.name, chi, G.identity_idx), cycles)
-        rhs = numerical_invariant(G.induced_character(chain, chi),
-                                  on_classes)
-        cases += 1
-        if lhs != rhs:
-            failures.append({"generator": G.elements[g].images,
-                             "character": j})
+    cases, found = G.cyclic_induction_check(
+        lambda i: Poly.monomial(len(G.elements[i].cycle_type())))
+    failures = [{"generator": G.elements[g].images, "character": j}
+                for g, j in found]
     return {"check": "induction-invariance", "n": n, "cases": cases,
             "failures": failures, "pass": not failures}
 

@@ -83,6 +83,11 @@ def _sub_conj(v):
     return v.conj() if isinstance(v, Cyclo) else v
 
 
+def conjugate(G, x, g):
+    """g x g^-1."""
+    return G.mul(G.mul(g, x), G.inv(g))
+
+
 def test_frobenius_reciprocity():
     G = sym_table(4)
     three_cycle = G.index[Perm.from_cycles(4, [(1, 2, 3)])]
@@ -91,7 +96,7 @@ def test_frobenius_reciprocity():
     phi = {h: 1 for h in H}
     ind = G.induced_character(H, phi)
     for chi in G.character_table():
-        res = G.restrict_character(chi, H)
+        res = {h: chi.values[G.class_of(h)] for h in H}
         lhs = ind.inner(chi)
         total = Cyclo.rational(0)
         for h in H:
@@ -187,7 +192,7 @@ def subgroup_mismatches(G, indices, sub):
         if [indices[sub.mul(x, y)] for y in range(sub.order)] != [
                 G.mul(indices[x], indices[y]) for y in range(sub.order)]:
             bad.append(("mul", x))
-    classes = sorted({tuple(sorted({G.conj(x, g) for g in indices}))
+    classes = sorted({tuple(sorted({conjugate(G, x, g) for g in indices}))
                       for x in indices})
     if sorted(tuple(sorted(indices[x] for x in c))
               for c in sub.classes()) != classes:
@@ -414,7 +419,8 @@ def induced_by_definition(G, chi_on_elements):
     for label, members in enumerate(G.classes()):
         total = 0
         for y in range(G.order):
-            total = total + chi_on_elements.get(G.conj(members[0], y), 0)
+            total = total + chi_on_elements.get(
+                conjugate(G, members[0], y), 0)
         values[label] = total * Fraction(1, len(chi_on_elements))
     return G.class_function(values)
 

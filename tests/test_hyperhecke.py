@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from pshlab.cyclo import Cyclo, inverse
+from pshlab.cyclo import Cyclo, inverse, scalar
 from pshlab import glfq, hyperhecke
 from pshlab.glfq import block_diagonal, gl_group
 from pshlab.groups import FiniteGroupTable
@@ -13,7 +13,7 @@ from pshlab.hyperhecke import (CharacterMismatchError, ContainmentError,
                                _left_cosets, _product_table,
                                _sampled_triples, apply_triple,
                                coproduct, coproduct_well_defined,
-                               element_product, enumerate_subgroup_chars,
+                               enumerate_subgroup_chars,
                                enumerate_triples, graded_product,
                                hecke_product, linear_characters,
                                module_basis, normalize, pair_triple,
@@ -66,13 +66,24 @@ def test_triple_error_kinds():
         HeckeTriple(s1, G3.identity_idx, s2)
 
 
+def element_product(e1, e2):
+    """The product of two sums of triples, term by term through
+    hecke_product."""
+    terms = []
+    for t1, c1 in e1.terms.items():
+        for t2, c2 in e2.terms.items():
+            prod = hecke_product(t1, t2)
+            if prod is not None:
+                terms.append((prod[1], c1 * c2 * prod[0]))
+    return HeckeElement(terms)
+
+
 def test_identity_triple_is_unit():
     G, bchar = borel_char()
     e = HeckeTriple(bchar, G.identity_idx, bchar, check=False)
-    prod = hecke_product(e, e)
-    assert prod == HeckeElement.of(e)
-    assert element_product(HeckeElement.of(e), HeckeElement.of(e)) \
-        == HeckeElement.of(e)
+    assert hecke_product(e, e) == (1, e)
+    one = HeckeElement([(e, 1)])
+    assert element_product(one, one) == one
 
 
 def test_normalize_idempotent():
@@ -86,11 +97,20 @@ def test_normalize_idempotent():
 def test_product_zero_unless_composable():
     G = gl_group(2, 2)
     triples = enumerate_triples(G)
-    for t1 in triples[:10]:
-        for t2 in triples[:10]:
+    composable = 0
+    for t1 in triples:
+        for t2 in triples:
             prod = hecke_product(t1, t2)
             if t2.target != t1.source:
-                assert prod.is_zero()
+                assert prod is None
+                continue
+            composable += 1
+            raw = HeckeTriple(t2.source, G.mul(t1.g, t2.g), t1.target,
+                              check=False)
+            c, t = prod
+            assert (c, t) == normalize(1, raw)
+            assert type(c) is type(scalar(c))
+    assert composable == 188
 
 
 def test_reports_gl22():
@@ -208,7 +228,7 @@ def test_equal_triples_at_different_conductors_collapse():
     assert t3 == t6 and hash(t3) == hash(t6)
     both = HeckeElement([(t3, 1), (t6, 1)])
     assert len(both.terms) == 1
-    assert both == HeckeElement.of(t3, 2)
+    assert both == HeckeElement([(t3, 2)])
 
 
 # -- brute-force oracles for the table-driven normal forms --------------------
@@ -441,7 +461,7 @@ def brute_apply_triple(t, vec):
     h_set = set(t.target.indices)
     meet = []
     for k in t.source.indices:
-        h = amb.conj(k, t.g)
+        h = amb.mul(amb.mul(t.g, k), ginv)
         if h in h_set:
             if t.source.chi[k] != t.target.chi[h]:
                 raise CharacterMismatchError("characters disagree")
@@ -552,9 +572,9 @@ def test_product_table_matches_element_product(q, composable):
         for j, t2 in enumerate(triples):
             entry = table[i][j]
             got = (HeckeElement() if entry is None
-                   else HeckeElement.of(index[entry[0]], entry[1]))
-            assert got == element_product(HeckeElement.of(t1),
-                                          HeckeElement.of(t2))
+                   else HeckeElement([(index[entry[0]], entry[1])]))
+            assert got == element_product(HeckeElement([(t1, 1)]),
+                                          HeckeElement([(t2, 1)]))
             if t2.target == t1.source:
                 assert entry is not None
                 pairs += 1
@@ -732,6 +752,32 @@ def test_wrong_product_scalar_fails_full_associativity():
     report = verify_associativity(G)
     assert not report["pass"]
     assert {f["kind"] for f in report["failures"]} == {"associativity"}
+    report = verify_apply_faithful(G)
+    assert not report["pass"]
+    assert {f["kind"] for f in report["failures"]} == {"faithfulness"}
+
+
+def test_wrong_scalar_in_a_returned_pair_fails_both_verifiers(monkeypatch):
+    # hecke_product's pair, its scalar doubled for one composable pair
+    G = gl_group(2, 2)
+    triples = enumerate_triples(G)
+    t1, t2 = next((a, b) for a in triples for b in triples
+                  if b.target == a.source and a != b)
+    real = hyperhecke.hecke_product
+
+    def planted(a, b):
+        prod = real(a, b)
+        if a == t1 and b == t2:
+            return 2 * prod[0], prod[1]
+        return prod
+
+    monkeypatch.setattr(hyperhecke, "hecke_product", planted)
+    report = verify_associativity(G)
+    assert not report["pass"]
+    assert {f["kind"] for f in report["failures"]} == {"associativity"}
+    report = verify_apply_faithful(G)
+    assert not report["pass"]
+    assert {f["kind"] for f in report["failures"]} == {"faithfulness"}
 
 
 def test_nonzero_product_of_a_noncomposable_pair_fails_associativity(
@@ -745,8 +791,8 @@ def test_nonzero_product_of_a_noncomposable_pair_fails_associativity(
 
     def planted(a, b):
         if a == t1 and b == t2:
-            return HeckeElement.of(HeckeTriple(b.source, G.mul(a.g, b.g),
-                                               a.target, check=False))
+            return normalize(1, HeckeTriple(b.source, G.mul(a.g, b.g),
+                                            a.target, check=False))
         return real(a, b)
 
     monkeypatch.setattr(hyperhecke, "hecke_product", planted)

@@ -18,6 +18,14 @@ a pshlab class counts as used if its name appears there as an attribute
 (``.name``) or as a later part of a dotted string such as
 "combinat.Tabloid.apply".  A bare name is not a use.
 
+The test-only scan runs the definition and method scans over src and
+perfbench alone: what they flag is read only by the tests, and must be
+one of the oracles kept on purpose in ``TEST_ORACLES``.  It matches by
+name, so a definition hides behind any other use of its name: before it
+moved into the tests, ``FiniteGroupTable.conj`` hid behind ``Cyclo.conj``
+(``.conj`` is read in src), while ``hyperhecke.element_product`` and
+``FiniteGroupTable.restrict_character`` were flagged.
+
 The layering scan keeps cyclo at the bottom of the package: cyclo.py
 imports no pshlab module, not even inside a function.
 
@@ -205,6 +213,42 @@ def test_no_method_goes_unreferenced():
                for folder in ("src", "tests", "perfbench")
                for path in sorted((REPO / folder).rglob("*.py"))]
     assert unreferenced_methods(package, scanned) == []
+
+
+# test oracles kept in src on purpose: src and perfbench never read them
+TEST_ORACLES = ("mat_det", "mat_inv", "Fq.element_order", "rank_exact",
+                "sign_character", "apply_triple", "coproduct_well_defined",
+                "decompose")
+
+
+def unread_outside_tests(package_sources, scanned_sources):
+    """Top-level definitions and methods of the package that the scanned
+    sources (the package's own and perfbench's, not the tests) never
+    reference."""
+    return sorted(unreferenced_definitions(package_sources, scanned_sources)
+                  + unreferenced_methods(package_sources, scanned_sources))
+
+
+def test_scanner_flags_a_test_only_function():
+    package = ("class A:\n"
+               "    def run(self): return helper()\n"
+               "    def oracle(self): pass\n"
+               "def helper(): pass\n"
+               "def planted(): pass\n")
+    bench = "import m\nm.A().run()\n"
+    tests = "import m\nm.planted(), m.A().oracle()\n"
+    assert unread_outside_tests([package], [package, bench]) == [
+        "A.oracle", "planted"]
+    assert unread_outside_tests([package], [package, bench, tests]) == []
+
+
+def test_only_the_kept_oracles_are_test_only():
+    package = [path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))]
+    scanned = [path.read_text(encoding="utf-8")
+               for folder in ("src", "perfbench")
+               for path in sorted((REPO / folder).rglob("*.py"))]
+    assert unread_outside_tests(package, scanned) == sorted(TEST_ORACLES)
 
 
 def package_imports(source):

@@ -81,7 +81,7 @@ def test_base_subgroup_normal():
     assert len(base) == H.order ** 2
     for x in base:
         for g in range(G.order):
-            assert G.conj(x, g) in base
+            assert G.mul(G.mul(g, x), G.inv(g)) in base
     assert G.closure(base) == frozenset(base)
 
 
