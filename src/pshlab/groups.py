@@ -331,12 +331,12 @@ class FiniteGroupTable:
                                     for k in range(order)}
 
     def cyclic_induction_check(self, fn):
-        """(cases, [(g, j)]): W(chi) with the element measure fn against
-        W(Ind chi) with fn read at class representatives, for every chi
-        of cyclic_characters, W being numerical_invariant, and the (g, j)
-        where they differ.  By Frobenius reciprocity the two agree for
-        any class-function measure, so this tests induced_character and
-        class_measure, not fn."""
+        """W(chi) for the element measure fn against W(Ind chi) for fn read
+        at class representatives, W being numerical_invariant, over every
+        chi of cyclic_characters: (cases, the (g, j) where they differ).
+        By Frobenius reciprocity the two agree for any class-function
+        measure, so this tests induced_character and class_measure, not
+        fn."""
         on_classes = self.class_measure(fn)
         cases, failures = 0, []
         for g, chain, j, chi in self.cyclic_characters():

@@ -74,7 +74,8 @@ def element_product(e1, e2):
         for t2, c2 in e2.terms.items():
             prod = hecke_product(t1, t2)
             if prod is not None:
-                terms.append((prod[1], c1 * c2 * prod[0]))
+                c, t = prod
+                terms.append((t, c1 * c2 * c))
     return HeckeElement(terms)
 
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from pshlab.chars import elementwise
+from pshlab.glfq import verify_kondo_induction
+from pshlab.groups import FiniteGroupTable
 from pshlab.invariants import (Poly, X, f_lambda,
                                verify_induction_invariance, verify_mezzadri,
                                verify_psh_multiplicativity, w_x_sym,
@@ -65,6 +67,19 @@ def test_w_x_trivial_character():
 
 def test_induction_invariance():
     assert verify_induction_invariance(3)["pass"]
+
+
+def test_induction_checks_fail_on_a_wrong_class_reading(monkeypatch):
+    # every class reads the measure at the identity: both sides still
+    # agree for any class-function measure, so only this kind of defect,
+    # in induction or in the class reading, can make the checks fail
+    monkeypatch.setattr(FiniteGroupTable, "class_measure",
+                        lambda self, fn: lambda label: fn(self.identity_idx))
+    for report in (verify_kondo_induction(2, 2),
+                   verify_induction_invariance(3)):
+        assert not report["pass"]
+        assert report["failures"] and set(report["failures"][0]) == {
+            "generator", "character"}
 
 
 def test_induction_invariance_respects_group_order_cap(monkeypatch):
