@@ -26,9 +26,9 @@ whole group's greedy generators are the tree's own, and the double-coset
 walk also factors each member as h rep k.  `inv` reads an inverse from the
 element's powers, the one before the identity: no callback inverts.
 
-`subgroup` gives a subgroup its own table on the ambient's elements in
-ascending index order; it shares the ambient's multiplication callback,
-so a subgroup table is never built by hand.
+`subgroup` keeps one table per index set and name on the group, on the
+ambient's elements in ascending index order and with its multiplication
+callback, so a subgroup table is never built by hand.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ class FiniteGroupTable:
         self.subgroups: dict = {}
         self._char_table = None
         self._coset_tables: dict = {}
+        self._subgroup_tables: dict = {}
         self._tree = None
         self._lefts = None
 
@@ -244,12 +245,15 @@ class FiniteGroupTable:
         return gens
 
     def subgroup(self, indices, name: str) -> FiniteGroupTable:
-        """The table of the subgroup on the sorted indices, with this
-        group's multiplication callback and its identity."""
-        return FiniteGroupTable(name, [self.elements[i]
-                                       for i in sorted(indices)],
-                                self._mul_fn, None,
-                                self.elements[self.identity_idx])
+        """The subgroup's table on the sorted indices, with this group's
+        callback and identity; one per index set and name, kept here."""
+        key = (tuple(sorted(indices)), name)
+        sub = self._subgroup_tables.get(key)
+        if sub is None:
+            sub = self._subgroup_tables[key] = FiniteGroupTable(
+                name, [self.elements[i] for i in key[0]], self._mul_fn,
+                None, self.elements[self.identity_idx])
+        return sub
 
     # -- conjugacy ------------------------------------------------------
 
@@ -371,7 +375,8 @@ class FiniteGroupTable:
         from x by the left action of s, h = s h[x]; by the right action of
         s, k = k[x] s.  Built once per pair and kept on the group."""
         key = (tuple(left_indices), tuple(right_indices))
-        if key not in self._coset_tables:
+        table = self._coset_tables.get(key)
+        if table is None:
             lefts, rights = self._coset_moves(*key)
             moves = lefts + rights
             orbits, parent = self._orbits(moves)
@@ -384,8 +389,8 @@ class FiniteGroupTable:
                     m = [move[x] for move in moves].index(y)
                     h[y], k[y] = ((moves[m][h[x]], k[x]) if m < len(lefts)
                                   else (h[x], moves[m][k[x]]))
-            self._coset_tables[key] = (rep, h, k)
-        return self._coset_tables[key]
+            table = self._coset_tables[key] = (rep, h, k)
+        return table
 
     def character_table(self):
         """Exact irreducible characters via the class-algebra method."""

@@ -21,7 +21,9 @@ associativity and faithfulness verifiers read one table of basis
 products, each pair of triples multiplied once through hecke_product.
 The faithfulness verifier reads each triple's operator once as a
 monomial map, each basis vector to one scalar times one basis vector,
-and composes two operators by lookups.
+and composes two operators by lookups.  The normal-form verifier reads
+each rewrite h g k as R_k[h g], R_k the right action of k, and
+normalizes every rewrite.
 """
 
 from __future__ import annotations
@@ -79,10 +81,9 @@ class SubgroupChar:
 
     def __init__(self, amb: FiniteGroupTable, indices, chi: dict,
                  check: bool = True):
-        object.__setattr__(self, "amb", amb)
-        object.__setattr__(self, "indices", tuple(sorted(indices)))
-        object.__setattr__(self, "chi",
-                           {i: scalar(chi[i]) for i in self.indices})
+        _set_amb(self, amb)
+        _set_indices(self, tuple(sorted(indices)))
+        _set_chi(self, {i: scalar(chi[i]) for i in self.indices})
         if check:
             self.validate()
 
@@ -137,9 +138,9 @@ class HeckeTriple:
 
     def __init__(self, source: SubgroupChar, g: int, target: SubgroupChar,
                  check: bool = True):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "target", target)
+        _set_source(self, source)
+        _set_g(self, g)
+        _set_target(self, target)
         if check and len(_meet(source, g, target)) < len(source.indices):
             raise ContainmentError("source is not inside g^-1 target g")
 
@@ -170,6 +171,14 @@ class HeckeTriple:
                 "g": self.amb.elements[self.g],
                 "target": self.target.to_json(),
                 "coeff": scalar_json(coeff)}
+
+
+_set_amb = SubgroupChar.amb.__set__
+_set_indices = SubgroupChar.indices.__set__
+_set_chi = SubgroupChar.chi.__set__
+_set_source = HeckeTriple.source.__set__
+_set_g = HeckeTriple.g.__set__
+_set_target = HeckeTriple.target.__set__
 
 
 # -- carrying subgroup characters along maps ---------------------------------
@@ -521,25 +530,30 @@ def _sampled_triples(G: FiniteGroupTable, sample):
 
 def verify_normal_form(G: FiniteGroupTable, sample=None) -> dict:
     """normalize is idempotent, and every rewrite h g k of a triple's g
-    normalizes to the same scalar multiple of the same representative."""
+    normalizes to the same scalar multiple of the same representative,
+    each rewrite read as R_k[h g] from the right action R_k of k."""
     triples = _sampled_triples(G, sample)
-    cases = 0
-    failures = []
+    rights: dict = {}  # R_k for each k of a source, once per source
+    cases, failures = 0, []
     for t in triples:
         s0, t0 = normalize(1, t)
         s1, t1 = normalize(s0, t0)
         cases += 1
         if (s1, t1) != (s0, t0):
             failures.append({"triple": repr(t), "kind": "idempotence"})
+        ks = t.source.indices
+        if ks not in rights:
+            rights[ks] = [G.right(k) for k in ks]
+        psi_inv = [inverse(t.source.chi[k]) for k in ks]
         for h in t.target.indices:
-            for k in t.source.indices:
-                g2 = G.mul(G.mul(h, t.g), k)
-                # [g2] = phi(h^-1) psi(k^-1) [g]
-                factor = inverse(t.target.chi[h]) * inverse(t.source.chi[k])
-                s2, t2 = normalize(1, HeckeTriple(t.source, g2, t.target,
-                                                  check=False))
+            hg = G.mul(h, t.g)
+            # [h g k] = phi(h^-1) psi(k^-1) [g]
+            scaled = inverse(t.target.chi[h]) * s0
+            for k, move, psi_k in zip(ks, rights[ks], psi_inv):
+                s2, t2 = normalize(1, HeckeTriple(t.source, move[hg],
+                                                  t.target, check=False))
                 cases += 1
-                if t2 != t0 or s2 != factor * s0:
+                if t2 != t0 or s2 != scaled * psi_k:
                     failures.append({"triple": repr(t), "kind": "orbit",
                                      "h": h, "k": k})
     return {"check": "normal-form", "group": G.name, "cases": cases,

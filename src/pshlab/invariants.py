@@ -50,9 +50,6 @@ class Poly:
         """x^k."""
         return Poly([0] * k + [1])
 
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __add__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(other)

@@ -219,6 +219,19 @@ def test_subgroup_table_agrees_with_its_ambient():
     assert {m[0] for m in subgroup_mismatches(G, B, opposite)} == {"mul"}
 
 
+def test_subgroup_table_is_built_once_per_index_set_and_name():
+    G = gl_group(2, 3)
+    G = FiniteGroupTable(G.name, G.elements, G._mul_fn, None,
+                         G.elements[G.identity_idx])
+    B = sorted(gl_group(2, 3).subgroups["B"])
+    sub = G.subgroup(B, "B")
+    assert G.subgroup(reversed(B), "B") is sub
+    assert G.subgroup(frozenset(B), "B") is sub
+    # the key is the index set with the name, never the name alone
+    assert G.subgroup(B, "Borel") is not sub
+    assert G.subgroup([G.identity_idx], "B").order == 1
+
+
 def test_small_generators_rejects_a_set_that_is_not_a_subgroup():
     # {0, 2, 5} in Z/6: 2 alone generates three elements, but not 5
     G = cyclic_table(6)

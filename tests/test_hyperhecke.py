@@ -66,6 +66,22 @@ def test_triple_error_kinds():
         HeckeTriple(s1, G3.identity_idx, s2)
 
 
+def test_triples_and_subgroup_characters_stay_immutable():
+    G, bchar = borel_char()
+    assert bchar.indices == tuple(sorted(G.subgroups["B"]))
+    t = HeckeTriple(bchar, G.identity_idx, bchar)
+    assert (t.source, t.g, t.target) == (bchar, G.identity_idx, bchar)
+    for obj, attr in ((bchar, "amb"), (bchar, "indices"), (bchar, "chi"),
+                      (t, "source"), (t, "g"), (t, "target"), (t, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, None)
+    w = next(i for i in range(G.order)
+             if i not in bchar.indices and G.mul(i, i) == G.identity_idx)
+    with pytest.raises(ContainmentError):
+        HeckeTriple(bchar, w, bchar, check=True)
+    HeckeTriple(bchar, w, bchar, check=False)
+
+
 def element_product(e1, e2):
     """The product of two sums of triples, term by term through
     hecke_product."""
@@ -646,6 +662,76 @@ def test_wrong_factor_fails_normal_form():
     rep[t.g] = y
     report = verify_normal_form(G)
     assert "idempotence" in {f["kind"] for f in report["failures"]}
+
+
+def normal_form_by_products(G, sample=None):
+    """verify_normal_form with each rewrite h g k formed by two products
+    and built as its own factor phi(h)^-1 psi(k)^-1: the report the
+    right-action arrays must reproduce."""
+    triples = _sampled_triples(G, sample)
+    cases = 0
+    failures = []
+    for t in triples:
+        s0, t0 = normalize(1, t)
+        s1, t1 = normalize(s0, t0)
+        cases += 1
+        if (s1, t1) != (s0, t0):
+            failures.append({"triple": repr(t), "kind": "idempotence"})
+        for h in t.target.indices:
+            for k in t.source.indices:
+                g2 = G.mul(G.mul(h, t.g), k)
+                factor = inverse(t.target.chi[h]) * inverse(t.source.chi[k])
+                s2, t2 = normalize(1, HeckeTriple(t.source, g2, t.target,
+                                                  check=False))
+                cases += 1
+                if t2 != t0 or s2 != factor * s0:
+                    failures.append({"triple": repr(t), "kind": "orbit",
+                                     "h": h, "k": k})
+    return {"check": "normal-form", "group": G.name, "cases": cases,
+            "failures": failures, "pass": not failures}
+
+
+@pytest.mark.parametrize("q, cases", [(2, 228), (3, 7434)])
+def test_normal_form_matches_the_product_oracle(q, cases):
+    G = fresh_gl(2, q)
+
+    def full_report():
+        assert (verify_normal_form(G, sample=12)
+                == normal_form_by_products(G, sample=12))
+        report = verify_normal_form(G)
+        assert report == normal_form_by_products(G)
+        return report
+
+    report = full_report()
+    assert report["pass"] and report["cases"] == cases
+    t = next(t for t in enumerate_triples(G) if nontrivial(t.target))
+    rep = G.double_coset_table(t.target.indices, t.source.indices)[0]
+    y = next(y for y in range(G.order) if rep[y] == t.g and y != t.g)
+    plant_wrong_h(G, t.target, t.source, y)
+    assert {f["kind"] for f in full_report()["failures"]} == {"orbit"}
+    # a wrong least member breaks idempotence, and changes the triples
+    rep[t.g] = y
+    assert "idempotence" in {f["kind"] for f in full_report()["failures"]}
+
+
+def test_verifiers_build_one_character_table_per_subgroup(monkeypatch):
+    from pshlab import dixon
+    G = fresh_gl(2, 3)
+    built = []
+    real = dixon.dixon_character_table
+
+    def counted(T):
+        built.append(sorted(G.index[e] for e in T.elements))
+        return real(T)
+
+    monkeypatch.setattr(dixon, "dixon_character_table", counted)
+    verify_normal_form(G, sample=12)
+    verify_associativity(G, sample=12)
+    verify_apply_faithful(G, sample=12)
+    center = G.subgroups["Z"]
+    subgroups = {frozenset(range(G.order))} | {
+        frozenset(s) for s in G.subgroups.values() if center <= s}
+    assert sorted(built) == sorted(sorted(s) for s in subgroups)
 
 
 def plant_wrong_twist(G):

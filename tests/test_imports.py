@@ -26,6 +26,13 @@ moved into the tests, ``FiniteGroupTable.conj`` hid behind ``Cyclo.conj``
 (``.conj`` is read in src), while ``hyperhecke.element_product`` and
 ``FiniteGroupTable.restrict_character`` were flagged.
 
+The shared-name scan lists every method name that more than one package
+class defines, or that a top-level definition shares, and holds the list
+equal to ``SHARED_METHOD_NAMES``.  These are the names the test-only scan
+cannot tell apart: ``Poly.degree`` hid behind ``ClassFunction.degree``
+until it moved into the tests.  A new shared name shows up as an edit of
+the list, where a reader can check that it hides no test-only method.
+
 The layering scan keeps cyclo at the bottom of the package: cyclo.py
 imports no pshlab module, not even inside a function.
 
@@ -249,6 +256,49 @@ def test_only_the_kept_oracles_are_test_only():
                for folder in ("src", "perfbench")
                for path in sorted((REPO / folder).rglob("*.py"))]
     assert unread_outside_tests(package, scanned) == sorted(TEST_ORACLES)
+
+
+# method names that more than one class defines, or that a top-level
+# definition shares
+SHARED_METHOD_NAMES = ("_key", "_pair", "_right_array", "basis", "conj",
+                       "coproduct", "inv", "is_zero", "mul", "n", "order",
+                       "scale", "to_json")
+
+
+def shared_method_names(package_sources):
+    """The method names of the package that more than one class defines,
+    or that a top-level function or class of any module also has."""
+    owners, top_level = {}, set()
+    for source in package_sources:
+        tree = ast.parse(source)
+        top_level.update(top_level_definitions(tree))
+        for member in class_members(tree):
+            owner, name = member.split(".")
+            owners.setdefault(name, []).append(owner)
+    return sorted(name for name, classes in owners.items()
+                  if len(classes) > 1 or name in top_level)
+
+
+def test_scanner_lists_shared_method_names():
+    package = ("class A:\n"
+               "    def inv(self): pass\n"
+               "    def own(self): pass\n"
+               "    def conj(self): pass\n"
+               "    def __eq__(self, other): pass\n"
+               "def conj(x): pass\n",
+               "class B:\n"
+               "    def inv(self): pass\n"
+               "    @property\n"
+               "    def mine(self): pass\n"
+               "    def __eq__(self, other): pass\n"
+               "def helper(): pass\n")
+    assert shared_method_names(package) == ["conj", "inv"]
+
+
+def test_shared_method_names_are_pinned():
+    package = [path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))]
+    assert shared_method_names(package) == sorted(SHARED_METHOD_NAMES)
 
 
 def package_imports(source):

@@ -14,6 +14,12 @@ from pshlab.specht import specht_character
 from pshlab.symgroup import Perm
 
 
+def degree(p):
+    """The degree of a Poly, -1 for zero: coefficients are stored with no
+    trailing zeros."""
+    return len(p.coeffs) - 1
+
+
 def test_poly_arithmetic():
     p = Poly([1, 2])       # 1 + 2x
     q = Poly([0, 0, 1])    # x^2
@@ -24,7 +30,7 @@ def test_poly_arithmetic():
     assert q.x_scale(2) == Poly([0, 0, 4])
     assert Poly([0, 1]).negate_x() == Poly([0, -1])
     assert X == Poly([0, 1])
-    assert Poly([1, 2]).degree() == 1
+    assert degree(Poly([1, 2])) == 1 and degree(Poly([0, 0])) == -1
 
 
 def test_poly_pretty_and_json():
