@@ -6,14 +6,15 @@ Values are exact scalars (see pshlab.cyclo); the inner product conjugates
 the second argument and returns the scalar normal form.  A character known
 element by element on a subgroup is the ClassFunction whose classes are its
 single elements (elementwise).  numerical_invariant is the one class sum
-behind every Gauss, Kondo-Gauss, w_x and wreath invariant.
+behind every Gauss, Kondo-Gauss, w_x and wreath invariant; it is one
+cyclo.dot, or one per power of x for a polynomial measure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclo import conj, inverse, scalar
+from .cyclo import Cyclo, conj, dot, inverse, scalar
 
 __all__ = ["ClassFunction", "elementwise", "numerical_invariant"]
 
@@ -109,11 +110,24 @@ def elementwise(group_id: str, values: dict, identity) -> ClassFunction:
 def numerical_invariant(chi: ClassFunction, measure):
     """chi(1)^-1 times the sum over the classes c of chi of
     |c| chi(c) measure(c), for a conjugation-invariant measure given on
-    class labels; the measure's values may be exact scalars or Polys."""
+    class labels.  The sum is one cyclo.dot when the measure's values are
+    exact scalars; when they are polynomials (invariants.Poly: a coeffs
+    tuple of exact scalars, built from a coefficient list) it is one dot
+    per power of x, over the classes where that coefficient is nonzero."""
     dim = scalar(chi.degree())
     if dim == 0:
         raise ValueError("a character of degree 0 has no numerical invariant")
-    total = 0
-    for label, size in chi.sizes.items():
-        total = total + measure(label) * (size * chi.values[label])
-    return total * inverse(dim)
+    weights = [size * chi.values[label] for label, size in chi.sizes.items()]
+    values = [measure(label) for label in chi.sizes]
+    if isinstance(values[0], (int, Fraction, Cyclo)):
+        return dot(values, weights) * inverse(dim)
+    by_power: dict = {}
+    for v, w in zip(values, weights):
+        for k, c in enumerate(v.coeffs):
+            if c != 0:
+                cs, ws = by_power.setdefault(k, ([], []))
+                cs.append(c)
+                ws.append(w)
+    total = [dot(*by_power[k]) if k in by_power else 0
+             for k in range(max(by_power, default=-1) + 1)]
+    return type(values[0])(total) * inverse(dim)

@@ -23,6 +23,11 @@ rational, and otherwise the Cyclo itself.  conj(), inverse(), integer()
 and scalar_json() act on all three types, so no other module needs to
 know which type a value has except to display it.  zeta(n, k) is memoised:
 one shared Cyclo per (n, k mod n), safe because a Cyclo is immutable.
+
+dot(xs, ys) is a sum of products of exact scalars in one pass: the terms
+of every product go into one dense list of ints at the lcm conductor N,
+over one common denominator, and Phi_N reduction and the gcd run once
+for the whole sum instead of once per product and per partial sum.
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
-__all__ = ["Cyclo", "zeta", "scalar", "conj", "inverse", "integer",
+__all__ = ["Cyclo", "zeta", "dot", "scalar", "conj", "inverse", "integer",
            "scalar_json"]
 
 
@@ -243,6 +249,10 @@ class Cyclo:
     def __mul__(self, other):
         if type(other) is int:
             return _make(self.n, [c * other for c in self.num], self.den)
+        if type(other) is Fraction:
+            top = other.numerator
+            return _make(self.n, [c * top for c in self.num],
+                         self.den * other.denominator)
         a, b = self._pair(other)
         an = a.num
         bn = [(j, y) for j, y in enumerate(b.num) if y]
@@ -418,6 +428,43 @@ def zeta(n: int, k: int = 1) -> Cyclo:
 @lru_cache(maxsize=None)
 def _zeta(n: int, k: int) -> Cyclo:
     return Cyclo.from_terms(n, {k: 1})
+
+
+def dot(xs, ys):
+    """sum(x * y for x, y in zip(xs, ys)) over two lists of exact scalars,
+    with the type and conductor the pairwise loop gives.
+
+    With no Cyclo among the operands it is sum(map(mul, xs, ys)), an int
+    or a Fraction.  Otherwise it is one pass: every product's terms go
+    into one dense list of ints at the lcm conductor n of the Cyclo
+    operands, over one common denominator, and that list is reduced mod
+    Phi_n and gcd-normalised once.  The result is a Cyclo at conductor n,
+    even when its value is rational."""
+    if Cyclo not in map(type, xs) and Cyclo not in map(type, ys):
+        return sum(map(mul, xs, ys))
+    n = math.lcm(*(v.n for v in (*xs, *ys) if type(v) is Cyclo))
+    pairs = [(_spread(x, n), _spread(y, n)) for x, y in zip(xs, ys)]
+    den = math.lcm(*(dx * dy for (_, dx), (_, dy) in pairs))
+    # each exponent is below n, so a sum of two is below 2n; _reduce
+    # folds zeta^n = 1
+    dense = [0] * (2 * n)
+    for (xt, dx), (yt, dy) in pairs:
+        f = den // (dx * dy)
+        for i, a in xt:
+            a *= f
+            for j, b in yt:
+                dense[i + j] += a * b
+    return _make(n, _reduce(n, dense), den)
+
+
+def _spread(v, n):
+    """The nonzero terms (exponent of zeta_n, numerator) of the exact
+    scalar v written at conductor n, and its denominator."""
+    if type(v) is Cyclo:
+        step = n // v.n
+        return [(k * step, c) for k, c in enumerate(v.num) if c], v.den
+    top = v.numerator
+    return ([(0, top)] if top else []), v.denominator
 
 
 def scalar(v):

@@ -15,7 +15,8 @@ recovered from the second orthogonality relation.  The values on a class
 of order o are lifted to Q(zeta_o) by discrete Fourier inversion over its
 own power-map row, with zeta_o = z^(e/o) for z of order e in F_l, and
 written at conductor e.  Both orthogonality relations are re-verified
-exactly in cyclotomic arithmetic before the table is returned.
+exactly in cyclotomic arithmetic before the table is returned, each row
+and each column sum as one cyclo.dot.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .cyclo import Cyclo, _prime_divisors, conj, is_prime, scalar
+from .cyclo import Cyclo, _prime_divisors, conj, dot, is_prime, scalar
 from .groups import FiniteGroupTable
 
 __all__ = ["dixon_character_table"]
@@ -274,21 +275,21 @@ def _verify_orthogonality(G: FiniteGroupTable, chars):
                              f"of {G.name}")
     if sum(int(c.values[0]) ** 2 for c in chars) != G.order:
         raise AssertionError(f"squared degrees do not sum to |{G.name}|")
-    # each character is conjugated once; row (i, j) sums
-    # |class| chi_i conj(chi_j) over the classes and must be |G| or 0
+    # each character is conjugated once; row (i, j) is one dot of chi_i
+    # by |class| conj(chi_j) over the classes and must be |G| or 0.  Row
+    # (j, i) is the complex conjugate of row (i, j), so j >= i suffice.
     sizes = G.class_sizes()
-    bars = [[conj(c.values[k]) for k in range(r)] for c in chars]
+    rows = [[c.values[k] for k in range(r)] for c in chars]
+    bars = [[conj(v) for v in row] for row in rows]
     weighted = [[sizes[k] * v for k, v in enumerate(bar)] for bar in bars]
-    for i, a in enumerate(chars):
-        values = [a.values[k] for k in range(r)]
-        for j, w in enumerate(weighted):
-            total = sum(v * x for v, x in zip(values, w))
-            if total != (G.order if i == j else 0):
+    for i, values in enumerate(rows):
+        for j in range(i, r):
+            if dot(values, weighted[j]) != (G.order if i == j else 0):
                 raise AssertionError(
                     f"orthogonality failure in {G.name} at ({i},{j})")
-    # column orthogonality: sum over chars of chi(g) conj(chi(h))
+    # column orthogonality: one dot of chi(g) by conj(chi(g)) over chars
     for k in range(r):
-        total = sum(c.values[k] * bar[k] for c, bar in zip(chars, bars))
+        total = dot([row[k] for row in rows], [bar[k] for bar in bars])
         expected = Fraction(G.order, sizes[k])
         if total != expected:
             raise AssertionError(f"column orthogonality failure at {k}")

@@ -14,7 +14,8 @@ identity under right multiplication by the group's greedy generators
 reach).  The walk takes each generator's right action R_s: x -> x s as a
 whole array from `_right_array`, which by default calls the
 multiplication callback once per element (a subclass may read it from a
-cheaper description of the product, as GL(n, q) does from its row maps),
+cheaper description of the product, as GL(n, q) does from its row maps
+and a wreath table from its base group's right actions),
 and records each element's tree step y = parent(y) s.  One pass down the
 tree then gives the left action L_g of any element (g y = (g parent(y))
 s); the right action of g composes the R_s along g's tree path, and a
@@ -25,6 +26,8 @@ orbits of these arrays, scanned in ascending order of least member; the
 whole group's greedy generators are the tree's own, and the double-coset
 walk also factors each member as h rep k.  `inv` reads an inverse from the
 element's powers, the one before the identity: no callback inverts.
+An induced character sums chi over the subgroup's elements in each class
+as one cyclo.dot, scaled by |C_G(g)|/|H|.
 
 `subgroup` keeps one table per index set and name on the group, on the
 ambient's elements in ascending index order and with its multiplication
@@ -37,7 +40,7 @@ import os
 from fractions import Fraction
 
 from .chars import ClassFunction, elementwise, numerical_invariant
-from .cyclo import scalar, zeta
+from .cyclo import dot, scalar, zeta
 
 __all__ = ["FiniteGroupTable", "check_group_order"]
 
@@ -307,16 +310,19 @@ class FiniteGroupTable:
         """Induce to the whole group from the subgroup H with the given
         index set; chi_on_elements maps each subgroup element index to its
         character value.  By class sums: Ind chi(g) = |C_G(g)|/|H| times the
-        sum of chi over the elements of H in the class of g."""
+        sum of chi over the elements of H in the class of g, one dot per
+        class."""
         sub = set(sub_indices)
-        sums: dict = {}
+        meets: dict = {}
         for h in sub:
-            label = self.class_of(h)
-            sums[label] = sums.get(label, 0) + chi_on_elements[h]
-        return self.class_function(
-            {label: scalar(sums.get(label, 0)
-                           * Fraction(self.order, len(members) * len(sub)))
-             for label, members in enumerate(self.classes())})
+            meets.setdefault(self.class_of(h), []).append(chi_on_elements[h])
+        classes = self.classes()
+        out = dict.fromkeys(range(len(classes)), 0)
+        for label, values in meets.items():
+            scale = scalar(Fraction(self.order,
+                                    len(classes[label]) * len(sub)))
+            out[label] = scalar(dot(values, [scale] * len(values)))
+        return self.class_function(out)
 
     def cyclic_characters(self):
         """Yield (g, chain, j, chi) for every cyclic subgroup, taken at its

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .chars import numerical_invariant
 from .combinat import add_node, addable_nodes, conjugate, partitions
-from .cyclo import Cyclo, scalar, zeta
+from .cyclo import Cyclo, dot, scalar, zeta
 from .symgroup import Perm, cycles_of
 
 __all__ = ["Poly", "X", "w_x_sym", "f_lambda",
@@ -251,17 +251,18 @@ def verify_psh_multiplicativity(k: int, n: int) -> dict:
 
 def lambda_invariant(H, element) -> Cyclo:
     """Product over the cycles of the permutation part of
-    zeta_p^(trace of the product of the matrix components on the cycle)."""
+    zeta_p^(trace of the product of the matrix components on the cycle):
+    zeta_p to the sum of those traces."""
     from .glfq import mat_identity, mat_mul, mat_trace
     sig, alphas = element
     f = H.field
-    out = Cyclo.rational(1)
+    exponent = 0
     for cyc in cycles_of(sig):
         prod = mat_identity(f, len(H.elements[0]))
         for pos in cyc:
             prod = mat_mul(f, prod, H.elements[alphas[pos - 1]])
-        out = out * zeta(f.p, f.trace(mat_trace(f, prod)))
-    return out
+        exponent += f.trace(mat_trace(f, prod))
+    return zeta(f.p, exponent)
 
 
 def mu_invariant_formula(H, w_elt, y_elt) -> Cyclo:
@@ -356,14 +357,18 @@ def induced_invariant_conjugate_route(H, J, G, chi_fn, dim) -> Poly:
     here breaks that and is what produces the recorded failure.  That
     measure depends on the conjugator and is not a class function, so
     this route stays a double sum over elements instead of
-    chars.numerical_invariant."""
-    total = Poly()
+    chars.numerical_invariant: one cyclo.dot of chi(W) by the twist per
+    power of x."""
+    by_cycles: dict = {}
     for w_elt in G.elements:
-        psi = Poly.monomial(len(cycles_of(w_elt[0])))
         value = chi_fn(w_elt)
+        values, twists = by_cycles.setdefault(len(cycles_of(w_elt[0])),
+                                              ([], []))
         for y_elt in J.elements:
-            total = total + psi.scale(
-                value * mu_invariant_formula(H, w_elt, y_elt))
+            values.append(value)
+            twists.append(mu_invariant_formula(H, w_elt, y_elt))
+    total = Poly([dot(*by_cycles[k]) if k in by_cycles else 0
+                  for k in range(max(by_cycles) + 1)])
     return total.scale(Fraction(1, J.order * int(dim)))
 
 

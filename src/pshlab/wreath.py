@@ -3,6 +3,9 @@
 Elements are pairs (sigma images, alpha indices); the product twists the
 second alpha string by the first permutation:
 (sigma, a) (sigma', a') = (sigma sigma', (a_i a'_{sigma(i)})_i).
+A WreathTable reads the right action of (sigma', a') from the base
+group's right actions of the a'_j, so building its Schreier tree forms
+no wreath product.
 """
 
 from __future__ import annotations
@@ -40,6 +43,17 @@ class WreathTable(FiniteGroupTable):
                          lambda a, b: wreath_mul(H, a, b), None,
                          wreath_identity(H, n))
         self.base = H
+
+    def _right_array(self, s: int) -> list[int]:
+        """The right action x -> x s as a list, read from the base group's
+        right actions: for s = (sigma', a'), coordinate i of x s is
+        H.right(a'_sigma(i))[a_i], so no product is formed."""
+        sig2, alphas2 = self.elements[s]
+        rights = [self.base.right(a) for a in alphas2]
+        index = self.index
+        return [index[(tuple([sig2[j - 1] for j in sig]),
+                       tuple([rights[j - 1][a] for j, a in zip(sig, alphas)]))]
+                for sig, alphas in self.elements]
 
 
 @lru_cache(maxsize=None)

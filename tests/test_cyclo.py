@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pshlab.cyclo import (Cyclo, _prime_divisors, conj, cyclotomic_poly,
+from pshlab.cyclo import (Cyclo, _prime_divisors, conj, cyclotomic_poly, dot,
                           integer, inverse, is_prime, scalar, scalar_json,
                           zeta)
 
@@ -429,3 +429,72 @@ def test_inverse_check_survives_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# -- dot against the pairwise loop it replaces --------------------------------
+
+DOT_CONDUCTORS = (1, 3, 4, 5, 8, 12, 24)
+
+
+def pairwise_dot(xs, ys):
+    """sum of x * y, one Cyclo product and one sum at a time."""
+    total = 0
+    for x, y in zip(xs, ys):
+        total = total + x * y
+    return total
+
+
+def same_scalar(a, b):
+    """Equal value, type and, for a Cyclo, conductor and stored form."""
+    if type(a) is not type(b) or a != b:
+        return False
+    return not isinstance(a, Cyclo) or (a.n, a.num, a.den) == (b.n, b.num,
+                                                             b.den)
+
+
+def random_scalar(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.randint(-4, 4)
+    if kind == 1:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+    if kind == 2:
+        return rng.choice((0, Fraction(0), Cyclo(rng.choice(DOT_CONDUCTORS),
+                                                 [0])))
+    n = rng.choice(DOT_CONDUCTORS)
+    return Cyclo(n, [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                     for _ in range(rng.randint(1, n))])
+
+
+def test_dot_matches_the_pairwise_loop():
+    rng = random.Random(30)
+    seen = set()
+    for _ in range(600):
+        k = rng.randint(0, 6)
+        xs = [random_scalar(rng) for _ in range(k)]
+        ys = [random_scalar(rng) for _ in range(k)]
+        got, want = dot(xs, ys), pairwise_dot(xs, ys)
+        assert same_scalar(got, want), (xs, ys, got, want)
+        seen.add(getattr(got, "n", type(got).__name__))
+    # every conductor and both rational types were reached
+    assert set(DOT_CONDUCTORS) | {"int", "Fraction"} <= seen
+
+
+def test_dot_result_types():
+    assert dot([], []) == 0 and type(dot([], [])) is int
+    assert type(dot([1, 2, -3], [4, 5, 6])) is int
+    assert type(dot([Fraction(1, 2)], [2])) is Fraction
+    # a rational value with a Cyclo operand stays a Cyclo at the lcm
+    r = dot([zeta(4), zeta(3)], [zeta(4), 0])
+    assert r == -1 and isinstance(r, Cyclo) and r.n == 12
+
+
+def test_cyclo_times_fraction_equals_the_lifted_route():
+    rng = random.Random(31)
+    for n in DOT_CONDUCTORS + (7, 120):
+        x = Cyclo(n, [Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+                      for _ in range(n)])
+        for f in (Fraction(3, 4), Fraction(-6, 5), Fraction(0), Fraction(2)):
+            lifted = x * Cyclo.rational(f).lift(n)
+            for got in (x * f, f * x):
+                assert same_scalar(got, lifted), (n, f)

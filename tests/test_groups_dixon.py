@@ -11,7 +11,7 @@ from pshlab.combinat import partitions
 from pshlab import dixon
 from pshlab.cyclo import Cyclo, scalar, zeta
 from pshlab.dixon import (_charpoly, _power, _power_map, _roots, _rref,
-                          dixon_character_table)
+                          _verify_orthogonality, dixon_character_table)
 from pshlab import glfq
 from pshlab.glfq import (_nonsplit_torus, _torus_dlog, gl_group,
                          verify_bruhat_bijection, weil_theta_exponents)
@@ -810,3 +810,17 @@ def test_gl_class_numbers_match_the_generating_function():
     for n, q in GL_TABLES:
         assert len(gl_group(n, q).classes()) == gl_class_number(n, q), (n, q)
     assert gl_class_number(3, 2) == 6 and gl_class_number(3, 3) == 24
+
+
+def test_orthogonality_catches_a_wrong_cyclotomic_value_in_any_row():
+    # the row check sums row (i, j) only for j >= i; a wrong value in the
+    # first or the last character still fails it
+    G = gl_group(2, 3)
+    chars = G.character_table()
+    _verify_orthogonality(G, chars)
+    for k in (0, len(chars) - 1):
+        values = dict(chars[k].values)
+        values[2] = values[2] + zeta(3)
+        wrong = chars[:k] + [G.class_function(values)] + chars[k + 1:]
+        with pytest.raises(AssertionError, match="orthogonality failure"):
+            _verify_orthogonality(G, wrong)

@@ -1,11 +1,14 @@
 """The one class sum chars.numerical_invariant against the element-by-element
 sums it replaced, copied here as oracles: the Kondo-Gauss sum, the Gauss
-sum of a unit character, w_x over Sigma_n and the wreath invariant."""
+sum of a unit character, w_x over Sigma_n and the wreath invariant.  The
+pairwise class sum it was before it became one cyclo.dot is kept as an
+oracle too, with a planted defect in dot that the comparison catches."""
 
 import itertools
 
 import pytest
 
+from pshlab import cyclo
 from pshlab.chars import elementwise, numerical_invariant
 from pshlab.combinat import partitions
 from pshlab.cyclo import Cyclo, inverse, scalar, zeta
@@ -132,3 +135,89 @@ def test_degree_zero_raises_value_error():
         numerical_invariant(virtual, G.class_measure(kondo_measure(G)))
     with pytest.raises(ValueError):
         w_x_sym(specht_character((2,)) - specht_character((1, 1)))
+
+
+# -- the pairwise class sum --------------------------------------------------
+
+def pairwise_numerical_invariant(chi, measure):
+    """numerical_invariant as one term and one running total at a time,
+    each Cyclo operand lifted to the lcm conductor of the pair."""
+    dim = scalar(chi.degree())
+    if dim == 0:
+        raise ValueError("a character of degree 0 has no numerical invariant")
+    total = 0
+    for label, size in chi.sizes.items():
+        total = total + measure(label) * (size * chi.values[label])
+    return total * inverse(dim)
+
+
+def same_value(a, b):
+    """Equal values of the same type; a Cyclo also at the same conductor.
+    A Poly's coefficients are compared in the same way."""
+    if isinstance(a, Poly):
+        return (isinstance(b, Poly) and len(a.coeffs) == len(b.coeffs)
+                and all(map(same_value, a.coeffs, b.coeffs)))
+    if type(a) is not type(b) or a != b:
+        return False
+    return not isinstance(a, Cyclo) or a.n == b.n
+
+
+def wreath_measure(H, G):
+    """wreath_invariant's measure on the class labels of G."""
+    return G.class_measure(lambda i: Poly.monomial(
+        len(cycles_of(G.elements[i][0]))).scale(
+            lambda_invariant(H, G.elements[i])))
+
+
+def class_sum_cases():
+    """(chi, measure) pairs: the Kondo measure on every irreducible and
+    every cyclic chain character of GL(2,2) and GL(2,3), every unit
+    character of F_q for q <= 9 with the Gauss measure, and every
+    irreducible of Sigma_n wr GL(1,q) for n <= 3 and q in {3, 5} with the
+    wreath measure."""
+    for q in (2, 3):
+        G = gl_group(2, q)
+        psi = kondo_measure(G)
+        for chi in G.character_table():
+            yield chi, G.class_measure(psi)
+        for _, _, _, chi in G.cyclic_characters():
+            yield elementwise(G.name, chi, G.identity_idx), psi
+    for p, d in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)):
+        f = build_field(p, d)
+        for j in range(f.q - 1):
+            yield unit_character(f, j), lambda x, f=f: zeta(f.p, f.trace(x))
+    for q in (3, 5):
+        H = gl_group(1, q)
+        for n in (1, 2, 3):
+            J = wreath_group(H, n)
+            for chi in J.character_table():
+                yield chi, wreath_measure(H, J)
+
+
+def class_sum_mismatches():
+    cases, bad = 0, []
+    for chi, measure in class_sum_cases():
+        cases += 1
+        got = numerical_invariant(chi, measure)
+        if not same_value(got, pairwise_numerical_invariant(chi, measure)):
+            bad.append((chi.group_id, got))
+    return cases, bad
+
+
+def test_class_sum_matches_the_pairwise_loop():
+    cases, bad = class_sum_mismatches()
+    assert cases > 150 and bad == []
+
+
+def test_a_misplaced_lift_step_fails_the_pairwise_comparison(monkeypatch):
+    spread = cyclo._spread
+
+    def planted(v, n):
+        terms, den = spread(v, n)
+        if isinstance(v, Cyclo) and v.n < n:
+            step = n // v.n
+            terms = [(e // step * (step + 1) % n, c) for e, c in terms]
+        return terms, den
+
+    monkeypatch.setattr(cyclo, "_spread", planted)
+    assert class_sum_mismatches()[1]

@@ -3,6 +3,8 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pshlab import wreath
+from pshlab.glfq import gl_group
 from pshlab.groups import FiniteGroupTable
 from pshlab.psh import _base_group
 from pshlab.symgroup import Perm
@@ -97,3 +99,29 @@ def test_wreath_cache_tells_equally_named_groups_apart():
     c3 = FiniteGroupTable("H", [0, 1, 2], lambda a, b: (a + b) % 3, None, 0)
     assert wreath_group(c2, 2).order == 8
     assert wreath_group(c3, 2).order == 18
+
+
+def test_right_arrays_from_the_base_group_match_the_callback():
+    for H, n in ((c2(), 4), (gl_group(1, 5), 2), (gl_group(1, 3), 3),
+                 (gl_group(1, 5), 3)):
+        G = wreath_group(H, n)
+        gens = G.small_generators(range(G.order))
+        for s in sorted(set(gens) | set(range(0, G.order, 11))):
+            # the default reads x s from the multiplication callback
+            assert G._right_array(s) == FiniteGroupTable._right_array(G, s)
+
+
+def test_a_wreath_character_table_forms_no_wreath_product(monkeypatch):
+    calls = []
+
+    def counted(H, x, y):
+        calls.append((x, y))
+        return wreath_mul(H, x, y)
+
+    monkeypatch.setattr(wreath, "wreath_mul", counted)
+    G = wreath_group.__wrapped__(c2(), 4)
+    assert len(G.character_table()) == 20
+    assert calls == []
+    # the patched product is the one the table's callback reaches
+    G.subgroup(range(G.order), "all")._right_array(G.identity_idx)
+    assert len(calls) == G.order
