@@ -343,7 +343,6 @@ def cmd_verify(args) -> int:
 def _kondo_value(group: str, subgroup, char_index: int):
     from .chars import elementwise, numerical_invariant
     from .glfq import gl_group, kondo_measure
-    from .hyperhecke import subgroup_characters
     m = re.fullmatch(r"GL\((\d+),(\d+)\)", group)
     if not m:
         raise ValueError(f"unparseable group spec: {group}")
@@ -351,9 +350,8 @@ def _kondo_value(group: str, subgroup, char_index: int):
     if subgroup and subgroup not in G.subgroups:
         raise ValueError(f"{group} has no subgroup {subgroup!r}; choose from "
                          + ", ".join(sorted(G.subgroups)))
-    indices = (sorted(G.subgroups[subgroup]) if subgroup
-               else list(range(G.order)))
-    table = subgroup_characters(G, indices)
+    table = list(G.subgroup(G.subgroups[subgroup] if subgroup
+                            else range(G.order)).characters)
     triv = next(i for i, chi in enumerate(table)
                 if all(v == 1 for v in chi.values()))
     table.insert(0, table.pop(triv))

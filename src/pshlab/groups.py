@@ -14,13 +14,14 @@ identity under right multiplication by the group's greedy generators
 reach).  The walk takes each generator's right action R_s: x -> x s as a
 whole array from `_right_array`, which by default calls the
 multiplication callback once per element (a subclass may read it from a
-cheaper description of the product, as GL(n, q) does from its row maps
-and a wreath table from its base group's right actions),
-and records each element's tree step y = parent(y) s.  One pass down the
-tree then gives the left action L_g of any element (g y = (g parent(y))
-s); the right action of g composes the R_s along g's tree path, and a
-product x y moves y along x's path by the generators' L_s (x y =
-parent(x) (s y)), so no product is formed once the tree is built.
+cheaper description of the product, as GL(n, q) does from its row maps,
+a wreath table from its base group's right actions and a Subgroup from
+its ambient's), and records each element's tree step y = parent(y) s.
+One pass down the tree then gives the left action L_g of any element
+(g y = (g parent(y)) s); the right action of g composes the R_s along g's
+tree path, and a product x y moves y along x's path by the generators'
+L_s (x y = parent(x) (s y)), so no product is formed once the tree is
+built.
 Closures, greedy generators, conjugacy classes and double cosets are
 orbits of these arrays, scanned in ascending order of least member; the
 whole group's greedy generators are the tree's own, and the double-coset
@@ -29,20 +30,20 @@ element's powers, the one before the identity: no callback inverts.
 An induced character sums chi over the subgroup's elements in each class
 as one cyclo.dot, scaled by |C_G(g)|/|H|.
 
-`subgroup` keeps one table per index set and name on the group, on the
-ambient's elements in ascending index order and with its multiplication
-callback, so a subgroup table is never built by hand.
+`subgroup` keeps one Subgroup table per index set on the group, and
+`double_coset_table` one table per pair of Subgroup objects.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import cached_property
 
 from .chars import ClassFunction, elementwise, numerical_invariant
 from .cyclo import dot, scalar, zeta
 
-__all__ = ["FiniteGroupTable", "check_group_order"]
+__all__ = ["FiniteGroupTable", "Subgroup", "check_group_order"]
 
 
 def check_group_order(name: str, order: int) -> None:
@@ -247,15 +248,13 @@ class FiniteGroupTable:
             raise ValueError("index set is not closed under multiplication")
         return gens
 
-    def subgroup(self, indices, name: str) -> FiniteGroupTable:
-        """The subgroup's table on the sorted indices, with this group's
-        callback and identity; one per index set and name, kept here."""
-        key = (tuple(sorted(indices)), name)
+    def subgroup(self, indices) -> Subgroup:
+        """The Subgroup on the given element indices: one object per index
+        set, kept here."""
+        key = frozenset(indices)
         sub = self._subgroup_tables.get(key)
         if sub is None:
-            sub = self._subgroup_tables[key] = FiniteGroupTable(
-                name, [self.elements[i] for i in key[0]], self._mul_fn,
-                None, self.elements[self.identity_idx])
+            sub = self._subgroup_tables[key] = Subgroup(self, key)
         return sub
 
     # -- conjugacy ------------------------------------------------------
@@ -360,8 +359,8 @@ class FiniteGroupTable:
         return cases, failures
 
     def _coset_moves(self, left_indices, right_indices):
-        """The left actions of the greedy generators of left, and the
-        right actions of those of right."""
+        """The left actions of the greedy generators of the left index
+        set, and the right actions of those of the right."""
         return ([self.left(h) for h in self.small_generators(left_indices)],
                 [self.right(k) for k in self.small_generators(right_indices)])
 
@@ -373,17 +372,16 @@ class FiniteGroupTable:
         return [(rep, frozenset(orbit))
                 for rep, orbit in self._orbits(lefts + rights)[0]]
 
-    def double_coset_table(self, left_indices, right_indices):
+    def double_coset_table(self, left: Subgroup, right: Subgroup):
         """Lists (rep, h, k) with y = h[y] rep[y] k[y] for every element
         index y: rep[y] is the least element of the left-y-right double
-        coset, h[y] lies in left and k[y] in right.  The double_cosets
-        walk fills them from each member's step, with no product: reached
-        from x by the left action of s, h = s h[x]; by the right action of
-        s, k = k[x] s.  Built once per pair and kept on the group."""
-        key = (tuple(left_indices), tuple(right_indices))
-        table = self._coset_tables.get(key)
+        coset of the two Subgroups, h[y] lies in left and k[y] in right.
+        The double_cosets walk fills them from each member's step, with no
+        product: reached from x by the left action of s, h = s h[x]; by
+        the right action of s, k = k[x] s.  Kept per pair of objects."""
+        table = self._coset_tables.get((left, right))
         if table is None:
-            lefts, rights = self._coset_moves(*key)
+            lefts, rights = self._coset_moves(left.indices, right.indices)
             moves = lefts + rights
             orbits, parent = self._orbits(moves)
             rep, h = [0] * self.order, [self.identity_idx] * self.order
@@ -395,7 +393,7 @@ class FiniteGroupTable:
                     m = [move[x] for move in moves].index(y)
                     h[y], k[y] = ((moves[m][h[x]], k[x]) if m < len(lefts)
                                   else (h[x], moves[m][k[x]]))
-            table = self._coset_tables[key] = (rep, h, k)
+            table = self._coset_tables[left, right] = (rep, h, k)
         return table
 
     def character_table(self):
@@ -407,3 +405,31 @@ class FiniteGroupTable:
 
     def __repr__(self):
         return f"FiniteGroupTable({self.name}, order {self.order})"
+
+
+class Subgroup(FiniteGroupTable):
+    """The subgroup of amb on the ascending element indices `indices`, a
+    table on amb's elements in that order.  Its right actions are amb's,
+    restricted, so building its tree forms no product."""
+
+    def __init__(self, amb: FiniteGroupTable, indices):
+        if amb.identity_idx not in indices:
+            raise ValueError("the index set misses the identity")
+        self.amb, self.indices = amb, tuple(sorted(indices))
+        super().__init__(f"{amb.name}|sub{len(self.indices)}",
+                         [amb.elements[i] for i in self.indices], None, None,
+                         amb.elements[amb.identity_idx])
+
+    def _right_array(self, s: int) -> list[int]:
+        """x -> x s on the subgroup, read from amb's right action of s."""
+        move, els = self.amb._right_move(self.indices[s]), self.amb.elements
+        return [self.index[els[move(x)]] for x in self.indices]
+
+    @cached_property
+    def characters(self) -> list[dict]:
+        """The irreducible characters as maps from amb's element indices
+        to values, in table order; the whole group reads amb's table."""
+        table = self.amb if self.order == self.amb.order else self
+        return [{x: chi.values[table.class_of(i)]
+                 for i, x in enumerate(self.indices)}
+                for chi in table.character_table()]

@@ -7,11 +7,13 @@ by matching the middle pair, and normalize by moving g to the least
 element g0 of its H-g-K double coset while the scalar absorbs character
 values.  Both read the group's double-coset tables, which factor every
 element as g = h g0 k: normal forms the (H, K) table, and the twist of a
-module vector the ({1}, K) table.  The module also provides the block
-product into a larger general linear group, the parabolic-restriction
-coproduct, and an exploratory check of their compatibility.  The pair of
-two triples and each coproduct component are triples of GL_{a+b} itself,
-on its block-diagonal Levi subgroup GL_a x GL_b.
+module vector the ({1}, K) table.  A SubgroupChar holds the group's one
+Subgroup object on its index set, so those tables, its hash and its
+equality go by the object.  The module also provides the block product
+into a larger general linear group, the parabolic-restriction coproduct,
+and an exploratory check of their compatibility.  The pair of two triples
+and each coproduct component are triples of GL_{a+b} itself, on its
+block-diagonal Levi subgroup GL_a x GL_b.
 
 HeckeElement holds sums; a basis product is a pair.  The product of two
 triples is zero or one scalar times one normalized triple, so
@@ -36,8 +38,7 @@ __all__ = ["SubgroupChar", "HeckeTriple", "HeckeElement", "TripleError",
            "ContainmentError", "CharacterMismatchError", "normalize",
            "hecke_product", "apply_triple",
            "module_basis", "graded_product", "pair_triple",
-           "coproduct", "coproduct_well_defined", "subgroup_characters",
-           "linear_characters", "enumerate_subgroup_chars",
+           "coproduct", "coproduct_well_defined", "enumerate_subgroup_chars",
            "enumerate_triples", "verify_normal_form", "verify_associativity",
            "verify_apply_faithful", "verify_hopflike"]
 
@@ -54,35 +55,16 @@ class CharacterMismatchError(TripleError):
     pass
 
 
-def subgroup_characters(G: FiniteGroupTable, indices):
-    """Every irreducible character of the subgroup, in the order of its
-    character table, as a map from ambient element index to value; the
-    whole group reads G's own table."""
-    indices = sorted(indices)
-    sub = (G if indices == list(range(G.order))
-           else G.subgroup(indices, f"{G.name}|sub{len(indices)}"))
-    return [{indices[i]: chi.values[sub.class_of(i)]
-             for i in range(sub.order)} for chi in sub.character_table()]
-
-
-def linear_characters(G: FiniteGroupTable, indices):
-    """Degree-one characters of the subgroup, as maps from ambient
-    element index to value."""
-    return [chi for chi in subgroup_characters(G, indices)
-            if chi[G.identity_idx] == 1]
-
-
 class SubgroupChar:
-    """A subgroup of the ambient group together with a linear character,
-    the character stored as value per ambient element index (exactly
-    the subgroup's indices are keys)."""
+    """The ambient group's Subgroup object on the given indices together
+    with a linear character, the character stored as value per ambient
+    element index (exactly the subgroup's indices are keys)."""
 
-    __slots__ = ("amb", "indices", "chi")
+    __slots__ = ("sub", "chi")
 
     def __init__(self, amb: FiniteGroupTable, indices, chi: dict,
                  check: bool = True):
-        _set_amb(self, amb)
-        _set_indices(self, tuple(sorted(indices)))
+        _set_sub(self, amb.subgroup(indices))
         _set_chi(self, {i: scalar(chi[i]) for i in self.indices})
         if check:
             self.validate()
@@ -90,19 +72,24 @@ class SubgroupChar:
     def __setattr__(self, *a):
         raise AttributeError("SubgroupChar is immutable")
 
+    @property
+    def amb(self):
+        return self.sub.amb
+
+    @property
+    def indices(self):
+        return self.sub.indices
+
     def validate(self):
-        amb = self.amb
-        members = set(self.indices)
-        if amb.identity_idx not in members:
-            raise TripleError("subgroup misses the identity")
-        if self.chi[amb.identity_idx] != 1:
+        amb, chi = self.amb, self.chi
+        if chi[amb.identity_idx] != 1:
             raise TripleError("character must be 1 at the identity")
         for x in self.indices:
             for y in self.indices:
                 z = amb.mul(x, y)
-                if z not in members:
+                if z not in chi:
                     raise TripleError("index set not closed")
-                if self.chi[z] != self.chi[x] * self.chi[y]:
+                if chi[z] != chi[x] * chi[y]:
                     raise TripleError("character is not a homomorphism")
 
     def _key(self):
@@ -112,15 +99,12 @@ class SubgroupChar:
                 tuple(str(self.chi[i]) for i in self.indices))
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        return (isinstance(other, SubgroupChar)
-                and self.amb is other.amb
-                and self.indices == other.indices
-                and all(self.chi[i] == other.chi[i] for i in self.indices))
+        return self is other or (isinstance(other, SubgroupChar)
+                                 and self.sub is other.sub
+                                 and self.chi == other.chi)
 
     def __hash__(self):
-        return hash((self.amb, self.indices))
+        return hash(self.sub)
 
     def __repr__(self):
         return f"SubgroupChar({self.amb.name}, |H|={len(self.indices)})"
@@ -149,7 +133,7 @@ class HeckeTriple:
 
     @property
     def amb(self):
-        return self.source.amb
+        return self.source.sub.amb
 
     def _key(self):
         return (self.source._key(), self.g, self.target._key())
@@ -173,8 +157,7 @@ class HeckeTriple:
                 "coeff": scalar_json(coeff)}
 
 
-_set_amb = SubgroupChar.amb.__set__
-_set_indices = SubgroupChar.indices.__set__
+_set_sub = SubgroupChar.sub.__set__
 _set_chi = SubgroupChar.chi.__set__
 _set_source = HeckeTriple.source.__set__
 _set_g = HeckeTriple.g.__set__
@@ -225,12 +208,13 @@ def normalize(coeff, t: HeckeTriple):
     with g = h g0 k read from the group's double-coset table, the
     coefficient picks up phi(h)^-1 psi(k)^-1 from the rewriting
     relations.  Idempotent, and constant on the rewrite orbit of the triple."""
-    rep, h, k = t.amb.double_coset_table(t.target.indices, t.source.indices)
+    source, target = t.source, t.target
+    rep, h, k = source.sub.amb.double_coset_table(target.sub, source.sub)
     g0 = rep[t.g]
     if g0 == t.g:
         return coeff, t
-    factor = inverse(t.target.chi[h[t.g]]) * inverse(t.source.chi[k[t.g]])
-    return coeff * factor, HeckeTriple(t.source, g0, t.target, check=False)
+    factor = inverse(target.chi[h[t.g]]) * inverse(source.chi[k[t.g]])
+    return coeff * factor, HeckeTriple(source, g0, target, check=False)
 
 
 class HeckeElement:
@@ -284,17 +268,17 @@ def hecke_product(t1: HeckeTriple, t2: HeckeTriple):
 
 # -- induced modules ---------------------------------------------------------
 
-def _left_cosets(sc: SubgroupChar):
-    """The double-coset table of {1} and K: the least element rep[g] of
-    each left coset gK, and k[g] in K with g = rep[g] k[g]."""
-    amb = sc.amb
-    return amb.double_coset_table((amb.identity_idx,), sc.indices)
+def _left_cosets(K):
+    """The double-coset table of {1} and the Subgroup K: the least element
+    rep[g] of each left coset gK, and k[g] in K with g = rep[g] k[g]."""
+    amb = K.amb
+    return amb.double_coset_table(amb.subgroup([amb.identity_idx]), K)
 
 
 def module_basis(sc: SubgroupChar):
     """Canonical (least-element) representatives of the left cosets of
     the subgroup."""
-    return sorted(set(_left_cosets(sc)[0]))
+    return sorted(set(_left_cosets(sc.sub)[0]))
 
 
 def apply_triple(t: HeckeTriple, vec: dict) -> dict:
@@ -321,13 +305,13 @@ def _columns(t: HeckeTriple) -> dict:
     image g' = least h, with least the least element of g' H and h in H,
     so g' (x) v = least (x) phi(h) v for phi the target's character."""
     amb = t.amb
-    least_meet = amb.double_coset_table((amb.identity_idx,),
-                                        _meet(t.source, t.g, t.target))[0]
+    least_meet = _left_cosets(amb.subgroup(_meet(t.source, t.g,
+                                                 t.target)))[0]
     coset_reps = sorted({least_meet[x] for x in t.source.indices})
     ginv = amb.inv(t.g)
     pairs = [(amb.right(amb.mul(x, ginv)), inverse(t.source.chi[x]))
              for x in coset_reps]
-    least, _, h_of = _left_cosets(t.target)
+    least, _, h_of = _left_cosets(t.target.sub)
     chi = t.target.chi
     columns = {}
     for rep in module_basis(t.source):
@@ -434,13 +418,10 @@ def coproduct(t: HeckeTriple, a: int) -> HeckeElement:
     extreme components a = 0 and a = n always contribute."""
     G = t.amb
     n = len(G.elements[0])
-    p_indices = _blocks(G, n, a)[0]
-    terms = []
-    for z, _ in G.double_cosets(p_indices, list(t.source.indices)):
-        comp = _coproduct_component(t, a, z)
-        if comp is not None:
-            terms.append((comp, 1))
-    elem = HeckeElement(terms)
+    reps = G.double_coset_table(G.subgroup(_blocks(G, n, a)[0]),
+                                t.source.sub)[0]
+    comps = [_coproduct_component(t, a, z) for z in sorted(set(reps))]
+    elem = HeckeElement([(comp, 1) for comp in comps if comp is not None])
     if a in (0, n) and elem.is_zero():
         raise AssertionError("extreme component vanished")
     return elem
@@ -456,7 +437,7 @@ def coproduct_well_defined(t: HeckeTriple, a: int) -> dict:
     p_indices, _, project = _blocks(G, n, a)
     cases = 0
     failures = []
-    u_of = G.double_coset_table(p_indices, t.source.indices)[1]
+    u_of = G.double_coset_table(G.subgroup(p_indices), t.source.sub)[1]
     for z, members in G.double_cosets(p_indices, t.source.indices):
         base = _coproduct_component(t, a, z)
         for z2 in sorted(members):
@@ -492,17 +473,13 @@ def enumerate_subgroup_chars(G: FiniteGroupTable):
     subgroups (plus the whole group) that contain the center and restrict
     trivially to it."""
     center = G.subgroups.get("Z", frozenset({G.identity_idx}))
-    candidates = {frozenset(range(G.order))}
-    for indices in G.subgroups.values():
-        candidates.add(frozenset(indices))
-    out = []
-    for indices in sorted(candidates, key=lambda s: (len(s), sorted(s))):
-        if not center <= indices:
-            continue
-        for chi in linear_characters(G, indices):
-            if all(chi[z] == 1 for z in center):
-                out.append(SubgroupChar(G, indices, chi, check=False))
-    return out
+    candidates = sorted({frozenset(range(G.order)), *G.subgroups.values()},
+                        key=lambda s: (len(s), sorted(s)))
+    # the center holds the identity, so the characters kept are linear
+    return [SubgroupChar(G, indices, chi, check=False)
+            for indices in candidates if center <= indices
+            for chi in G.subgroup(indices).characters
+            if all(chi[z] == 1 for z in center)]
 
 
 def enumerate_triples(G: FiniteGroupTable):
@@ -511,7 +488,7 @@ def enumerate_triples(G: FiniteGroupTable):
     out = []
     for target in chars:
         for source in chars:
-            reps = G.double_coset_table(target.indices, source.indices)[0]
+            reps = G.double_coset_table(target.sub, source.sub)[0]
             for g in sorted(set(reps)):
                 try:
                     out.append(HeckeTriple(source, g, target))
@@ -542,14 +519,14 @@ def verify_normal_form(G: FiniteGroupTable, sample=None) -> dict:
         if (s1, t1) != (s0, t0):
             failures.append({"triple": repr(t), "kind": "idempotence"})
         ks = t.source.indices
-        if ks not in rights:
-            rights[ks] = [G.right(k) for k in ks]
+        if t.source.sub not in rights:
+            rights[t.source.sub] = [G.right(k) for k in ks]
         psi_inv = [inverse(t.source.chi[k]) for k in ks]
         for h in t.target.indices:
             hg = G.mul(h, t.g)
             # [h g k] = phi(h^-1) psi(k^-1) [g]
             scaled = inverse(t.target.chi[h]) * s0
-            for k, move, psi_k in zip(ks, rights[ks], psi_inv):
+            for k, move, psi_k in zip(ks, rights[t.source.sub], psi_inv):
                 s2, t2 = normalize(1, HeckeTriple(t.source, move[hg],
                                                   t.target, check=False))
                 cases += 1

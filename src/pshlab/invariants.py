@@ -340,8 +340,7 @@ def _counterexample_groups(q: int = 3):
     if H.order == 1:
         raise ValueError(f"GL(1,{q}) is trivial: no character can differ")
     G = J.subgroup([i for i, (sig, al) in enumerate(J.elements)
-                    if sig[2] == 3 and al[2] == H.identity_idx],
-                   f"CounterexampleG(q={q})")
+                    if sig[2] == 3 and al[2] == H.identity_idx])
     return H, J, G
 
 
@@ -432,9 +431,9 @@ def wreath_counterexample_report(q: int = 3) -> dict:
         match1 = w_g.scale(dim) == expr1
 
         # induced character up the full wreath product; plain definition
-        sub = [J.index[x] for x in G.elements]
         on_sub = {J.index[x]: chi_g(x) for x in G.elements}
-        w_j_def = wreath_invariant(H, J, J.induced_character(sub, on_sub))
+        w_j_def = wreath_invariant(H, J, J.induced_character(G.indices,
+                                                             on_sub))
 
         # conjugated-cycle double-sum route
         w_j_conj = induced_invariant_conjugate_route(H, J, G, chi_g, dim)

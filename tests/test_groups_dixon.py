@@ -16,8 +16,9 @@ from pshlab import glfq
 from pshlab.glfq import (_nonsplit_torus, _torus_dlog, gl_group,
                          verify_bruhat_bijection, weil_theta_exponents)
 from pshlab.groups import FiniteGroupTable
-from pshlab.hyperhecke import (subgroup_characters, verify_apply_faithful,
-                               verify_associativity, verify_normal_form)
+from pshlab.hyperhecke import (SubgroupChar, TripleError,
+                               verify_apply_faithful, verify_associativity,
+                               verify_normal_form)
 from pshlab.invariants import _counterexample_groups
 from pshlab.psh import _base_group
 from pshlab.specht import specht_character
@@ -134,15 +135,17 @@ def test_double_coset_table():
     G = sym_table(4)
     H = tuple(sorted(G.closure([G.index[Perm.from_cycles(4, [(1, 2, 3)])]])))
     K = tuple(sorted(G.closure([G.index[Perm.from_cycles(4, [(1, 2)])]])))
-    table = G.double_coset_table(H, K)
+    table = G.double_coset_table(G.subgroup(H), G.subgroup(K))
     rep, h, k = table
     for g in range(G.order):
         assert rep[g] == min(G.mul(G.mul(x, g), y) for x in H for y in K)
         assert h[g] in H and k[g] in K
         assert G.mul(G.mul(h[g], rep[g]), k[g]) == g
     # built once per pair; the trivial left group gives left cosets gK
-    assert G.double_coset_table(H, K) is table
-    left, h, k = G.double_coset_table((G.identity_idx,), K)
+    assert G.double_coset_table(G.subgroup(reversed(H)),
+                                G.subgroup(frozenset(K))) is table
+    left, h, k = G.double_coset_table(G.subgroup([G.identity_idx]),
+                                      G.subgroup(K))
     for g in range(G.order):
         assert left[g] == min(G.mul(g, y) for y in K)
         assert h[g] == G.identity_idx and G.mul(left[g], k[g]) == g
@@ -155,7 +158,7 @@ def test_double_coset_factorizations_match_the_callback():
         subgroups += G.subgroups.values()
         for H, K in itertools.product(subgroups, repeat=2):
             H, K = tuple(sorted(H)), tuple(sorted(K))
-            rep, h, k = G.double_coset_table(H, K)
+            rep, h, k = G.double_coset_table(G.subgroup(H), G.subgroup(K))
             for least, members in G.double_cosets(H, K):
                 assert least == min(members)
                 for y in members:
@@ -203,7 +206,7 @@ def subgroup_mismatches(G, indices, sub):
 def test_subgroup_table_agrees_with_its_ambient():
     G = gl_group(2, 3)
     B = G.subgroups["B"]
-    assert subgroup_mismatches(G, B, G.subgroup(B, "B")) == []
+    assert subgroup_mismatches(G, B, G.subgroup(B)) == []
     H = gl_group(1, 3)
     J = wreath_group(H, 3)
     sub = [i for i, (sig, al) in enumerate(J.elements)
@@ -219,17 +222,24 @@ def test_subgroup_table_agrees_with_its_ambient():
     assert {m[0] for m in subgroup_mismatches(G, B, opposite)} == {"mul"}
 
 
-def test_subgroup_table_is_built_once_per_index_set_and_name():
-    G = gl_group(2, 3)
-    G = FiniteGroupTable(G.name, G.elements, G._mul_fn, None,
-                         G.elements[G.identity_idx])
-    B = sorted(gl_group(2, 3).subgroups["B"])
-    sub = G.subgroup(B, "B")
-    assert G.subgroup(reversed(B), "B") is sub
-    assert G.subgroup(frozenset(B), "B") is sub
-    # the key is the index set with the name, never the name alone
-    assert G.subgroup(B, "Borel") is not sub
-    assert G.subgroup([G.identity_idx], "B").order == 1
+def test_subgroup_object_is_built_once_per_index_set():
+    G = fresh_table(gl_group(2, 3))
+    B = sorted(G.subgroups["B"])
+    sub = G.subgroup(B)
+    assert G.subgroup(reversed(B)) is sub
+    assert G.subgroup(frozenset(B)) is sub
+    assert sub.amb is G and sub.indices == tuple(B)
+    assert G.subgroup([G.identity_idx]).order == 1
+    # every SubgroupChar on the index set holds the one object
+    chars = [SubgroupChar(G, reversed(B), chi) for chi in sub.characters
+             if chi[G.identity_idx] == 1]
+    assert len(chars) > 1 and all(sc.sub is sub for sc in chars)
+    # a set that holds the identity but is not closed is still refused
+    x = next(x for x in range(G.order) if G.mul(x, x) != G.identity_idx)
+    with pytest.raises(TripleError, match="not closed"):
+        SubgroupChar(G, [G.identity_idx, x], {G.identity_idx: 1, x: 1})
+    with pytest.raises(ValueError, match="misses the identity"):
+        G.subgroup([x])
 
 
 def test_small_generators_rejects_a_set_that_is_not_a_subgroup():
@@ -441,7 +451,7 @@ def induced_by_definition(G, chi_on_elements):
 def test_induced_character_gl23_subgroups():
     G = gl_group(2, 3)
     for name in ("Z", "D", "B", "Sigma"):
-        for chi in subgroup_characters(G, G.subgroups[name]):
+        for chi in G.subgroup(G.subgroups[name]).characters:
             assert G.induced_character(chi.keys(), chi) \
                 == induced_by_definition(G, chi), name
 
@@ -459,7 +469,7 @@ def test_induced_character_weil_torus():
 def test_induced_character_wreath_base():
     G = wreath_group(gl_group(1, 3), 2)
     base = [i for i, (sig, _) in enumerate(G.elements) if sig == (1, 2)]
-    for chi in subgroup_characters(G, base):
+    for chi in G.subgroup(base).characters:
         assert G.induced_character(chi.keys(), chi) \
             == induced_by_definition(G, chi)
 
@@ -654,9 +664,9 @@ def test_orbit_algorithms_match_callback_orbits():
 
 
 def test_no_callback_products_after_the_tree_is_built(monkeypatch):
-    # every call of the multiplication callback over a Bruhat check and
-    # one hecke sweep comes from some table building its Schreier tree:
-    # the fresh subgroup tables of the sweep, never the two groups
+    # a Bruhat check and one hecke sweep make no call of the
+    # multiplication callback once the two groups' trees are built: the
+    # sweep's subgroup tables build theirs from the groups' arrays
     calls, built = [0], []
     build = FiniteGroupTable._schreier_tree
 
@@ -683,7 +693,7 @@ def test_no_callback_products_after_the_tree_is_built(monkeypatch):
     assert verify_normal_form(gl23)["pass"]
     assert verify_associativity(gl23)["pass"]
     assert verify_apply_faithful(gl23)["pass"]
-    assert built and calls == [sum(built)]
+    assert built and calls == [0]
     assert [G._tree for G in (gl33, gl23)] == trees
 
 

@@ -15,7 +15,7 @@ from pshlab.hyperhecke import (CharacterMismatchError, ContainmentError,
                                coproduct, coproduct_well_defined,
                                enumerate_subgroup_chars,
                                enumerate_triples, graded_product,
-                               hecke_product, linear_characters,
+                               hecke_product,
                                module_basis, normalize, pair_triple,
                                verify_apply_faithful, verify_associativity,
                                verify_hopflike, verify_normal_form)
@@ -27,14 +27,23 @@ def borel_char(q=2):
     return G, SubgroupChar(G, B, {b: 1 for b in B})
 
 
+def linear_characters(G, indices):
+    """The degree-one characters of G's Subgroup on the indices, as maps
+    from G's element indices to values."""
+    return [chi for chi in G.subgroup(indices).characters
+            if chi[G.identity_idx] == 1]
+
+
 def test_subgroup_table_and_linear_characters():
     G = gl_group(2, 2)
     B = sorted(G.subgroups["B"])
-    sub = G.subgroup(B, "B")
+    sub = G.subgroup(B)
     assert sub.order == len(B)
     chars = linear_characters(G, B)
-    assert all(set(c) == set(B) for c in chars)
-    assert all(c[G.identity_idx] == 1 for c in chars)
+    assert chars and all(set(c) == set(B) for c in chars)
+    # the whole group's characters are read from its own table
+    whole = G.subgroup(range(G.order)).characters
+    assert len(whole) == len(G.character_table())
 
 
 def test_invalid_characters_rejected():
@@ -71,8 +80,9 @@ def test_triples_and_subgroup_characters_stay_immutable():
     assert bchar.indices == tuple(sorted(G.subgroups["B"]))
     t = HeckeTriple(bchar, G.identity_idx, bchar)
     assert (t.source, t.g, t.target) == (bchar, G.identity_idx, bchar)
-    for obj, attr in ((bchar, "amb"), (bchar, "indices"), (bchar, "chi"),
-                      (t, "source"), (t, "g"), (t, "target"), (t, "extra")):
+    for obj, attr in ((bchar, "sub"), (bchar, "amb"), (bchar, "indices"),
+                      (bchar, "chi"), (t, "source"), (t, "g"), (t, "target"),
+                      (t, "extra")):
         with pytest.raises(AttributeError):
             setattr(obj, attr, None)
     w = next(i for i in range(G.order)
@@ -349,7 +359,7 @@ def test_coset_reductions_match_brute_force_gl23():
     G = gl_group(2, 3)
     for sc in enumerate_subgroup_chars(G):
         assert module_basis(sc) == brute_module_basis(sc)
-        least, _, k = _left_cosets(sc)
+        least, _, k = _left_cosets(sc.sub)
         for g in range(G.order):
             assert (least[g], sc.chi[k[g]]) == brute_reduce(sc, g)
 
@@ -644,7 +654,7 @@ def plant_wrong_h(G, target, source, y):
     """Replace the h of y in the double-coset table of target and source
     by another member of target whose character value differs, so the
     entry no longer factors y."""
-    h = G.double_coset_table(target.indices, source.indices)[1]
+    h = G.double_coset_table(target.sub, source.sub)[1]
     h[y] = next(x for x in target.indices
                 if target.chi[x] != target.chi[h[y]])
 
@@ -653,7 +663,7 @@ def test_wrong_factor_fails_normal_form():
     G = fresh_gl(2, 2)
     assert verify_normal_form(G)["pass"]
     t = next(t for t in enumerate_triples(G) if nontrivial(t.target))
-    rep = G.double_coset_table(t.target.indices, t.source.indices)[0]
+    rep = G.double_coset_table(t.target.sub, t.source.sub)[0]
     y = next(y for y in range(G.order) if rep[y] == t.g and y != t.g)
     plant_wrong_h(G, t.target, t.source, y)
     report = verify_normal_form(G)
@@ -705,13 +715,20 @@ def test_normal_form_matches_the_product_oracle(q, cases):
     report = full_report()
     assert report["pass"] and report["cases"] == cases
     t = next(t for t in enumerate_triples(G) if nontrivial(t.target))
-    rep = G.double_coset_table(t.target.indices, t.source.indices)[0]
+    rep = G.double_coset_table(t.target.sub, t.source.sub)[0]
     y = next(y for y in range(G.order) if rep[y] == t.g and y != t.g)
     plant_wrong_h(G, t.target, t.source, y)
     assert {f["kind"] for f in full_report()["failures"]} == {"orbit"}
     # a wrong least member breaks idempotence, and changes the triples
     rep[t.g] = y
     assert "idempotence" in {f["kind"] for f in full_report()["failures"]}
+
+
+def test_normal_form_gl32():
+    # GL(3,2) is the only degree-3 group the hyperHecke verifiers run on;
+    # its faithfulness sweep (about 5 s) is left to a manual run
+    report = verify_normal_form(gl_group(3, 2))
+    assert report["pass"] and report["cases"] == 55732
 
 
 def test_verifiers_build_one_character_table_per_subgroup(monkeypatch):
@@ -738,7 +755,7 @@ def plant_wrong_twist(G):
     """Replace the k of one element in the left-coset table of a subgroup
     with a nontrivial character by a member whose value differs."""
     sc = next(sc for sc in enumerate_subgroup_chars(G) if nontrivial(sc))
-    _, _, k = G.double_coset_table((G.identity_idx,), sc.indices)
+    _, _, k = G.double_coset_table(G.subgroup([G.identity_idx]), sc.sub)
     y = next(y for y in range(G.order) if k[y] != G.identity_idx)
     k[y] = next(x for x in sc.indices if sc.chi[x] != sc.chi[k[y]])
 
@@ -814,8 +831,7 @@ def plant_wrong_product_scalar(G, triples):
     for t1 in triples:
         for t2 in triples:
             g = G.mul(t1.g, t2.g)
-            rep = G.double_coset_table(t1.target.indices,
-                                       t2.source.indices)[0]
+            rep = G.double_coset_table(t1.target.sub, t2.source.sub)[0]
             if (t2.target == t1.source and rep[g] != g
                     and nontrivial(t1.target)):
                 plant_wrong_h(G, t1.target, t2.source, g)

@@ -260,9 +260,9 @@ def test_only_the_kept_oracles_are_test_only():
 
 # method names that more than one class defines, or that a top-level
 # definition shares
-SHARED_METHOD_NAMES = ("_key", "_pair", "_right_array", "basis", "conj",
-                       "coproduct", "inv", "is_zero", "mul", "n", "order",
-                       "scale", "to_json")
+SHARED_METHOD_NAMES = ("_key", "_pair", "_right_array", "amb", "basis",
+                       "conj", "coproduct", "inv", "is_zero", "mul", "n",
+                       "order", "scale", "to_json")
 
 
 def shared_method_names(package_sources):
