@@ -55,6 +55,19 @@ class CharacterMismatchError(TripleError):
     pass
 
 
+def _check_character(amb: FiniteGroupTable, chi: dict):
+    """Raise TripleError unless chi is a linear character of its keys."""
+    if chi.get(amb.identity_idx) != 1:
+        raise TripleError("character must be 1 at the identity")
+    for x in chi:
+        for y in chi:
+            z = amb.mul(x, y)
+            if z not in chi:
+                raise TripleError("index set not closed")
+            if chi[z] != chi[x] * chi[y]:
+                raise TripleError("character is not a homomorphism")
+
+
 class SubgroupChar:
     """The ambient group's Subgroup object on the given indices together
     with a linear character, the character stored as value per ambient
@@ -64,10 +77,11 @@ class SubgroupChar:
 
     def __init__(self, amb: FiniteGroupTable, indices, chi: dict,
                  check: bool = True):
-        _set_sub(self, amb.subgroup(indices))
-        _set_chi(self, {i: scalar(chi[i]) for i in self.indices})
-        if check:
-            self.validate()
+        chi = {i: scalar(chi[i]) for i in sorted(set(indices))}
+        if check:  # before the lookup, so a rejected set is not kept
+            _check_character(amb, chi)
+        _set_sub(self, amb.subgroup(chi))
+        _set_chi(self, chi)
 
     def __setattr__(self, *a):
         raise AttributeError("SubgroupChar is immutable")
@@ -79,18 +93,6 @@ class SubgroupChar:
     @property
     def indices(self):
         return self.sub.indices
-
-    def validate(self):
-        amb, chi = self.amb, self.chi
-        if chi[amb.identity_idx] != 1:
-            raise TripleError("character must be 1 at the identity")
-        for x in self.indices:
-            for y in self.indices:
-                z = amb.mul(x, y)
-                if z not in chi:
-                    raise TripleError("index set not closed")
-                if chi[z] != chi[x] * chi[y]:
-                    raise TripleError("character is not a homomorphism")
 
     def _key(self):
         """Sort key for serialization; not a hash, because the text of a
@@ -437,10 +439,13 @@ def coproduct_well_defined(t: HeckeTriple, a: int) -> dict:
     p_indices, _, project = _blocks(G, n, a)
     cases = 0
     failures = []
-    u_of = G.double_coset_table(G.subgroup(p_indices), t.source.sub)[1]
-    for z, members in G.double_cosets(p_indices, t.source.indices):
+    rep, u_of, _ = G.double_coset_table(G.subgroup(p_indices), t.source.sub)
+    cosets = {}  # least member -> members, both ascending
+    for y, z in enumerate(rep):
+        cosets.setdefault(z, []).append(y)
+    for z, members in cosets.items():
         base = _coproduct_component(t, a, z)
-        for z2 in sorted(members):
+        for z2 in members:
             alt = _coproduct_component(t, a, z2)
             cases += 1
             if (base is None) != (alt is None):

@@ -7,7 +7,9 @@ Specht module is held only in that sparse form: its standard
 polytabloids, built once per shape by ``standard_basis``.  The tabloid
 basis is orthonormal for the invariant bilinear form, so inner products
 are sparse dot products.  A permutation moves a key through
-``combinat._mover`` and nothing else.
+``combinat._mover`` and nothing else.  Dimensions come from hook lengths,
+Young induction from binomial weights, and the adjacency scan reads only
+a window of m-count sums: none of the three enumerates tableaux or masks.
 """
 
 from __future__ import annotations
@@ -15,18 +17,18 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
 from .chars import ClassFunction
 from .combinat import (Tableau, _mover, addable_nodes, add_node,
-                       all_tableaux, all_tabloids, partitions, remove_node,
-                       removable_nodes, standard_tableaux, tabloid_m_counts)
+                       all_tableaux, all_tabloids, conjugate, partitions,
+                       remove_node, removable_nodes, standard_tableaux,
+                       tabloid_m_counts)
 from .cyclo import integer
 from .groups import check_group_order
 from .linalg import det_exact
-from .symgroup import (Perm, centralizer_order, class_representative,
-                       class_size, sign_of)
+from .symgroup import Perm, class_representative, class_size, sign_of
 
 __all__ = ["check_sym_order", "apply_kappa",
            "standard_basis", "specht_dim", "specht_action",
@@ -112,7 +114,10 @@ def standard_basis(mu: tuple):
 
 
 def specht_dim(mu: tuple) -> int:
-    return len(standard_tableaux(mu))
+    """Standard tableaux of shape mu, counted by the hook length formula."""
+    cols = conjugate(mu)
+    return math.factorial(sum(mu)) // math.prod(
+        p - j + cols[j] - i - 1 for i, p in enumerate(mu) for j in range(p))
 
 
 def specht_action(sigma: Perm, mu: tuple):
@@ -175,24 +180,22 @@ def induce_young(chi1: ClassFunction, chi2: ClassFunction) -> ClassFunction:
     """Induce chi1 x chi2 from the Young subgroup Sym(k) x Sym(n-k) up to
     Sym(n), for class functions keyed by cycle type.  The value at nu sums
     z(nu) / (z(nu1) z(nu2)) chi1(nu1) chi2(nu2), z the centraliser order,
-    over the distinct ways of splitting the cycles of nu into a cycle type
-    nu1 of k and nu2 of n-k."""
+    over the distinct splits of the cycles of nu into a cycle type nu1 of
+    k and nu2 of n-k.  A split takes p_i of the m_i cycles of each length
+    i, and the ratio of centraliser orders is the integer prod C(m_i, p_i)."""
     k = len(chi1.identity)
     n = k + len(chi2.identity)
     values = {}
     for nu in partitions(n):
+        mult = [(i, len(list(g))) for i, g in itertools.groupby(nu)]
         total = 0
-        seen = set()
-        for mask in range(1 << len(nu)):
-            # a subsequence of nu is again sorted descending
-            nu1 = tuple(p for i, p in enumerate(nu) if mask >> i & 1)
-            if sum(nu1) != k or nu1 in seen:
+        for picks in itertools.product(*(range(m + 1) for _, m in mult)):
+            if sum(i * p for (i, _), p in zip(mult, picks)) != k:
                 continue
-            seen.add(nu1)
-            nu2 = tuple(p for i, p in enumerate(nu) if not mask >> i & 1)
-            total += (Fraction(centralizer_order(nu),
-                               centralizer_order(nu1)
-                               * centralizer_order(nu2))
+            nu1 = tuple(i for (i, _), p in zip(mult, picks) for _ in range(p))
+            nu2 = tuple(i for (i, m), p in zip(mult, picks)
+                        for _ in range(m - p))
+            total += (math.prod(map(math.comb, (m for _, m in mult), picks))
                       * chi1.values[nu1] * chi2.values[nu2])
         values[nu] = integer(total)
     return ClassFunction(_group_id(n), values, sym_class_sizes(n), (1,) * n)
@@ -284,10 +287,15 @@ def tabloid_adjacency_check(mu: tuple) -> bool:
     Both the condition and the swapped tabloid read t only through its
     tabloid, and every tabloid of shape mu is the tabloid of some
     tableau, so the sweep runs once per tabloid.  Each tabloid's m-count
-    vector is computed once."""
+    vector is computed once.  For integer vectors, a <= b componentwise
+    with a != b forces sum(a) < sum(b), so for any count function each mid
+    between lower and upper lies in the bisect window of the vectors
+    ranked by sum that sum strictly between theirs: the scan reads only it."""
     n = sum(mu)
     check_sym_order(n)
     counts = {tab.key: tabloid_m_counts(tab) for tab in all_tabloids(mu)}
+    ranked = sorted(counts.values(), key=sum)
+    sums = list(map(sum, ranked))
     # swaps[x - 1] moves a key by the transposition of x and x+1
     swaps = [_mover([*range(x - 1), x, x - 1, *range(x + 1, n)])
              for x in range(1, n)]
@@ -303,8 +311,9 @@ def tabloid_adjacency_check(mu: tuple) -> bool:
             upper = counts[swaps[x - 1](key)]
             if not below(lower, upper):
                 return False
-            if any(below(lower, mid) and below(mid, upper)
-                   for mid in counts.values()):
+            window = ranked[bisect_right(sums, sum(lower)):
+                            bisect_left(sums, sum(upper))]
+            if any(below(lower, mid) and below(mid, upper) for mid in window):
                 return False
     return True
 

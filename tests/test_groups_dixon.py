@@ -242,6 +242,22 @@ def test_subgroup_object_is_built_once_per_index_set():
         G.subgroup([x])
 
 
+def test_a_rejected_index_set_is_not_kept():
+    # the checks run before the lookup, so neither a set that is not
+    # closed nor one under a non-homomorphism leaves a Subgroup behind
+    G = fresh_table(gl_group(2, 3))
+    one = G.identity_idx
+    x = next(x for x in range(G.order) if G.mul(x, x) != one)
+    with pytest.raises(TripleError, match="not closed"):
+        SubgroupChar(G, [one, x], {one: 1, x: 1})
+    B = G.subgroups["B"]
+    with pytest.raises(TripleError, match="not a homomorphism"):
+        SubgroupChar(G, B, {b: 1 if b == one else 2 for b in B})
+    assert G._subgroup_tables == {}
+    assert SubgroupChar(G, B, {b: 1 for b in B}).sub is G.subgroup(B)
+    assert list(G._subgroup_tables) == [B]
+
+
 def test_small_generators_rejects_a_set_that_is_not_a_subgroup():
     # {0, 2, 5} in Z/6: 2 alone generates three elements, but not 5
     G = cyclic_table(6)

@@ -9,7 +9,8 @@ from pshlab.glfq import block_diagonal, gl_group
 from pshlab.groups import FiniteGroupTable
 from pshlab.hyperhecke import (CharacterMismatchError, ContainmentError,
                                HeckeElement, HeckeTriple, SubgroupChar,
-                               TripleError, _coproduct_component, _meet,
+                               TripleError, _check_character,
+                               _coproduct_component, _meet,
                                _left_cosets, _product_table,
                                _sampled_triples, apply_triple,
                                coproduct, coproduct_well_defined,
@@ -178,8 +179,8 @@ def test_graded_product_valid():
             for t2 in gens:
                 t = graded_product(t1, t2, q)
                 assert t.amb is gl_group(2, q)
-                t.source.validate()
-                t.target.validate()
+                _check_character(t.amb, t.source.chi)
+                _check_character(t.amb, t.target.chi)
                 assert HeckeTriple(t.source, t.g, t.target) == t
 
 

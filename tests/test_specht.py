@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import json
 import math
@@ -6,15 +7,19 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 import pshlab
 from pshlab import specht
+from pshlab.chars import ClassFunction
 from pshlab.combinat import (Tableau, Tabloid, _mover, all_tableaux,
                              conjugate, partitions, standard_tableaux)
+from pshlab.cyclo import scalar, zeta
 from pshlab.groups import FiniteGroupTable
+from pshlab.invariants import verify_mezzadri
 from pshlab.linalg import rank_exact
 from pshlab.specht import (induce_young, kappa_multiple_check,
                            restrict_character,
@@ -22,7 +27,7 @@ from pshlab.specht import (induce_young, kappa_multiple_check,
                            specht_dim, standard_basis,
                            submodule_theorem_check, sym_character_table,
                            tabloid_adjacency_check, verify_branching)
-from pshlab.symgroup import Perm, sign_of
+from pshlab.symgroup import Perm, centralizer_order, sign_of
 
 
 def test_dims_small():
@@ -128,9 +133,11 @@ def test_gram_det_positive():
         assert det_exact(gram_matrix(mu)) > 0
 
 
-def test_induce_young_matches_table_induction():
-    # the Young-subgroup formula against class-sum induction from
-    # Sym(k) x Sym(n-k) on a Sym(n) group table
+def table_induction_mismatches():
+    """(lam, mu, cycle type) wherever the Young-subgroup formula differs
+    from class-sum induction from Sym(k) x Sym(n-k) on a Sym(n) group
+    table, for n = 2..5."""
+    out = []
     for n in range(2, 6):
         perms = [Perm(p) for p in itertools.permutations(range(1, n + 1))]
         G = FiniteGroupTable(f"S{n}", perms, lambda a, b: a * b, None,
@@ -153,8 +160,14 @@ def test_induce_young_matches_table_induction():
                     by_formula = induce_young(chi1, chi2)
                     for label, members in enumerate(G.classes()):
                         ctype = G.elements[members[0]].cycle_type()
-                        assert by_formula.values[ctype] \
-                            == by_table.values[label], (lam, mu, ctype)
+                        if by_formula.values[ctype] \
+                                != by_table.values[label]:
+                            out.append((lam, mu, ctype))
+    return out
+
+
+def test_induce_young_matches_table_induction():
+    assert table_induction_mismatches() == []
 
 
 @lru_cache(maxsize=None)
@@ -478,3 +491,181 @@ def test_tabloid_adjacency_exits_on_planted_defects(monkeypatch):
     assert tabloid_adjacency_check(mu) is False
     monkeypatch.undo()
     assert tabloid_adjacency_check(mu)
+
+
+# -- the enumerating routes the closed forms replaced, kept as oracles -------
+
+def test_hook_length_formula_counts_standard_tableaux():
+    for n in range(10):
+        for mu in partitions(n):
+            assert specht_dim(mu) == len(standard_tableaux(mu)), mu
+
+
+def induce_young_by_masks(chi1, chi2):
+    """Young induction by its definition: one term per distinct
+    subsequence nu1 of nu among all 2^len(nu) masks, weighted by the
+    Fraction z(nu) / (z(nu1) z(nu2)).  Returns each value in normal form,
+    integral or not."""
+    k = len(chi1.identity)
+    n = k + len(chi2.identity)
+    values = {}
+    for nu in partitions(n):
+        total = 0
+        seen = set()
+        for mask in range(1 << len(nu)):
+            nu1 = tuple(p for i, p in enumerate(nu) if mask >> i & 1)
+            if sum(nu1) != k or nu1 in seen:
+                continue
+            seen.add(nu1)
+            nu2 = tuple(p for i, p in enumerate(nu) if not mask >> i & 1)
+            total += (Fraction(centralizer_order(nu),
+                               centralizer_order(nu1)
+                               * centralizer_order(nu2))
+                      * chi1.values[nu1] * chi2.values[nu2])
+        values[nu] = scalar(total)
+    return values
+
+
+def induction_outcome(chi1, chi2):
+    """induce_young's values, or "raised" if a value is not an integer."""
+    try:
+        return induce_young(chi1, chi2).values
+    except AssertionError:
+        return "raised"
+
+
+def masks_outcome(chi1, chi2):
+    values = induce_young_by_masks(chi1, chi2)
+    return (values if all(type(v) is int for v in values.values())
+            else "raised")
+
+
+def scaled(chi, factor):
+    return ClassFunction(chi.group_id,
+                         {lam: factor * v for lam, v in chi.values.items()},
+                         chi.sizes, chi.identity)
+
+
+def test_binomial_induction_matches_the_mask_loop():
+    for n in range(2, 9):
+        for k in range(1, n):
+            for lam in partitions(k):
+                for mu in partitions(n - k):
+                    chi1, chi2 = specht_character(lam), specht_character(mu)
+                    assert induce_young(chi1, chi2).values \
+                        == induce_young_by_masks(chi1, chi2), (lam, mu)
+
+
+def test_binomial_induction_matches_the_mask_loop_off_the_integers():
+    i = zeta(4)
+    cases = [
+        # Gaussian-integer values whose products are integers
+        (scaled(specht_character((2, 1)), i),
+         scaled(specht_character((2, 1, 1)), -i)),
+        # half-integer values: some inductions integral, some not
+        (scaled(specht_character((2,)), Fraction(1, 2)),
+         specht_character((1, 1))),
+        (scaled(specht_character((2, 1)), Fraction(1, 2)),
+         scaled(specht_character((1, 1)), Fraction(1, 2))),
+        (scaled(specht_character((3, 1)), Fraction(1, 3)),
+         specht_character((2,))),
+    ]
+    outcomes = []
+    for chi1, chi2 in cases:
+        outcome = induction_outcome(chi1, chi2)
+        assert outcome == masks_outcome(chi1, chi2)
+        outcomes.append(outcome == "raised")
+    assert outcomes == [False, False, True, True]
+
+
+def adjacency_by_full_scan(mu):
+    """The adjacency lemma with every tabloid of the shape tried as mid,
+    reading the same module names as tabloid_adjacency_check, so a
+    defect planted there reaches both."""
+    n = sum(mu)
+    counts = {tab.key: specht.tabloid_m_counts(tab)
+              for tab in specht.all_tabloids(mu)}
+    swaps = [specht._mover([*range(x - 1), x, x - 1, *range(x + 1, n)])
+             for x in range(1, n)]
+
+    def below(a, b):
+        return a != b and all(map(operator.le, a, b))
+
+    for key, lower in counts.items():
+        for x in range(1, n):
+            if key[x - 1] <= key[x]:
+                continue
+            upper = counts[swaps[x - 1](key)]
+            if not below(lower, upper):
+                return False
+            if any(below(lower, mid) and below(mid, upper)
+                   for mid in counts.values()):
+                return False
+    return True
+
+
+def top_key(mu):
+    """The key of the dominance-top tabloid: 1..n filled row by row."""
+    return tuple(r for r, p in enumerate(mu) for _ in range(p))
+
+
+def adjacency_verdicts(monkeypatch, plant):
+    """(shape, window verdict, full-scan verdict) for every shape with
+    n <= 6, under one of the planted defects of
+    test_tabloid_adjacency_exits_on_planted_defects, or none."""
+    real_counts = specht.tabloid_m_counts
+    out = []
+    for n in range(1, 7):
+        for mu in partitions(n):
+            if plant == "negated":
+                monkeypatch.setattr(
+                    specht, "tabloid_m_counts",
+                    lambda tab: tuple(-c for c in real_counts(tab)))
+            elif plant == "to_top":
+                top = top_key(mu)
+                monkeypatch.setattr(specht, "_mover",
+                                    lambda inverse: lambda key: top)
+            out.append((mu, tabloid_adjacency_check(mu),
+                        adjacency_by_full_scan(mu)))
+            monkeypatch.undo()
+    return out
+
+
+@pytest.mark.parametrize("plant", [None, "negated", "to_top"])
+def test_adjacency_window_agrees_with_the_full_scan(monkeypatch, plant):
+    verdicts = adjacency_verdicts(monkeypatch, plant)
+    assert all(window == full for _, window, full in verdicts), verdicts
+    # the real counts pass everywhere; each plant fails somewhere
+    assert {window for _, window, _ in verdicts} \
+        == ({True} if plant is None else {True, False})
+
+
+# -- negative controls for the closed forms -----------------------------------
+
+def test_unit_weights_fail_branching_and_table_induction(monkeypatch):
+    monkeypatch.setattr(math, "comb", lambda m, p: 1)
+    assert table_induction_mismatches()
+    assert not all(verify_branching(mu)["pass"]
+                   for n in range(1, 5) for mu in partitions(n))
+
+
+def test_a_hook_off_by_one_fails_mezzadri(monkeypatch):
+    real = specht.conjugate
+    # every hook of the last column one too long
+    monkeypatch.setattr(specht, "conjugate",
+                        lambda mu: real(mu)[:-1] + (real(mu)[-1] + 1,))
+    assert not verify_mezzadri(4)["pass"]
+    monkeypatch.undo()
+    assert verify_mezzadri(4)["pass"]
+
+
+def test_a_window_short_of_its_last_tabloid_misses_a_plant(monkeypatch):
+    mu = (2, 1)
+    top = top_key(mu)
+    monkeypatch.setattr(specht, "_mover", lambda inverse: lambda key: top)
+    assert tabloid_adjacency_check(mu) is adjacency_by_full_scan(mu) is False
+    monkeypatch.setattr(
+        specht, "bisect_left",
+        lambda a, x: bisect.bisect_left(a, x) - 1)
+    assert tabloid_adjacency_check(mu) is True
+    assert adjacency_by_full_scan(mu) is False
