@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 
@@ -280,62 +282,104 @@ def gl_order(n: int, q: int) -> int:
 
 
 def _gl_elements(f: Fq, n: int) -> list:
-    """The invertible n x n matrices over f in lexicographic order of
-    their entries, built row by row: each row is a nonzero row code, in
-    code order, outside the span of the rows above it."""
+    """The invertible n x n matrices over f, in lexicographic order of
+    their entries, as n columns of row codes: column i lists row i of
+    every matrix.  The walk goes row by row: each row is a nonzero row
+    code, in code order, outside the span of the rows above it."""
     vecs, _, add, scale = f._row_tables(n)
+    # one byte per code where the q^n codes allow it, as they do for every
+    # GL(n, q) within the default order cap but GL(2, 17); else two, as
+    # q^n < 2^16 whenever the q^(2n) row sums fit in memory
+    columns = [array("B" if len(vecs) <= 256 else "H") for _ in range(n)]
 
     def extend(rows, span):
-        for r in range(1, len(vecs)):
-            if r in span:
-                continue
-            if len(rows) == n - 1:
-                yield rows + (r,)
-            else:
-                yield from extend(rows + (r,), {add[u][scale[c][r]]
-                                                for u in span
-                                                for c in range(f.q)})
-    return [tuple(vecs[r] for r in rows) for rows in extend((), {0})]
+        free = [r for r in range(1, len(vecs)) if r not in span]
+        if len(rows) < n - 1:
+            for r in free:
+                extend(rows + (r,), {add[u][scale[c][r]]
+                                     for u in span for c in range(f.q)})
+            return
+        # the last row: every free code, below one copy of the rows above
+        for column, r in zip(columns, rows):
+            column.extend([r] * len(free))
+        columns[-1].extend(free)
+    extend((), {0})
+    return columns
 
 
 class GLTable(FiniteGroupTable):
-    """The table of GL_n(F_q) on its invertible matrices, in the given
-    order.  Right multiplication by s acts on each row separately, so the
-    right action of s is read from its map row -> row s on the q^n rows:
-    q^n products per generator of the Schreier tree, none per element."""
+    """The table of GL_n(F_q) on its invertible matrices, given as the n
+    columns of row codes (positions in the row list of `Fq._row_tables`)
+    that `_gl_elements` walks, column i holding row i of every element in
+    lexicographic order of their entries.  Beside the matrices it keeps
+    those columns and a key table.  The key of a matrix with row codes
+    c_1, ..., c_n is c_1 Q^(n-1) + ... + c_n, Q = q^n: its position among
+    all q^(n^2) square matrices.  The key table is a list over those
+    positions that sends each element's key to its index, None elsewhere;
+    as |GL_n(F_q)| / q^(n^2) = prod (1 - q^-k) > 0.288, it holds fewer
+    than 3.5 |GL_n(F_q)| entries, and it is sized after the group-order
+    check.
 
-    def __init__(self, f: Fq, n: int, elements):
-        super().__init__(f"GL({n},{f.q})", elements,
-                         lambda a, b: mat_mul(f, a, b), None,
-                         mat_identity(f, n))
+    Right multiplication by s acts on each row separately, so its right
+    action is read from s's row map v -> v s, a list of Q codes: Q
+    products per generator of the Schreier tree, none per element.  The
+    row map sends each column to the image rows' codes, one integer pass
+    per column sums them into keys, and the key table gives each image's
+    index; no matrix is built or hashed."""
+
+    def __init__(self, f: Fq, n: int, columns):
+        vecs = f._row_tables(n)[0]
+        super().__init__(f"GL({n},{f.q})", zip(*(
+            map(vecs.__getitem__, column) for column in columns)),
+            lambda a, b: mat_mul(f, a, b), None, mat_identity(f, n))
         self.field = f
         self.n = n
+        self._columns = columns
+        self._key_index = [None] * len(vecs) ** n
+        # the index dict's values are 0, 1, ... in element order; storing
+        # them, not new integers, keeps one int object per index
+        for i, key in zip(self.index.values(), self._keys(range(len(vecs)))):
+            self._key_index[key] = i
+
+    def _keys(self, rowmap):
+        """The key of x s for every element x, in element order, where
+        rowmap lists the code of v s for each row code v.  An iterator:
+        the passes over the columns, each adding rowmap[c] Q^(n-i) for
+        column i, run side by side, so no list of keys is built."""
+        keys, place = None, 1
+        for column in reversed(self._columns):
+            images = map([r * place for r in rowmap].__getitem__, column)
+            keys = (images if keys is None
+                    else map(operator.add, images, keys))
+            place *= len(rowmap)
+        return keys
 
     def _right_array(self, s: int) -> list[int]:
-        f, t, index = self.field, self.elements[s], self.index
-        rowmap = {v: mat_mul(f, (v,), t)[0]
-                  for v in f._row_tables(self.n)[0]}.__getitem__
-        return [index[tuple(map(rowmap, x))] for x in self.elements]
+        f, t = self.field, self.elements[s]
+        vecs, code = f._row_tables(self.n)[:2]
+        rowmap = [code[mat_mul(f, (v,), t)[0]] for v in vecs]
+        return list(map(self._key_index.__getitem__, self._keys(rowmap)))
 
 
 @lru_cache(maxsize=None)
 def gl_group(n: int, q: int) -> GLTable:
-    """GL_n(F_q) by full enumeration, with the standard subgroups
-    registered as closures of their generators: U(k,n-k), P(k,n-k),
-    L(k,n-k), Z, D, B and Sigma, built from the transvections I + c E_ij
-    (c in the additive basis p^t of F_q), the diagonal matrices with one
-    entry the field generator g, the scalar g I and the adjacent
-    transposition matrices.  The Schreier tree's right actions come from
-    each generator's row map (GLTable), not from a product per element."""
+    """GL_n(F_q) by full enumeration of its row codes, with the standard
+    subgroups registered as closures of their generators: U(k,n-k),
+    P(k,n-k), L(k,n-k), Z, D, B and Sigma, built from the transvections
+    I + c E_ij (c in the additive basis p^t of F_q), the diagonal matrices
+    with one entry the field generator g, the scalar g I and the adjacent
+    transposition matrices.  The Schreier tree's right actions are read
+    from the row codes through each generator's row map and the key table
+    (GLTable), with no product or matrix hash per element."""
     if n < 1:
         raise ValueError(f"GL({n},{q}) needs n >= 1")
     check_group_order(f"GL({n},{q})", gl_order(n, q))
     f = build_field(*_prime_power(q))
-    elements = _gl_elements(f, n)
-    if len(elements) != gl_order(n, q):
-        raise AssertionError(f"{len(elements)} invertible matrices, "
+    columns = _gl_elements(f, n)
+    if len(columns[0]) != gl_order(n, q):
+        raise AssertionError(f"{len(columns[0])} invertible matrices, "
                              f"not |GL({n},{q})| = {gl_order(n, q)}")
-    G = GLTable(f, n, elements)
+    G = GLTable(f, n, columns)
 
     def matrix(entries):
         """The index of the identity matrix with the given (i, j) -> value

@@ -14,9 +14,10 @@ identity under right multiplication by the group's greedy generators
 reach).  The walk takes each generator's right action R_s: x -> x s as a
 whole array from `_right_array`, which by default calls the
 multiplication callback once per element (a subclass may read it from a
-cheaper description of the product, as GL(n, q) does from its row maps,
-a wreath table from its base group's right actions and a Subgroup from
-its ambient's), and records each element's tree step y = parent(y) s.
+cheaper description of the product, as GL(n, q) does from its elements'
+integer row codes and a generator's row map, a wreath table from its
+base group's right actions and a Subgroup from its ambient's), and
+records each element's tree step y = parent(y) s.
 One pass down the tree then gives the left action L_g of any element
 (g y = (g parent(y)) s); the right action of g composes the R_s along g's
 tree path, and a product x y moves y along x's path by the generators'
@@ -250,7 +251,8 @@ class FiniteGroupTable:
 
     def subgroup(self, indices) -> Subgroup:
         """The Subgroup on the given element indices: one object per index
-        set, kept here."""
+        set, kept here.  A set that misses the identity or is not closed
+        under multiplication raises ValueError and is not kept."""
         key = frozenset(indices)
         sub = self._subgroup_tables.get(key)
         if sub is None:
@@ -410,11 +412,14 @@ class FiniteGroupTable:
 class Subgroup(FiniteGroupTable):
     """The subgroup of amb on the ascending element indices `indices`, a
     table on amb's elements in that order.  Its right actions are amb's,
-    restricted, so building its tree forms no product."""
+    restricted, so building its tree forms no product.  The indices must
+    hold the identity and be closed under amb's product (the check of
+    `small_generators`); otherwise ValueError."""
 
     def __init__(self, amb: FiniteGroupTable, indices):
         if amb.identity_idx not in indices:
             raise ValueError("the index set misses the identity")
+        amb.small_generators(indices)  # ValueError unless closed
         self.amb, self.indices = amb, tuple(sorted(indices))
         super().__init__(f"{amb.name}|sub{len(self.indices)}",
                          [amb.elements[i] for i in self.indices], None, None,

@@ -211,6 +211,22 @@ def test_branching_suite_builds_each_shapes_tableaux_once(monkeypatch):
                                  * math.factorial(m) ** 2 for m in (1, 2, 3))
 
 
+def test_branching_suite_reads_dominance_once_per_shape_pair(monkeypatch):
+    from pshlab import combinat
+    calls = []
+    real = combinat.dominates
+
+    def counting(lam, mu):
+        calls.append((lam, mu))
+        return real(lam, mu)
+    monkeypatch.setattr(combinat, "dominates", counting)
+    reports = cli._suite_branching(argparse.Namespace(n=3))
+    assert sorted(calls) == sorted(
+        (lam, mu) for m in (1, 2, 3) for lam in combinat.partitions(m)
+        for mu in combinat.partitions(m))
+    assert reports[-1]["pass"] is True
+
+
 def test_chartable_trivial_group():
     blob = run_json("chartable", "Sym(1)")
     assert blob["result"]["table"] == [[1]]

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from pshlab import glfq
 from pshlab.chars import elementwise, numerical_invariant
 from pshlab.cyclo import Cyclo, is_prime, zeta
 from pshlab.glfq import (_IRREDUCIBLE, Fq, _gl_elements, _prime_power,
@@ -18,7 +19,8 @@ from pshlab.glfq import (_IRREDUCIBLE, Fq, _gl_elements, _prime_power,
                          verify_bruhat_bijection, verify_kondo_induction,
                          verify_kondo_multiplicative, weil_character,
                          weil_identity_check, weil_theta_exponents)
-from pshlab.symgroup import Perm
+from pshlab.groups import FiniteGroupTable
+from pshlab.symgroup import Perm, kmatrix_solutions, w_of_kmatrix
 
 
 def test_prime_field():
@@ -225,7 +227,79 @@ def test_gl_elements_match_the_determinant_filter():
                 tuple(entries[i * n:(i + 1) * n] for i in range(n))
                 for entries in itertools.product(range(q), repeat=n * n))
                 if mat_det(f, a)]
-            assert _gl_elements(f, n) == by_det, (n, q)
+            vecs = f._row_tables(n)[0]
+            assert list(zip(*(map(vecs.__getitem__, column) for column
+                              in _gl_elements(f, n)))) == by_det, (n, q)
+
+
+# every GL(n, q) that the tier-1 tests build
+TIER1_GL = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5),
+            (3, 2), (3, 3)]
+
+
+def right_array_mismatches(G):
+    """The elements s, among the tree generators and a spread of others,
+    whose right array read from row codes differs from the one the
+    multiplication callback gives, one product per element."""
+    gens = [r[G.identity_idx] for r in G._schreier_tree()[0]]
+    spread = range(0, G.order, max(1, G.order // 8))
+    return [s for s in dict.fromkeys(gens + list(spread))
+            if G._right_array(s) != FiniteGroupTable._right_array(G, s)]
+
+
+def entry_key(G, x):
+    """The position of element x among all q^(n^2) square matrices: its
+    entries, row by row, as the digits of a base-q number."""
+    key = 0
+    for row in G.elements[x]:
+        for entry in row:
+            key = key * G.field.q + entry
+    return key
+
+
+@pytest.mark.parametrize("n,q", TIER1_GL)
+def test_row_code_right_arrays_match_the_callback(n, q):
+    assert right_array_mismatches(gl_group(n, q)) == []
+
+
+@pytest.mark.parametrize("n,q", TIER1_GL)
+def test_key_table_sends_each_key_to_its_element(n, q):
+    G = gl_group(n, q)
+    table = G._key_index
+    assert len(table) == q ** (n * n)
+    assert [table[entry_key(G, x)] for x in range(G.order)] == list(
+        range(G.order))
+    assert sum(i is not None for i in table) == G.order
+    # the columns hold the row codes of every element
+    vecs = G.field._row_tables(n)[0]
+    assert [tuple(vecs[c[x]] for c in G._columns)
+            for x in range(G.order)] == G.elements
+
+
+def test_two_byte_columns_on_gl_2_17():
+    # GL(2,17), of order 78,336, is the one group within the default cap
+    # whose 17^2 row codes do not fit in a byte
+    G = gl_group.__wrapped__(2, 17)
+    assert [c.typecode for c in G._columns] == ["H", "H"]
+    assert max(G._columns[0]) == 17 ** 2 - 1
+    assert all(G._key_index[entry_key(G, x)] == x for x in range(G.order))
+    gens = [r[G.identity_idx] for r in G._schreier_tree()[0]]
+    assert all(G._right_array(s) == FiniteGroupTable._right_array(G, s)
+               for s in gens)
+    assert gl_group(2, 3)._columns[0].typecode == "B"
+
+
+def test_a_swapped_key_table_entry_fails_the_comparison():
+    # a fresh GL(2,3) whose key table sends the first and the last
+    # matrix to each other's index: every right array stays a
+    # permutation, but a wrong one
+    G = gl_group.__wrapped__(2, 3)
+    assert right_array_mismatches(G) == []
+    table = G._key_index
+    a, b = entry_key(G, 0), entry_key(G, G.order - 1)
+    table[a], table[b] = table[b], table[a]
+    assert sorted(G._right_array(G.order - 1)) == list(range(G.order))
+    assert right_array_mismatches(G) != []
 
 
 def test_gl_order():
@@ -363,6 +437,22 @@ def test_bruhat_bijection_small():
         for alpha in range(3):
             assert verify_bruhat_bijection(a, alpha, 2, 2)["pass"]
     assert verify_bruhat_bijection(1, 2, 3, 3)["pass"]
+
+
+def test_a_planted_representative_fails_the_bruhat_bijection(monkeypatch):
+    # one K-matrix's representative replaced by the identity permutation:
+    # two solutions then hit the identity's double coset
+    assert verify_bruhat_bijection(1, 1, 3, 3)["bijection"] is True
+    planted = next(k for k in kmatrix_solutions(1, 1, 3)
+                   if w_of_kmatrix(k, 1, 1, 3) != Perm.identity(3))
+    real = glfq.w_of_kmatrix
+
+    def planted_w(k, a, alpha, m):
+        return Perm.identity(m) if k == planted else real(k, a, alpha, m)
+    monkeypatch.setattr(glfq, "w_of_kmatrix", planted_w)
+    report = verify_bruhat_bijection(1, 1, 3, 3)
+    assert report["cosets"] == report["solutions"] == 2
+    assert report["bijection"] is False and report["pass"] is False
 
 
 def test_induced_character_chain():

@@ -258,6 +258,20 @@ def test_a_rejected_index_set_is_not_kept():
     assert list(G._subgroup_tables) == [B]
 
 
+def test_subgroup_refuses_a_set_that_is_not_closed():
+    # the closure check runs before the set is kept, so the refused set
+    # leaves no Subgroup whose classes would fail later
+    G = fresh_table(gl_group(2, 3))
+    one = G.identity_idx
+    x = next(x for x in range(G.order) if G.mul(x, x) != one)
+    with pytest.raises(ValueError, match="not closed"):
+        G.subgroup([one, x])
+    assert G._subgroup_tables == {}
+    closed = G.closure([x])
+    assert G.subgroup(closed).order == len(closed) > 2
+    assert list(G._subgroup_tables) == [closed]
+
+
 def test_small_generators_rejects_a_set_that_is_not_a_subgroup():
     # {0, 2, 5} in Z/6: 2 alone generates three elements, but not 5
     G = cyclic_table(6)
