@@ -17,7 +17,7 @@ multiplication callback once per element (a subclass may read it from a
 cheaper description of the product, as GL(n, q) does from its elements'
 integer row codes and a generator's row map, a wreath table from its
 base group's right actions and a Subgroup from its ambient's), and
-records each element's tree step y = parent(y) s.
+records the walk in two flat lists, y = parent[y] s_via[y].
 One pass down the tree then gives the left action L_g of any element
 (g y = (g parent(y)) s); the right action of g composes the R_s along g's
 tree path, and a product x y moves y along x's path by the generators'
@@ -26,13 +26,13 @@ built.
 Closures, greedy generators, conjugacy classes and double cosets are
 orbits of these arrays, scanned in ascending order of least member; the
 whole group's greedy generators are the tree's own, and the double-coset
-walk also factors each member as h rep k.  `inv` reads an inverse from the
-element's powers, the one before the identity: no callback inverts.
+walk, which keeps parents only, factors each member as h rep k.  `inv`
+reads an inverse from the element's powers: no callback inverts.
 An induced character sums chi over the subgroup's elements in each class
 as one cyclo.dot, scaled by |C_G(g)|/|H|.
 
-`subgroup` keeps one Subgroup table per index set on the group, and
-`double_coset_table` one table per pair of Subgroup objects.
+`subgroup` keeps one Subgroup table per index set on the group, spanned
+once, and `double_coset_table` one table per pair of Subgroup objects.
 """
 
 from __future__ import annotations
@@ -86,14 +86,14 @@ class FiniteGroupTable:
     def mul(self, i: int, j: int) -> int:
         """i j, by the left actions L_s of the generators on i's tree
         path: i j = parent(i) (s j) for i = parent(i) s."""
-        steps = self._schreier_tree()[2]
+        _, _, parent, via = self._schreier_tree()
         if self._lefts is None:
             self._lefts = [self.left(r[self.identity_idx])
                            for r in self._tree[0]]
-        lefts = self._lefts
-        while steps[i] is not None:
-            i, k = steps[i]
-            j = lefts[k][j]
+        lefts, ident = self._lefts, self.identity_idx
+        while i != ident:
+            j = lefts[via[i]][j]
+            i = parent[i]
         return j
 
     def inv(self, i: int) -> int:
@@ -119,32 +119,36 @@ class FiniteGroupTable:
         generate.  Each candidate, in order, that the generators so far do
         not reach joins them; image(s) is the map x -> x s.  Every
         generator moves every member exactly once.  Returns the
-        generators, the members in the order reached, and each member's
-        tree step (parent, generator position), None at the identity."""
-        members = [self.identity_idx]
-        steps = {self.identity_idx: None}
+        generators, the members in the order reached, and the flat lists
+        parent and via over all element indices: y = parent[y] s_k for
+        k = via[y] at each member y but the identity, which is its own
+        parent; both are -1 off the subgroup, and via at the identity."""
+        ident = self.identity_idx
+        members = [ident]
+        parent, via = [-1] * self.order, [-1] * self.order
+        parent[ident] = ident
         gens, moves = [], []
         done = 1  # members[:done] are moved by every generator so far
         for c in candidates:
-            if c in steps:
+            if parent[c] >= 0:
                 continue
             k, move = len(moves), image(c)
             gens.append(c)
             moves.append(move)
             for x in members[:done]:
                 y = move(x)
-                if y not in steps:
-                    steps[y] = (x, k)
+                if parent[y] < 0:
+                    parent[y], via[y] = x, k
                     members.append(y)
             while done < len(members):
                 x = members[done]
                 done += 1
                 for k, move in enumerate(moves):
                     y = move(x)
-                    if y not in steps:
-                        steps[y] = (x, k)
+                    if parent[y] < 0:
+                        parent[y], via[y] = x, k
                         members.append(y)
-        return gens, members, steps
+        return gens, members, parent, via
 
     def _right_array(self, s: int) -> list[int]:
         """The right action x -> x s as a list, by one multiplication
@@ -154,11 +158,11 @@ class FiniteGroupTable:
         return [index[fn(x, t)] for x in els]
 
     def _schreier_tree(self):
-        """(rights, members, steps), built once: the right action rights[k]
-        of each greedy generator s_k of the group, from `_right_array`;
-        the members in breadth-first order, parents first; and the tree
-        step steps[y] = (parent(y), k) with y = parent(y) s_k.  Each s_k
-        is its array's image of the identity."""
+        """(rights, members, parent, via), built once: the right action
+        rights[k] of each greedy generator s_k of the group, from
+        `_right_array`; the members in breadth-first order, parents first;
+        and `_span`'s flat lists, y = parent[y] s_k for k = via[y].  Each
+        s_k is its array's image of the identity."""
         if self._tree is None:
             rights = []
 
@@ -166,18 +170,17 @@ class FiniteGroupTable:
                 rights.append(self._right_array(s))
                 return rights[-1].__getitem__
 
-            _, members, steps = self._span(range(self.order), image)
-            self._tree = (rights, members, steps)
+            self._tree = (rights, *self._span(range(self.order), image)[1:])
         return self._tree
 
     def _path(self, g: int) -> list[list[int]]:
         """The right actions of the generators along g's tree path, the
         identity's end first: x g = x s_1 ... s_k."""
-        rights, _, steps = self._schreier_tree()
+        rights, _, parent, via = self._schreier_tree()
         path = []
-        while steps[g] is not None:
-            g, k = steps[g]
-            path.append(rights[k])
+        while g != self.identity_idx:
+            path.append(rights[via[g]])
+            g = parent[g]
         path.reverse()
         return path
 
@@ -203,12 +206,11 @@ class FiniteGroupTable:
     def left(self, g: int) -> list[int]:
         """The left action x -> g x as a list, one pass down the tree:
         g y = (g parent(y)) s."""
-        rights, members, steps = self._schreier_tree()
+        rights, members, parent, via = self._schreier_tree()
         out = [0] * self.order
         out[self.identity_idx] = g
         for y in members[1:]:
-            x, k = steps[y]
-            out[y] = rights[k][out[x]]
+            out[y] = rights[via[y]][out[parent[y]]]
         return out
 
     def _orbits(self, moves):
@@ -244,7 +246,7 @@ class FiniteGroupTable:
         indices = sorted(indices)
         if indices == list(range(self.order)):
             return [r[self.identity_idx] for r in self._schreier_tree()[0]]
-        gens, members, _ = self._span(indices, self._right_move)
+        gens, members = self._span(indices, self._right_move)[:2]
         if sorted(members) != indices:
             raise ValueError("index set is not closed under multiplication")
         return gens
@@ -360,31 +362,28 @@ class FiniteGroupTable:
                 failures.append((g, j))
         return cases, failures
 
-    def _coset_moves(self, left_indices, right_indices):
-        """The left actions of the greedy generators of the left index
-        set, and the right actions of those of the right."""
-        return ([self.left(h) for h in self.small_generators(left_indices)],
-                [self.right(k) for k in self.small_generators(right_indices)])
-
     def double_cosets(self, left_indices, right_indices):
         """Partition of the group into H g K double cosets; returns a list
         of (representative, frozenset of members) with the representative
         the least element index in the coset."""
-        lefts, rights = self._coset_moves(left_indices, right_indices)
+        gens = self.small_generators
+        moves = ([self.left(h) for h in gens(left_indices)]
+                 + [self.right(k) for k in gens(right_indices)])
         return [(rep, frozenset(orbit))
-                for rep, orbit in self._orbits(lefts + rights)[0]]
+                for rep, orbit in self._orbits(moves)[0]]
 
     def double_coset_table(self, left: Subgroup, right: Subgroup):
         """Lists (rep, h, k) with y = h[y] rep[y] k[y] for every element
         index y: rep[y] is the least element of the left-y-right double
         coset of the two Subgroups, h[y] lies in left and k[y] in right.
-        The double_cosets walk fills them from each member's step, with no
-        product: reached from x by the left action of s, h = s h[x]; by
-        the right action of s, k = k[x] s.  Kept per pair of objects."""
+        The double_cosets walk, on the generators each Subgroup keeps,
+        fills them from each member's parent, with no product: reached
+        from x by the left action of s, h = s h[x]; by the right action
+        of s, k = k[x] s.  Kept per pair of objects."""
         table = self._coset_tables.get((left, right))
         if table is None:
-            lefts, rights = self._coset_moves(left.indices, right.indices)
-            moves = lefts + rights
+            lefts = [self.left(h) for h in left.generators]
+            moves = lefts + [self.right(k) for k in right.generators]
             orbits, parent = self._orbits(moves)
             rep, h = [0] * self.order, [self.identity_idx] * self.order
             k = h[:]
@@ -413,13 +412,14 @@ class Subgroup(FiniteGroupTable):
     """The subgroup of amb on the ascending element indices `indices`, a
     table on amb's elements in that order.  Its right actions are amb's,
     restricted, so building its tree forms no product.  The indices must
-    hold the identity and be closed under amb's product (the check of
-    `small_generators`); otherwise ValueError."""
+    hold the identity and be closed under amb's product; otherwise
+    ValueError.  `generators` keeps the greedy generators, as amb's
+    indices, from that check's one span in amb."""
 
     def __init__(self, amb: FiniteGroupTable, indices):
         if amb.identity_idx not in indices:
             raise ValueError("the index set misses the identity")
-        amb.small_generators(indices)  # ValueError unless closed
+        self.generators = amb.small_generators(indices)  # or ValueError
         self.amb, self.indices = amb, tuple(sorted(indices))
         super().__init__(f"{amb.name}|sub{len(self.indices)}",
                          [amb.elements[i] for i in self.indices], None, None,

@@ -30,6 +30,8 @@ normalizes every rewrite.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .cyclo import inverse, scalar, scalar_json
 from .groups import FiniteGroupTable
 from .symgroup import kmatrix_solutions
@@ -242,9 +244,7 @@ class HeckeElement:
     def __eq__(self, other):
         if not isinstance(other, HeckeElement):
             return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[t] == other.terms[t] for t in self.terms)
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms))
@@ -437,8 +437,7 @@ def coproduct_well_defined(t: HeckeTriple, a: int) -> dict:
     G = t.amb
     n = len(G.elements[0])
     p_indices, _, project = _blocks(G, n, a)
-    cases = 0
-    failures = []
+    cases, failures = 0, []
     rep, u_of, _ = G.double_coset_table(G.subgroup(p_indices), t.source.sub)
     cosets = {}  # least member -> members, both ascending
     for y, z in enumerate(rep):
@@ -487,8 +486,9 @@ def enumerate_subgroup_chars(G: FiniteGroupTable):
             if all(chi[z] == 1 for z in center)]
 
 
-def enumerate_triples(G: FiniteGroupTable):
-    """All normalized triples over the enumerated subgroup characters."""
+@lru_cache(maxsize=None)
+def enumerate_triples(G: FiniteGroupTable) -> tuple:
+    """All normalized triples over the subgroup characters; kept per group."""
     chars = enumerate_subgroup_chars(G)
     out = []
     for target in chars:
@@ -499,7 +499,7 @@ def enumerate_triples(G: FiniteGroupTable):
                     out.append(HeckeTriple(source, g, target))
                 except TripleError:
                     continue
-    return out
+    return tuple(out)
 
 
 def _sampled_triples(G: FiniteGroupTable, sample):
@@ -585,8 +585,7 @@ def verify_associativity(G: FiniteGroupTable, sample=None) -> dict:
     triples = _sampled_triples(G, sample)
     _, table = _product_table(triples)
     n = len(triples)
-    cases = 0
-    failures = []
+    cases, failures = 0, []
     for i in range(n):
         row = table[i]
         for j in range(n):

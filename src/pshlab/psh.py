@@ -431,6 +431,7 @@ def wreath_instance(h_name: str = "C2", maxdeg: int = 3) -> PshStructure:
                         *_table_tower(group_fn, embed))
 
 
+@lru_cache(maxsize=None)
 def _base_group(name: str):
     from .groups import FiniteGroupTable
     if name == "C2":

@@ -640,10 +640,11 @@ def test_kernel_arrays_match_the_callbacks():
 
 
 def tree_mismatches(G):
-    """The parts of G's Schreier tree (right actions, members, steps)
-    that differ from the tree a fresh table builds by callback."""
+    """The parts of G's Schreier tree (right actions, members, parents,
+    generator positions) that differ from the tree a fresh table builds
+    by callback."""
     return [name for name, ours, theirs in zip(
-        ("rights", "members", "steps"), G._schreier_tree(),
+        ("rights", "members", "parent", "via"), G._schreier_tree(),
         fresh_table(G)._schreier_tree()) if ours != theirs]
 
 
@@ -725,6 +726,21 @@ def test_no_callback_products_after_the_tree_is_built(monkeypatch):
     assert verify_apply_faithful(gl23)["pass"]
     assert built and calls == [0]
     assert [G._tree for G in (gl33, gl23)] == trees
+
+
+@pytest.mark.parametrize("part", ["parent", "via"])
+def test_a_wrong_tree_step_fails_the_kernel_checks(part):
+    # the last member reached gets the identity as parent, or another
+    # generator's position: one wrong entry of one flat list
+    G = fresh_table(gl_group(2, 3))
+    rights, members, parent, via = G._schreier_tree()
+    y = members[-1]
+    assert parent[y] != G.identity_idx and len(rights) > 1
+    if part == "parent":
+        parent[y] = G.identity_idx
+    else:
+        via[y] = (via[y] + 1) % len(rights)
+    assert {kind for kind, _ in kernel_mismatches(G)} & {"mul", "left"}
 
 
 def test_a_swapped_generator_entry_fails_the_kernel_checks():

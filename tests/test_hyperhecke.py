@@ -1,12 +1,14 @@
 import subprocess
 import sys
+import time
+from collections import Counter
 
 import pytest
 
 from pshlab.cyclo import Cyclo, inverse, scalar
 from pshlab import glfq, hyperhecke
 from pshlab.glfq import block_diagonal, gl_group
-from pshlab.groups import FiniteGroupTable
+from pshlab.groups import FiniteGroupTable, Subgroup
 from pshlab.hyperhecke import (CharacterMismatchError, ContainmentError,
                                HeckeElement, HeckeTriple, SubgroupChar,
                                TripleError, _check_character,
@@ -353,7 +355,7 @@ def test_enumerate_triples_matches_double_cosets():
                     expected.append(HeckeTriple(source, g, target))
                 except TripleError:
                     continue
-    assert enumerate_triples(G) == expected
+    assert list(enumerate_triples(G)) == expected
 
 
 def test_coset_reductions_match_brute_force_gl23():
@@ -526,7 +528,7 @@ def test_coproduct_components_match_oracle():
     cases = 0
     for q in (2, 3):
         G = gl_group(2, q)
-        triples = enumerate_triples(G)
+        triples = list(enumerate_triples(G))
         if q == 3:
             triples.append(fibre_breaking_triple())
         for t in triples:
@@ -551,7 +553,7 @@ def gl1_generators(q):
     """The generator triples of GL(1,q), and every triple g on one linear
     character of the whole (abelian) group."""
     G = gl_group(1, q)
-    out = enumerate_triples(G)
+    out = list(enumerate_triples(G))
     for chi in linear_characters(G, range(G.order)):
         sc = SubgroupChar(G, range(G.order), chi)
         out += [HeckeTriple(sc, g, sc) for g in range(G.order)]
@@ -621,7 +623,7 @@ def test_product_table_appends_products_outside_a_sample():
     triples = _sampled_triples(G, 12)
     n = len(triples)
     index, table = _product_table(triples)
-    assert index[:n] == triples and len(index) > n
+    assert tuple(index[:n]) == triples and len(index) > n
     everything = enumerate_triples(G)
     assert all(t in everything for t in index[n:])
     # a product of two listed triples, multiplied by a listed triple on
@@ -660,7 +662,11 @@ def plant_wrong_h(G, target, source, y):
                 if target.chi[x] != target.chi[h[y]])
 
 
-def test_wrong_factor_fails_normal_form():
+def test_wrong_factor_fails_normal_form(monkeypatch):
+    # each verifier call enumerates afresh, so that the planted least
+    # member below reaches the enumeration as well
+    monkeypatch.setattr(hyperhecke, "enumerate_triples",
+                        enumerate_triples.__wrapped__)
     G = fresh_gl(2, 2)
     assert verify_normal_form(G)["pass"]
     t = next(t for t in enumerate_triples(G) if nontrivial(t.target))
@@ -703,7 +709,9 @@ def normal_form_by_products(G, sample=None):
 
 
 @pytest.mark.parametrize("q, cases", [(2, 228), (3, 7434)])
-def test_normal_form_matches_the_product_oracle(q, cases):
+def test_normal_form_matches_the_product_oracle(q, cases, monkeypatch):
+    monkeypatch.setattr(hyperhecke, "enumerate_triples",
+                        enumerate_triples.__wrapped__)  # as above
     G = fresh_gl(2, q)
 
     def full_report():
@@ -726,10 +734,52 @@ def test_normal_form_matches_the_product_oracle(q, cases):
 
 
 def test_normal_form_gl32():
-    # GL(3,2) is the only degree-3 group the hyperHecke verifiers run on;
-    # its faithfulness sweep (about 5 s) is left to a manual run
+    # GL(3,2) is the only degree-3 group the hyperHecke verifiers run on
     report = verify_normal_form(gl_group(3, 2))
     assert report["pass"] and report["cases"] == 55732
+
+
+def test_apply_faithful_gl32():
+    # the whole sweep, injectivity included: about 5 s of CPU time on a
+    # 2-vCPU host, bounded at 10 s of this process's CPU time
+    start = time.process_time()
+    report = verify_apply_faithful(gl_group(3, 2))
+    assert time.process_time() - start < 10
+    assert report["cases"] == 23_014_881
+    assert report["pass"] and report["failures"] == []
+
+
+def test_hecke_sweep_spans_each_subgroup_and_group_once(monkeypatch):
+    # the verifier calls of one hecke-sweep pass, on fresh GL(2,2) and
+    # GL(2,3) tables: each Subgroup is spanned by its closure check only,
+    # and each group's triples are enumerated once
+    spans, built, enumerated = Counter(), Counter(), Counter()
+    real_span, real_init = FiniteGroupTable.small_generators, Subgroup.__init__
+    real_chars = hyperhecke.enumerate_subgroup_chars
+
+    def counted_span(self, indices):
+        spans[id(self), frozenset(indices)] += 1
+        return real_span(self, indices)
+
+    def counted_init(self, amb, indices):
+        built[id(amb), frozenset(indices)] += 1
+        real_init(self, amb, indices)
+
+    def counted_chars(G):
+        enumerated[id(G)] += 1
+        return real_chars(G)
+
+    monkeypatch.setattr(FiniteGroupTable, "small_generators", counted_span)
+    monkeypatch.setattr(Subgroup, "__init__", counted_init)
+    monkeypatch.setattr(hyperhecke, "enumerate_subgroup_chars", counted_chars)
+    for G, sample in ((fresh_gl(2, 2), None), (fresh_gl(2, 3), 12)):
+        assert verify_normal_form(G)["pass"]
+        assert verify_associativity(G, sample=sample)["pass"]
+        assert verify_apply_faithful(G)["pass"]
+    for q in (2, 3, 4, 5):
+        verify_hopflike(2, q)
+    assert built and spans == built
+    assert enumerated and set(enumerated.values()) == {1}
 
 
 def test_verifiers_build_one_character_table_per_subgroup(monkeypatch):

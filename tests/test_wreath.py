@@ -21,6 +21,13 @@ def c2():
     return _base_group("C2")
 
 
+def test_one_c2_table_per_process():
+    # so that wreath_group's cache, keyed by the base group object, hits
+    # for C2 towers
+    assert c2() is c2()
+    assert wreath_group(c2(), 4) is wreath_group(c2(), 4)
+
+
 def test_order():
     H = c2()
     G = wreath_group(H, 3)
